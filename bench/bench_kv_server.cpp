@@ -15,10 +15,11 @@
 //
 // Each point runs under both host-scheduler drivers: the lock-free
 // two-level-runqueue work stealer and the force_locked shard-mutex
-// baseline, making the scheduler path cost visible in p99/p999. On io_uring
-// builds the whole sweep additionally runs once per data path — completion
-// (multishot recv / provided buffers / async sends) vs readiness — with a
-// syscalls/request column computed from the engines' syscall counters.
+// baseline, making the scheduler path cost visible in p99/p999. The
+// data_path column names the backend the engines armed — io_uring
+// completion (multishot recv / provided buffers / async sends) or epoll
+// readiness — next to a syscalls/request column computed from the engines'
+// syscall counters.
 //
 // The connection sweep includes a many-connection point (10k in --smoke,
 // 100k in --full if the fd limit allows) to exercise uthread-per-connection
@@ -628,126 +629,110 @@ int main(int argc, char** argv) {
                    "syscalls/request = (io_uring_enter + read + write + accept) / served "
                    "requests over the whole point (warmup included on both sides)");
 
-  // Data-path sweep: on an io_uring build each point runs twice — once on the
-  // completion path (multishot recv + provided buffers + async sends, batched
-  // submission) and once with IoEngineOptions::completion off, which is the
-  // readiness POLL_ADD baseline. Epoll builds only have readiness.
-  std::vector<bool> completion_modes;
-#ifdef SKYLOFT_IO_URING
-  completion_modes = {true, false};
-#else
-  completion_modes = {false};
-#endif
-
+  // One pass per policy: the data path is whatever backend the engines armed
+  // — io_uring completion (multishot recv + provided buffers + async sends,
+  // batched submission) on a capable io_uring build, epoll readiness
+  // everywhere else.
   PrintHeader("kv_server over loopback TCP",
               {"path", "policy", "mode", "conns", "offered", "achieved", "p99_ns", "sys/req"});
 
   bool syscall_gate_failed = false;
-  for (const bool completion_on : completion_modes) {
-    for (const bool force_locked : {false, true}) {
-      for (const PointSpec& spec : points) {
-        LoadPointConfig cfg;
-        cfg.open_loop = std::string(spec.mode) == "open";
-        cfg.connections = std::min(spec.connections, conn_budget);
-        if (cfg.connections < spec.connections) {
-          std::fprintf(stderr, "point %s/%d clamped to %d conns by fd limit %zu\n", spec.mode,
-                       spec.connections, cfg.connections, fd_limit);
-        }
-        cfg.offered_rps = spec.offered_rps;
-        cfg.warmup_ns = smoke ? 300'000'000 : 500'000'000;
-        cfg.measure_ns = smoke ? 1'500'000'000 : 5'000'000'000;
-
-        RuntimeOptions ropts;
-        ropts.workers = workers;
-        // Small stacks: handlers are shallow (read/serve/writev), and at 10k+
-        // uthreads the default 64 KB each would be the dominant allocation.
-        ropts.stack_size = 16 * 1024;
-        ropts.io_engine = true;
-        ropts.io.completion = completion_on;
-        ropts.sched.force_locked = force_locked;
-
-        Runtime rt(ropts);
-        // What the engine actually armed: a capable kernel + completion_on
-        // gives the completion path; everything else serves readiness. A
-        // completion request that fell back is reported as what it ran.
-        const bool completion_active =
-            rt.io_engine(0) != nullptr && rt.io_engine(0)->completion();
-        if (completion_on && !completion_active) {
-          std::fprintf(stderr, "completion path unavailable (kernel/probe); "
-                               "this pass measures readiness\n");
-        }
-        const char* data_path = completion_active ? "completion" : "readiness";
-        LoadPointOutcome out;
-        std::uint64_t server_requests = 0;
-        std::uint64_t peer_resets = 0;
-        std::uint64_t frame_errors = 0;
-        std::uint64_t io_syscalls = 0;
-        rt.Run([&] {
-          KvServerNetOptions sopts;
-          sopts.udp = false;  // TCP sweep; the UDP path is covered by tests
-          KvServerNet server(&rt, sopts);
-          server.Start();
-          const std::uint64_t sys_before = rt.io_data_syscalls();
-          std::vector<LoadPointOutcome> reps;
-          for (int rep = 0; rep < spec.reps; rep++) {
-            reps.push_back(RunPoint(&rt, server.tcp_port(), cfg));
-          }
-          out = MedianByP99(std::move(reps));
-          io_syscalls = rt.io_data_syscalls() - sys_before;
-          server_requests = server.tcp_requests();
-          peer_resets = server.peer_resets();
-          frame_errors = server.frame_errors();
-          server.Stop();
-        });
-        const double sys_per_req =
-            static_cast<double>(io_syscalls) /
-            static_cast<double>(std::max<std::uint64_t>(1, server_requests));
-        // The CI gate from EXPERIMENTS.md: the completion path's steady state
-        // must stay under half a syscall per request at the closed-loop
-        // points (open-loop low-rate points legitimately approach one enter
-        // per response — there is nothing to batch a submission with).
-        if (smoke && completion_active && !cfg.open_loop && sys_per_req >= 0.5) {
-          std::fprintf(stderr,
-                       "SYSCALL GATE FAILED: completion path %s/%d conns measured %.3f "
-                       "syscalls/request (gate: < 0.5)\n",
-                       spec.mode, cfg.connections, sys_per_req);
-          syscall_gate_failed = true;
-        }
-
-        const char* policy = force_locked ? "locked" : "ws-lockfree";
-        PrintCell(data_path);
-        PrintCell(policy);
-        PrintCell(spec.mode);
-        PrintCell(static_cast<std::int64_t>(cfg.connections));
-        PrintCell(cfg.open_loop ? cfg.offered_rps : 0.0);
-        PrintCell(out.achieved_rps);
-        PrintCell(out.p99_ns);
-        PrintCell(sys_per_req);
-        EndRow();
-
-        reporter.AddRow()
-            .Str("data_path", data_path)
-            .Str("policy", policy)
-            .Str("mode", spec.mode)
-            .Int("connections", cfg.connections)
-            .Int("connected", out.connected)
-            .Num("offered_rps", cfg.open_loop ? cfg.offered_rps : 0.0)
-            .Num("achieved_rps", out.achieved_rps)
-            .Int("p50_ns", out.p50_ns)
-            .Int("p99_ns", out.p99_ns)
-            .Int("p999_ns", out.p999_ns)
-            .Int("replies", static_cast<std::int64_t>(out.replies))
-            .Int("client_errors", static_cast<std::int64_t>(out.errors))
-            .Int("shed_sends", static_cast<std::int64_t>(out.shed))
-            .Int("server_requests", static_cast<std::int64_t>(server_requests))
-            .Int("server_peer_resets", static_cast<std::int64_t>(peer_resets))
-            .Int("server_frame_errors", static_cast<std::int64_t>(frame_errors))
-            .Int("io_syscalls", static_cast<std::int64_t>(io_syscalls))
-            .Num("syscalls_per_request", sys_per_req)
-            .Int("steals", static_cast<std::int64_t>(rt.steals()))
-            .Int("preemptions", static_cast<std::int64_t>(rt.preemptions()))
-            .Str("sched_driver", rt.lock_free_sched() ? "lock-free" : "shard-mutex");
+  for (const bool force_locked : {false, true}) {
+    for (const PointSpec& spec : points) {
+      LoadPointConfig cfg;
+      cfg.open_loop = std::string(spec.mode) == "open";
+      cfg.connections = std::min(spec.connections, conn_budget);
+      if (cfg.connections < spec.connections) {
+        std::fprintf(stderr, "point %s/%d clamped to %d conns by fd limit %zu\n", spec.mode,
+                     spec.connections, cfg.connections, fd_limit);
       }
+      cfg.offered_rps = spec.offered_rps;
+      cfg.warmup_ns = smoke ? 300'000'000 : 500'000'000;
+      cfg.measure_ns = smoke ? 1'500'000'000 : 5'000'000'000;
+
+      RuntimeOptions ropts;
+      ropts.workers = workers;
+      // Small stacks: handlers are shallow (read/serve/writev), and at 10k+
+      // uthreads the default 64 KB each would be the dominant allocation.
+      ropts.stack_size = 16 * 1024;
+      ropts.io_engine = true;
+      ropts.sched.force_locked = force_locked;
+
+      Runtime rt(ropts);
+      // What the engine actually armed: an io_uring build on a kernel that
+      // passes the probe serves completions; everything else serves epoll.
+      const bool uring = rt.io_engine(0)->using_io_uring();
+      const char* data_path = uring ? "io_uring" : "epoll";
+      LoadPointOutcome out;
+      std::uint64_t server_requests = 0;
+      std::uint64_t peer_resets = 0;
+      std::uint64_t frame_errors = 0;
+      std::uint64_t io_syscalls = 0;
+      rt.Run([&] {
+        KvServerNetOptions sopts;
+        sopts.udp = false;  // TCP sweep; the UDP path is covered by tests
+        KvServerNet server(&rt, sopts);
+        server.Start();
+        const std::uint64_t sys_before = rt.io_data_syscalls();
+        std::vector<LoadPointOutcome> reps;
+        for (int rep = 0; rep < spec.reps; rep++) {
+          reps.push_back(RunPoint(&rt, server.tcp_port(), cfg));
+        }
+        out = MedianByP99(std::move(reps));
+        io_syscalls = rt.io_data_syscalls() - sys_before;
+        server_requests = server.tcp_requests();
+        peer_resets = server.peer_resets();
+        frame_errors = server.frame_errors();
+        server.Stop();
+      });
+      const double sys_per_req =
+          static_cast<double>(io_syscalls) /
+          static_cast<double>(std::max<std::uint64_t>(1, server_requests));
+      // The CI gate from EXPERIMENTS.md: the io_uring path's steady state
+      // must stay under half a syscall per request at the closed-loop
+      // points (open-loop low-rate points legitimately approach one enter
+      // per response — there is nothing to batch a submission with).
+      if (smoke && uring && !cfg.open_loop && sys_per_req >= 0.5) {
+        std::fprintf(stderr,
+                     "SYSCALL GATE FAILED: io_uring path %s/%d conns measured %.3f "
+                     "syscalls/request (gate: < 0.5)\n",
+                     spec.mode, cfg.connections, sys_per_req);
+        syscall_gate_failed = true;
+      }
+
+      const char* policy = force_locked ? "locked" : "ws-lockfree";
+      PrintCell(data_path);
+      PrintCell(policy);
+      PrintCell(spec.mode);
+      PrintCell(static_cast<std::int64_t>(cfg.connections));
+      PrintCell(cfg.open_loop ? cfg.offered_rps : 0.0);
+      PrintCell(out.achieved_rps);
+      PrintCell(out.p99_ns);
+      PrintCell(sys_per_req);
+      EndRow();
+
+      reporter.AddRow()
+          .Str("data_path", data_path)
+          .Str("policy", policy)
+          .Str("mode", spec.mode)
+          .Int("connections", cfg.connections)
+          .Int("connected", out.connected)
+          .Num("offered_rps", cfg.open_loop ? cfg.offered_rps : 0.0)
+          .Num("achieved_rps", out.achieved_rps)
+          .Int("p50_ns", out.p50_ns)
+          .Int("p99_ns", out.p99_ns)
+          .Int("p999_ns", out.p999_ns)
+          .Int("replies", static_cast<std::int64_t>(out.replies))
+          .Int("client_errors", static_cast<std::int64_t>(out.errors))
+          .Int("shed_sends", static_cast<std::int64_t>(out.shed))
+          .Int("server_requests", static_cast<std::int64_t>(server_requests))
+          .Int("server_peer_resets", static_cast<std::int64_t>(peer_resets))
+          .Int("server_frame_errors", static_cast<std::int64_t>(frame_errors))
+          .Int("io_syscalls", static_cast<std::int64_t>(io_syscalls))
+          .Num("syscalls_per_request", sys_per_req)
+          .Int("steals", static_cast<std::int64_t>(rt.steals()))
+          .Int("preemptions", static_cast<std::int64_t>(rt.preemptions()))
+          .Str("sched_driver", rt.lock_free_sched() ? "lock-free" : "shard-mutex");
     }
   }
 

@@ -1,7 +1,7 @@
 // A real networked KV server on the Skyloft host runtime.
 //
 // The serving path lives in src/apps/kv_server_net: per-worker I/O engine
-// cores (epoll, or io_uring when built with SKYLOFT_IO_URING), SO_REUSEPORT
+// cores (epoll, plus io_uring completions with SKYLOFT_IO_URING), SO_REUSEPORT
 // listener sharding, one handler uthread per TCP connection, frame-codec
 // requests answered via scatter/gather writev. This main just stands the
 // server up on loopback, drives it with a few closed-loop client threads

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <iterator>
+#include <utility>
 
 #include "src/base/logging.h"
 #include "src/net/frame.h"
@@ -195,14 +197,22 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
         kind = KvOpKind::kError;
       } else {
         // One stripe at a time (never nested), so a heavy scan stalls at
-        // most one stripe's GET/SET traffic at a time.
+        // most one stripe's GET/SET traffic at a time. Each stripe yields
+        // its own first `limit` keys; merged and cut, they are the store's
+        // first `limit` keys, in one ascending run.
+        std::vector<std::pair<std::string, std::string>> pairs;
         for (auto& stripe_ptr : stripes_) {
           Runtime::PreemptGuard guard;
           LockStripe(*stripe_ptr);
-          for (const auto& [k, v] : stripe_ptr->store.Scan(start, limit)) {
-            reply += k + "=" + v + ";";
-          }
+          auto part = stripe_ptr->store.Scan(start, limit);
           UnlockStripe(*stripe_ptr);
+          std::move(part.begin(), part.end(), std::back_inserter(pairs));
+        }
+        const auto cut = pairs.begin() + static_cast<std::ptrdiff_t>(std::min(limit, pairs.size()));
+        std::partial_sort(pairs.begin(), cut, pairs.end(),
+                          [](const auto& a, const auto& b) { return a.first < b.first; });
+        for (auto it = pairs.begin(); it != cut; ++it) {
+          reply += it->first + "=" + it->second + ";";
         }
         if (reply.empty()) {
           reply = "EMPTY";
@@ -284,7 +294,7 @@ void KvServerNet::Start() {
         tcp_port_ = BoundPort(fd);  // first bind fixes the group's port
       }
       // kListener arms multishot accept on a completion-capable engine and
-      // degrades to readiness (POLL_ADD / epoll) everywhere else.
+      // degrades to epoll readiness everywhere else.
       listener->tcp = engine->Register(fd, IoRegisterMode::kListener);
       SKYLOFT_CHECK(listener->tcp != nullptr);
     }

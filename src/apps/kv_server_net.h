@@ -17,7 +17,7 @@
 //   - a UDP uthread per worker serving one frame per datagram.
 //
 // Every server loop has TWO data paths selected per handle at runtime:
-//   - readiness (epoll, or io_uring POLL_ADD fallback): the classic
+//   - readiness (epoll, on any engine without io_uring): the classic
 //     accept4/read/writev/recvfrom/sendto loops above, self-reporting their
 //     syscalls via IoEngine::CountSys* for the syscalls/request metric;
 //   - completion (io_uring with multishot + provided buffer rings): accepts

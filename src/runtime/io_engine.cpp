@@ -21,15 +21,6 @@
 
 #include <deque>
 #include <string>
-
-// The completion data path needs the multishot-recv generation of the uapi
-// header (kernel >= 6.0: IORING_RECV_MULTISHOT, provided buffer rings,
-// io_uring_recvmsg_out all landed together). Older headers compile the
-// readiness-only backend; newer headers still fall back at RUNTIME when the
-// kernel's feature probe comes back short.
-#if defined(IORING_RECV_MULTISHOT) && defined(IORING_ACCEPT_MULTISHOT)
-#define SKYLOFT_URING_COMPLETION 1
-#endif
 #endif  // SKYLOFT_IO_URING
 
 namespace skyloft {
@@ -40,17 +31,19 @@ namespace {
 // (IoHandle is cache-line aligned and DgramSendOp heap-allocated, so the
 // bits are free).
 constexpr std::uintptr_t kTagMask = 0x7;
-constexpr std::uintptr_t kTagMainPoll = 0;     // multishot POLLIN|HUP|ERR
-constexpr std::uintptr_t kTagRemove = 1;       // cancel CQE (POLL_REMOVE / ASYNC_CANCEL)
-constexpr std::uintptr_t kTagWritePoll = 2;    // oneshot POLLOUT
-constexpr std::uintptr_t kTagRemoveWrite = 3;  // POLL_REMOVE of the write poll
-constexpr std::uintptr_t kTagRecv = 4;         // multishot RECV/RECVMSG segment
-constexpr std::uintptr_t kTagAccept = 5;       // multishot ACCEPT
-constexpr std::uintptr_t kTagSend = 6;         // stream async send (SEND/SENDMSG)
-constexpr std::uintptr_t kTagDgram = 7;        // datagram async SENDMSG (op ptr)
+constexpr std::uintptr_t kTagEpoll = 0;   // multishot POLL_ADD on the epoll fd (no pointer)
+constexpr std::uintptr_t kTagCancel = 1;  // ASYNC_CANCEL CQE
+constexpr std::uintptr_t kTagRecv = 2;    // multishot RECV/RECVMSG segment
+constexpr std::uintptr_t kTagAccept = 3;  // multishot ACCEPT
+constexpr std::uintptr_t kTagSend = 4;    // stream async send (SEND/SENDMSG)
+constexpr std::uintptr_t kTagDgram = 5;   // datagram async SENDMSG (op ptr)
 
-// Iovec capacity of a stream handle's in-flight send (send_batch clamps to
-// this).
+// Engine sizing: the epoll events (and CQEs) drained per Poll, the SQ depth,
+// the registered-file table size, and the iovec capacity of a stream
+// handle's in-flight send (frames folded into one async send).
+constexpr int kMaxEvents = 256;
+constexpr unsigned kUringEntries = 256;
+constexpr int kFixedFileSlots = 4096;
 constexpr int kMaxSendIovs = 16;
 
 // Every engine registers its provided-buffer ring under one group id; rings
@@ -66,10 +59,12 @@ void IncLane(ShardedCounter* c, int lane, std::uint64_t n = 1) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// io_uring backend plumbing (raw syscalls; liburing is not a dependency).
-// Compiled only under SKYLOFT_IO_URING; every entry point has an epoll
-// fallback so a kernel that refuses io_uring_setup (seccomp'd containers,
-// CONFIG_IO_URING=n) degrades cleanly at runtime.
+// io_uring completion backend (raw syscalls; liburing is not a dependency).
+// Compiled only under SKYLOFT_IO_URING, which requires a kernel >= 6.0 uapi
+// header (multishot recv/accept, provided buffer rings and
+// io_uring_recvmsg_out landed together; CMake checks it). A kernel that
+// refuses io_uring_setup (seccomp'd containers, CONFIG_IO_URING=n) or fails
+// the feature probe leaves the engine on plain epoll.
 // ---------------------------------------------------------------------------
 
 #ifdef SKYLOFT_IO_URING
@@ -83,10 +78,9 @@ struct IoEngine::UringState {
   unsigned* sq_tail = nullptr;
   unsigned sq_mask = 0;
   unsigned* sq_array = nullptr;
-  unsigned* sq_flags = nullptr;  // NEED_WAKEUP (SQPOLL) / CQ_OVERFLOW
+  unsigned* sq_flags = nullptr;  // CQ_OVERFLOW
   io_uring_sqe* sqes = nullptr;
   std::size_t sqes_len = 0;
-  bool sqpoll = false;
   // CQ ring (separate mmap unless IORING_FEAT_SINGLE_MMAP).
   void* cq_ring = nullptr;
   std::size_t cq_ring_len = 0;
@@ -94,15 +88,14 @@ struct IoEngine::UringState {
   unsigned* cq_tail = nullptr;
   unsigned cq_mask = 0;
   io_uring_cqe* cqes = nullptr;
-  // SQE production is multi-producer (RequestWritable, Deregister and the
-  // completion path's SendEnqueue run on whatever worker the handler uthread
-  // was stolen to); short spinlock.
+  // SQE production is multi-producer (Deregister and the completion path's
+  // SendEnqueue run on whatever worker the handler uthread was stolen to);
+  // short spinlock.
   std::atomic_flag sqe_spin = ATOMIC_FLAG_INIT;
   // Mutated under sqe_spin; atomic so UringPoll's flush heuristic can read it
   // without taking the lock (a stale value just defers one round).
   std::atomic<unsigned> to_submit{0};
 
-#ifdef SKYLOFT_URING_COMPLETION
   // Provided buffer ring (IORING_REGISTER_PBUF_RING) + its backing arena.
   // Producer side (recycling consumed buffers) is multi-worker: a stolen
   // handler returns buffers from wherever it runs; buf_spin guards the
@@ -127,7 +120,6 @@ struct IoEngine::UringState {
   // guarded by the engine's handles lock.
   bool fixed_files = false;
   std::vector<int> free_slots;
-#endif
 };
 
 // Heap-owned async datagram reply: the SENDMSG op's msghdr, destination and
@@ -170,54 +162,29 @@ unsigned RoundUpPow2(unsigned v) {
   return p;
 }
 
-unsigned PollBitsFromRevents(unsigned revents) {
-  unsigned bits = 0;
-  if (revents & (POLLIN | POLLRDHUP)) {
-    bits |= kIoReadable;
-  }
-  if (revents & POLLOUT) {
-    bits |= kIoWritable;
-  }
-  if (revents & POLLHUP) {
-    bits |= kIoHup;
-  }
-  if (revents & (POLLERR | POLLNVAL)) {
-    bits |= kIoError;
-  }
-  return bits;
-}
-
 }  // namespace
 
-bool IoEngine::UringInit(int entries) {
+bool IoEngine::UringInit() {
   auto state = std::make_unique<UringState>();
   // Multishot recv can post many CQEs per submitted SQE, so ask for a CQ
   // several times deeper than the SQ; degrade gracefully for kernels that
-  // reject CQSIZE or (unprivileged, pre-5.11) SQPOLL.
-  auto try_setup = [&](bool sqpoll, bool cqsize) {
+  // reject CQSIZE.
+  auto try_setup = [&](bool cqsize) {
     std::memset(&state->params, 0, sizeof(state->params));
     if (cqsize) {
       state->params.flags |= IORING_SETUP_CQSIZE;
-      state->params.cq_entries = RoundUpPow2(std::max(4096u, 8u * static_cast<unsigned>(entries)));
+      state->params.cq_entries = RoundUpPow2(std::max(4096u, 8u * kUringEntries));
     }
-    if (sqpoll) {
-      state->params.flags |= IORING_SETUP_SQPOLL;
-      state->params.sq_thread_idle = 100;  // ms before the SQ thread naps
-    }
-    return SysIoUringSetup(static_cast<unsigned>(entries), &state->params);
+    return SysIoUringSetup(kUringEntries, &state->params);
   };
-  int fd = try_setup(options_.sqpoll, true);
-  if (fd < 0 && options_.sqpoll) {
-    fd = try_setup(false, true);
-  }
+  int fd = try_setup(true);
   if (fd < 0) {
-    fd = try_setup(false, false);
+    fd = try_setup(false);
   }
   if (fd < 0) {
     return false;
   }
   UringState* s = state.get();
-  s->sqpoll = (s->params.flags & IORING_SETUP_SQPOLL) != 0;
   s->sq_ring_len = s->params.sq_off.array + s->params.sq_entries * sizeof(unsigned);
   s->cq_ring_len = s->params.cq_off.cqes + s->params.cq_entries * sizeof(io_uring_cqe);
   const bool single_mmap = (s->params.features & IORING_FEAT_SINGLE_MMAP) != 0;
@@ -264,7 +231,15 @@ bool IoEngine::UringInit(int entries) {
 
   uring_fd_ = fd;
   uring_ = state.release();
-  completion_ = UringSetupCompletion();
+  if (!UringSetupCompletion()) {
+    // A ring that cannot serve completions has nothing left to do: readiness
+    // is epoll's job.
+    UringShutdown();
+    return false;
+  }
+  // Queued here and submitted by the home worker's first flush, so the
+  // poll is owned by the thread that reaps its CQEs.
+  epoll_poll_armed_ = ArmEpollPoll();
   return true;
 }
 
@@ -301,8 +276,7 @@ void* IoEngine::SqePrepareLocked() {
   if (tail - head >= s->params.sq_entries) {
     // SQ full: flush what is queued inline and retry once; a second failure
     // means the ring is badly undersized — report it to the caller.
-    SysIoUringEnter(uring_fd_, s->to_submit.load(std::memory_order_relaxed), 0,
-                    s->sqpoll ? IORING_ENTER_SQ_WAKEUP : 0);
+    SysIoUringEnter(uring_fd_, s->to_submit.load(std::memory_order_relaxed), 0, 0);
     IncLane(stats_.sys_enter, worker_);
     s->to_submit.store(0, std::memory_order_relaxed);
     if (*s->sq_tail - __atomic_load_n(s->sq_head, __ATOMIC_ACQUIRE) >= s->params.sq_entries) {
@@ -323,7 +297,7 @@ void IoEngine::SqeCommitLocked() {
   s->to_submit.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool IoEngine::UringArmPoll(IoHandle* handle, unsigned poll_mask, std::uintptr_t tag) {
+bool IoEngine::ArmEpollPoll() {
   // Single unlock point (no early unlock-and-return): skylint's lock walk is
   // lexical, so an SqUnlock inside a return branch would mark the commit
   // below as unlocked. Same shape in every SQE-arming function here.
@@ -331,43 +305,26 @@ bool IoEngine::UringArmPoll(IoHandle* handle, unsigned poll_mask, std::uintptr_t
   SqLock(s);
   auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
   if (sqe != nullptr) {
-    if (tag == kTagRemove || tag == kTagRemoveWrite) {
-      sqe->opcode = IORING_OP_POLL_REMOVE;
-      // addr identifies the poll to cancel by its submission user_data.
-      sqe->addr = reinterpret_cast<std::uintptr_t>(handle) |
-                  (tag == kTagRemove ? kTagMainPoll : kTagWritePoll);
-    } else {
-      sqe->opcode = IORING_OP_POLL_ADD;
-      sqe->fd = handle->fd;
-      sqe->poll32_events = poll_mask;
-      if (tag == kTagMainPoll) {
-        sqe->len = IORING_POLL_ADD_MULTI;
-      }
-    }
-    sqe->user_data = reinterpret_cast<std::uintptr_t>(handle) | tag;
+    sqe->opcode = IORING_OP_POLL_ADD;
+    sqe->fd = epoll_fd_;
+    sqe->poll32_events = POLLIN;
+    sqe->len = IORING_POLL_ADD_MULTI;
+    sqe->user_data = kTagEpoll;
     SqeCommitLocked();
   }
   SqUnlock(s);
   return sqe != nullptr;
 }
 
-void IoEngine::UringRemovePoll(IoHandle* handle, std::uintptr_t tag) {
-  // Must not fail: a dropped remove means its CQE never arrives and the
-  // handle is never freed. A full SQ drains via the enter() flush inside
-  // SqePrepareLocked, so the retry terminates.
-  SpinBackoff backoff;
-  while (!UringArmPoll(handle, 0, tag)) {
-    backoff.Pause();
-  }
-}
-
-// Retires one expected CQE (or Deregister's queueing reference). Whoever
-// drops the count to zero after the handle was closed owns the free; until
-// then some op or cancel completion may still reference the handle. Must
-// be the caller's LAST touch of the handle.
+// Retires one reference: an expected CQE, a stall-list entry, or the
+// registration reference Deregister drops. Whoever drops the last one owns
+// the free; the registration reference means that cannot happen before
+// Deregister. (A "count hit zero and closed" test would race: a reaper's
+// decrement to zero, then a Deregister that takes references and publishes
+// closed, then the reaper's closed check — both would free.) Must be the
+// caller's LAST touch of the handle.
 void IoEngine::UringFinishCqe(IoHandle* handle) {
-  if (handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      handle->closed.load(std::memory_order_acquire)) {
+  if (handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     FreeCompletionResources(handle);
     UntrackHandle(handle);
     delete handle;
@@ -379,36 +336,32 @@ void IoEngine::UringSubmit() {
   SqLock(s);
   const unsigned n = s->to_submit.load(std::memory_order_relaxed);
   s->to_submit.store(0, std::memory_order_relaxed);
-  bool need_enter = n > 0;
-  unsigned flags = 0;
-  if (s->sqpoll) {
-    // The kernel SQ thread consumes entries on its own; enter only to wake
-    // it from an idle nap — the zero-syscall steady state.
-    flags = IORING_ENTER_SQ_WAKEUP;
-    need_enter = need_enter &&
-                 (__atomic_load_n(s->sq_flags, __ATOMIC_ACQUIRE) & IORING_SQ_NEED_WAKEUP) != 0;
-  }
   SqUnlock(s);
-  if (need_enter) {
-    SysIoUringEnter(uring_fd_, n, 0, flags);
+  if (n > 0) {
+    SysIoUringEnter(uring_fd_, n, 0, 0);
     IncLane(stats_.sys_enter, worker_);
   }
 }
 
 int IoEngine::UringPoll() {
   UringState* s = uring_;
-#ifdef SKYLOFT_URING_COMPLETION
-  if (completion_) {
-    RearmStalled();
-  }
-#endif
+  RearmStalled();
   int dispatched = 0;
   unsigned head = __atomic_load_n(s->cq_head, __ATOMIC_ACQUIRE);
   const unsigned tail = __atomic_load_n(s->cq_tail, __ATOMIC_ACQUIRE);
-  const int budget = options_.max_events;
-  while (head != tail && dispatched < budget) {
+  while (head != tail && dispatched < kMaxEvents) {
     const io_uring_cqe* cqe = &s->cqes[head & s->cq_mask];
     const std::uintptr_t tag = cqe->user_data & kTagMask;
+    if (tag == kTagEpoll) {
+      // The epoll set has something ready; its events are dispatched by the
+      // EpollPoll below. A CQE without F_MORE ended the multishot.
+      epoll_pending_ = true;
+      if ((cqe->flags & IORING_CQE_F_MORE) == 0) {
+        epoll_poll_armed_ = false;
+      }
+      head++;
+      continue;
+    }
     if (tag == kTagDgram) {
       // The op pointer travels in the user_data; its CQE is the free point
       // for the payload and one expected CQE of the owning handle. Send
@@ -422,19 +375,8 @@ int IoEngine::UringPoll() {
       continue;
     }
     auto* handle = reinterpret_cast<IoHandle*>(cqe->user_data & ~kTagMask);
-    if (tag == kTagRemove || tag == kTagRemoveWrite) {
-      // One CQE per POLL_REMOVE/ASYNC_CANCEL submitted by Deregister.
-      UringFinishCqe(handle);
-    } else if (tag == kTagWritePoll) {
-      // The oneshot POLLOUT is no longer in flight; the next WaitForWritable
-      // may arm a fresh one.
-      handle->write_poll_armed.store(false, std::memory_order_release);
-      if (!handle->closed.load(std::memory_order_acquire)) {
-        DeliverReady(handle, cqe->res < 0
-                                 ? kIoError
-                                 : PollBitsFromRevents(static_cast<unsigned>(cqe->res)));
-        dispatched++;
-      }
+    if (tag == kTagCancel) {
+      // One CQE per ASYNC_CANCEL submitted by Deregister.
       UringFinishCqe(handle);
     } else if (tag == kTagRecv) {
       HandleRecvCqe(handle, cqe->res, cqe->flags);
@@ -442,38 +384,9 @@ int IoEngine::UringPoll() {
     } else if (tag == kTagAccept) {
       HandleAcceptCqe(handle, cqe->res, cqe->flags);
       dispatched++;
-    } else if (tag == kTagSend) {
+    } else {  // kTagSend
       HandleSendCqe(handle, cqe->res);
       dispatched++;
-    } else {  // kTagMainPoll
-      // A multishot emits many CQEs; only one without F_MORE ends the series
-      // (spontaneous termination, an error, or cancellation by Deregister's
-      // POLL_REMOVE — the kernel may post that -ECANCELED CQE *after* the
-      // remove's own CQE, hence the counting).
-      bool terminal = (cqe->flags & IORING_CQE_F_MORE) == 0;
-      if (handle->closed.load(std::memory_order_acquire)) {
-        // Stale completion for a deregistered handle; deliver nothing.
-      } else if (cqe->res < 0) {
-        handle->main_poll_armed.store(false, std::memory_order_release);
-        DeliverReady(handle, kIoError);
-        dispatched++;
-      } else {
-        DeliverReady(handle, PollBitsFromRevents(static_cast<unsigned>(cqe->res)));
-        dispatched++;
-        if (terminal) {
-          if (UringArmPoll(handle, POLLIN | POLLRDHUP, kTagMainPoll)) {
-            terminal = false;  // re-armed: the poll's expected-CQE count lives on
-          } else {
-            // Lost read monitoring: latch an error so the waiter wakes and
-            // tears the connection down instead of parking forever.
-            handle->main_poll_armed.store(false, std::memory_order_release);
-            DeliverReady(handle, kIoError);
-          }
-        }
-      }
-      if (terminal) {
-        UringFinishCqe(handle);
-      }
     }
     head++;
   }
@@ -484,6 +397,19 @@ int IoEngine::UringPoll() {
     SysIoUringEnter(uring_fd_, 0, 0, IORING_ENTER_GETEVENTS);
     IncLane(stats_.sys_enter, worker_);
   }
+  if (!epoll_poll_armed_) {
+    // Re-arm a terminated epoll poll, and poll the set every round until the
+    // arm sticks: events that arrived meanwhile raised no CQE.
+    epoll_poll_armed_ = ArmEpollPoll();
+    epoll_pending_ = true;
+  }
+  if (epoll_pending_) {
+    const int n = EpollPoll();
+    // A full batch may have left events behind, and the multishot poll only
+    // fires on new wakeups: poll the set again next round.
+    epoll_pending_ = n == kMaxEvents;
+    dispatched += n;
+  }
   // The batched-submission point: every op queued since the last round —
   // handler sends, registrations, cancels, plus the re-arms above — goes to
   // the kernel in one enter. Reaping above is pure shared-memory work, so it
@@ -493,13 +419,10 @@ int IoEngine::UringPoll() {
   // per handler send. The worker loop's pre-idle FlushSubmissions() bounds
   // the added latency whenever the runqueue drains; the round limit bounds it
   // when a yield-spinning uthread keeps the worker out of the idle path.
-  // SQPOLL submits by publishing the SQ tail (the enter below is only a
-  // NEED_WAKEUP nudge), so deferring would buy nothing.
   const unsigned pending = s->to_submit.load(std::memory_order_relaxed);
   if (pending == 0) {
     submit_rounds_ = 0;
-  } else if (s->sqpoll || pending >= kSubmitEagerBatch ||
-             ++submit_rounds_ >= kSubmitRoundLimit) {
+  } else if (pending >= kSubmitEagerBatch || ++submit_rounds_ >= kSubmitRoundLimit) {
     submit_rounds_ = 0;
     UringSubmit();
   }
@@ -516,11 +439,8 @@ void IoEngine::FlushSubmissions() {
 
 // ---------------------------------------------------------------------------
 // Completion data path (multishot RECV/RECVMSG/ACCEPT + provided buffers +
-// async sends). Compiled only when the uapi header is new enough; probed at
-// ring setup and degraded per-feature at runtime.
+// async sends), probed at ring setup.
 // ---------------------------------------------------------------------------
-
-#ifdef SKYLOFT_URING_COMPLETION
 
 // One queued received segment: `len` payload bytes in provided buffer `bid`.
 struct IoRecvSeg {
@@ -534,7 +454,6 @@ struct IoRecvSeg {
 // only the one handler uthread enqueues, so tx ordering needs no further
 // synchronization beyond the spinlock.
 struct IoCompletionState {
-  IoRegisterMode mode = IoRegisterMode::kStream;
   int fixed_slot = -1;  // registered-file table index; -1 = raw fd
   std::atomic_flag q_spin = ATOMIC_FLAG_INIT;
   std::deque<IoRecvSeg> rx;
@@ -582,16 +501,13 @@ void LogCompletionFallbackOnce(const char* why) {
   static std::atomic<bool> logged{false};
   if (!logged.exchange(true, std::memory_order_acq_rel)) {
     SKYLOFT_LOG(kInfo) << "io_uring completion data path unavailable (" << why
-                       << "); serving on the POLL_ADD readiness path";
+                       << "); serving on epoll";
   }
 }
 
 }  // namespace
 
 bool IoEngine::UringSetupCompletion() {
-  if (!options_.completion) {
-    return false;
-  }
   UringState* s = uring_;
   // Feature probe: every op the completion path arms must be supported.
   // IORING_OP_SEND_ZC doubles as the kernel >= 6.0 marker — the generation
@@ -657,15 +573,13 @@ bool IoEngine::UringSetupCompletion() {
   __atomic_store_n(&s->buf_ring->tail, s->buf_tail, __ATOMIC_RELEASE);
   // Registered files are an optimization, not a requirement: losing them
   // keeps the completion path on raw fds.
-  if (options_.fixed_file_slots > 0) {
-    std::vector<int> table(static_cast<std::size_t>(options_.fixed_file_slots), -1);
-    if (SysIoUringRegister(uring_fd_, IORING_REGISTER_FILES, table.data(),
-                           static_cast<unsigned>(table.size())) == 0) {
-      s->fixed_files = true;
-      s->free_slots.reserve(table.size());
-      for (int slot = options_.fixed_file_slots - 1; slot >= 0; slot--) {
-        s->free_slots.push_back(slot);
-      }
+  std::vector<int> table(static_cast<std::size_t>(kFixedFileSlots), -1);
+  if (SysIoUringRegister(uring_fd_, IORING_REGISTER_FILES, table.data(),
+                         static_cast<unsigned>(table.size())) == 0) {
+    s->fixed_files = true;
+    s->free_slots.reserve(table.size());
+    for (int slot = kFixedFileSlots - 1; slot >= 0; slot--) {
+      s->free_slots.push_back(slot);
     }
   }
   return true;
@@ -720,10 +634,34 @@ void IoEngine::ReleaseFixedSlot(int slot) {
   UnlockHandles();
 }
 
+bool IoEngine::ArmCompletion(IoHandle* handle, IoRegisterMode mode) {
+  handle->mode = mode;
+  auto* cs = new IoCompletionState;
+  if (mode == IoRegisterMode::kDatagram) {
+    cs->rx_msg.msg_namelen = sizeof(sockaddr_in);
+  }
+  cs->fixed_slot = AllocFixedSlot(handle->fd);
+  handle->cs = cs;
+  // Pre-publication: one reference for the main op's expected terminal CQE,
+  // counted before the kernel can post it, and one held by the registration
+  // until Deregister drops it.
+  handle->main_op_armed.store(true, std::memory_order_relaxed);
+  handle->pending_cqes.store(2, std::memory_order_relaxed);
+  if (ArmMainOp(handle)) {
+    return true;
+  }
+  if (cs->fixed_slot >= 0) {
+    ReleaseFixedSlot(cs->fixed_slot);
+  }
+  delete cs;
+  handle->cs = nullptr;
+  return false;
+}
+
 bool IoEngine::ArmMainOp(IoHandle* handle) {
   UringState* s = uring_;
   IoCompletionState* cs = handle->cs;
-  SKYLOFT_CHECK(cs->mode != IoRegisterMode::kReadiness) << "ArmMainOp on a readiness handle";
+  SKYLOFT_CHECK(handle->mode != IoRegisterMode::kReadiness) << "ArmMainOp on a readiness handle";
   SqLock(s);
   auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
   if (sqe != nullptr) {
@@ -732,7 +670,7 @@ bool IoEngine::ArmMainOp(IoHandle* handle) {
     if (fixed) {
       sqe->flags |= IOSQE_FIXED_FILE;
     }
-    switch (cs->mode) {
+    switch (handle->mode) {
       case IoRegisterMode::kStream:
         sqe->opcode = IORING_OP_RECV;
         sqe->ioprio = IORING_RECV_MULTISHOT;
@@ -771,9 +709,8 @@ bool IoEngine::ArmSendLocked(IoHandle* handle) {
   IoCompletionState* cs = handle->cs;
   int niov = 0;
   std::size_t skip = cs->tx_off;
-  const int max_iov = std::min(std::max(1, options_.send_batch), kMaxSendIovs);
   for (const std::string& frame : cs->tx) {
-    if (niov >= max_iov) {
+    if (niov >= kMaxSendIovs) {
       break;
     }
     cs->tx_iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
@@ -824,7 +761,7 @@ void IoEngine::QueueCancel(IoHandle* handle, std::uintptr_t target_tag) {
     if (sqe != nullptr) {
       sqe->opcode = IORING_OP_ASYNC_CANCEL;
       sqe->addr = reinterpret_cast<std::uintptr_t>(handle) | target_tag;
-      sqe->user_data = reinterpret_cast<std::uintptr_t>(handle) | kTagRemove;
+      sqe->user_data = reinterpret_cast<std::uintptr_t>(handle) | kTagCancel;
       SqeCommitLocked();
       SqUnlock(s);
       return;
@@ -858,7 +795,7 @@ void IoEngine::RearmStalled() {
     // ENOBUFS-stalled recvs only retry once a buffer came back; accept
     // stalls (EMFILE bursts) retry every round — their resource isn't ours
     // to observe.
-    const bool listener = handle->cs->mode == IoRegisterMode::kListener;
+    const bool listener = handle->mode == IoRegisterMode::kListener;
     if (!listener && !bufs_back) {
       stalled_[kept++] = handle;
       continue;
@@ -867,14 +804,14 @@ void IoEngine::RearmStalled() {
     // closed, then reads armed): with seq_cst on both sides at least one of
     // us sees the other, so a re-armed op always has a cancel coming or is
     // never armed at all.
-    handle->main_poll_armed.store(true, std::memory_order_seq_cst);
+    handle->main_op_armed.store(true, std::memory_order_seq_cst);
     if (handle->closed.load(std::memory_order_seq_cst)) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       UringFinishCqe(handle);
       continue;
     }
     if (!ArmMainOp(handle)) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       stalled_[kept++] = handle;
     }
   }
@@ -893,7 +830,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
       RecycleBuffer(bid);
     }
     if (!more) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       UringFinishCqe(handle);
     }
     return;
@@ -901,7 +838,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
   if (res < 0) {
     // Errors are terminal for the multishot (the kernel never sets F_MORE on
     // them).
-    handle->main_poll_armed.store(false, std::memory_order_release);
+    handle->main_op_armed.store(false, std::memory_order_release);
     if (res == -ENOBUFS) {
       // Provided-buffer ring ran dry: park on the stall list and re-arm once
       // a consumer recycles — the backpressure path, not an error.
@@ -918,7 +855,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
     if (has_buf) {
       RecycleBuffer(bid);
     }
-    handle->main_poll_armed.store(false, std::memory_order_release);
+    handle->main_op_armed.store(false, std::memory_order_release);
     DeliverReady(handle, kIoHup);
     if (!more) {
       UringFinishCqe(handle);
@@ -937,7 +874,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
     // The kernel retired the multishot without an error (e.g. bufs were
     // momentarily short); re-arm inline so the data path keeps flowing.
     if (!ArmMainOp(handle)) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       DeliverReady(handle, kIoError);
       UringFinishCqe(handle);
     }
@@ -951,13 +888,13 @@ void IoEngine::HandleAcceptCqe(IoHandle* handle, std::int32_t res, std::uint32_t
       close(res);  // accepted after the listener was torn down
     }
     if (!more) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       UringFinishCqe(handle);
     }
     return;
   }
   if (res < 0) {
-    handle->main_poll_armed.store(false, std::memory_order_release);
+    handle->main_op_armed.store(false, std::memory_order_release);
     if (res == -ECANCELED) {
       UringFinishCqe(handle);
       return;
@@ -975,7 +912,7 @@ void IoEngine::HandleAcceptCqe(IoHandle* handle, std::int32_t res, std::uint32_t
   DeliverReady(handle, kIoReadable);
   if (!more) {
     if (!ArmMainOp(handle)) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       DeliverReady(handle, kIoError);
       UringFinishCqe(handle);
     }
@@ -1216,71 +1153,14 @@ void IoEngine::FreeCompletionResources(IoHandle* handle) {
   handle->cs = nullptr;
 }
 
-#else  // !SKYLOFT_URING_COMPLETION (io_uring without a 6.0+ uapi header)
+#else  // !SKYLOFT_IO_URING (no handle ever gets completion state)
 
-struct IoCompletionState {};
-
-bool IoEngine::UringSetupCompletion() { return false; }
-void IoEngine::UringTeardownCompletion() {}
-void IoEngine::QLock(IoCompletionState*) {}
-void IoEngine::QUnlock(IoCompletionState*) {}
-void IoEngine::BufLock(UringState*) {}
-void IoEngine::BufUnlock(UringState*) {}
-int IoEngine::AllocFixedSlot(int) { return -1; }
-void IoEngine::ReleaseFixedSlot(int) {}
-bool IoEngine::ArmMainOp(IoHandle*) { return false; }
-bool IoEngine::ArmSendLocked(IoHandle*) { return false; }
-void IoEngine::QueueCancel(IoHandle*, std::uintptr_t) {}
-void IoEngine::StallHandle(IoHandle*) {}
-void IoEngine::RearmStalled() {}
-void IoEngine::HandleRecvCqe(IoHandle*, std::int32_t, std::uint32_t) {}
-void IoEngine::HandleAcceptCqe(IoHandle*, std::int32_t, std::uint32_t) {}
-void IoEngine::HandleSendCqe(IoHandle*, std::int32_t) {}
-bool IoEngine::PopRecv(IoHandle*, IoRecvSlice*) { return false; }
-void IoEngine::RecycleBuffer(std::uint16_t) {}
-int IoEngine::TakeAccepted(IoHandle*) { return -1; }
-std::size_t IoEngine::SendEnqueue(IoHandle*, std::string) { return 0; }
-std::size_t IoEngine::SendQueuedBytes(IoHandle*) { return 0; }
-bool IoEngine::SendDatagram(IoHandle*, const sockaddr_in&, std::string) { return false; }
-bool IoEngine::ParseDatagram(const IoRecvSlice&, IoDatagram*) { return false; }
-void IoEngine::FreeCompletionResources(IoHandle* handle) {
-  delete handle->cs;  // never allocated on this build; null delete is a no-op
-  handle->cs = nullptr;
-}
-
-#endif  // SKYLOFT_URING_COMPLETION
-
-#else  // !SKYLOFT_IO_URING
-
-struct IoEngine::UringState {};
-struct IoEngine::DgramSendOp {};
-struct IoCompletionState {};
-bool IoEngine::UringInit(int /*entries*/) { return false; }
 void IoEngine::UringShutdown() {}
 int IoEngine::UringPoll() { return 0; }
 void IoEngine::FlushSubmissions() {}
-bool IoEngine::UringArmPoll(IoHandle*, unsigned, std::uintptr_t) { return false; }
-void IoEngine::UringRemovePoll(IoHandle*, std::uintptr_t) {}
 void IoEngine::UringFinishCqe(IoHandle*) {}
-void IoEngine::UringSubmit() {}
-void* IoEngine::SqePrepareLocked() { return nullptr; }
-void IoEngine::SqeCommitLocked() {}
-bool IoEngine::UringSetupCompletion() { return false; }
-void IoEngine::UringTeardownCompletion() {}
-void IoEngine::QLock(IoCompletionState*) {}
-void IoEngine::QUnlock(IoCompletionState*) {}
-void IoEngine::BufLock(UringState*) {}
-void IoEngine::BufUnlock(UringState*) {}
-int IoEngine::AllocFixedSlot(int) { return -1; }
-void IoEngine::ReleaseFixedSlot(int) {}
-bool IoEngine::ArmMainOp(IoHandle*) { return false; }
-bool IoEngine::ArmSendLocked(IoHandle*) { return false; }
+bool IoEngine::ArmCompletion(IoHandle*, IoRegisterMode) { return false; }
 void IoEngine::QueueCancel(IoHandle*, std::uintptr_t) {}
-void IoEngine::StallHandle(IoHandle*) {}
-void IoEngine::RearmStalled() {}
-void IoEngine::HandleRecvCqe(IoHandle*, std::int32_t, std::uint32_t) {}
-void IoEngine::HandleAcceptCqe(IoHandle*, std::int32_t, std::uint32_t) {}
-void IoEngine::HandleSendCqe(IoHandle*, std::int32_t) {}
 bool IoEngine::PopRecv(IoHandle*, IoRecvSlice*) { return false; }
 void IoEngine::RecycleBuffer(std::uint16_t) {}
 int IoEngine::TakeAccepted(IoHandle*) { return -1; }
@@ -1288,10 +1168,7 @@ std::size_t IoEngine::SendEnqueue(IoHandle*, std::string) { return 0; }
 std::size_t IoEngine::SendQueuedBytes(IoHandle*) { return 0; }
 bool IoEngine::SendDatagram(IoHandle*, const sockaddr_in&, std::string) { return false; }
 bool IoEngine::ParseDatagram(const IoRecvSlice&, IoDatagram*) { return false; }
-void IoEngine::FreeCompletionResources(IoHandle* handle) {
-  delete handle->cs;
-  handle->cs = nullptr;
-}
+void IoEngine::FreeCompletionResources(IoHandle*) {}
 
 #endif  // SKYLOFT_IO_URING
 
@@ -1301,18 +1178,14 @@ void IoEngine::FreeCompletionResources(IoHandle* handle) {
 
 IoEngine::IoEngine(int worker, const IoEngineOptions& options, const IoEngineStats& stats)
     : worker_(worker), options_(options), stats_(stats) {
-  SKYLOFT_CHECK(options_.max_events > 0);
-  if (options_.backend != IoEngineOptions::Backend::kEpoll) {
-    if (!UringInit(options_.uring_entries) &&
-        options_.backend == IoEngineOptions::Backend::kIoUring) {
-      IncLane(stats_.uring_fallbacks, worker_);
-    }
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  SKYLOFT_CHECK(epoll_fd_ >= 0) << "epoll_create1 failed: " << std::strerror(errno);
+  event_buf_.resize(static_cast<std::size_t>(kMaxEvents) * sizeof(epoll_event));
+#ifdef SKYLOFT_IO_URING
+  if (!UringInit()) {
+    IncLane(stats_.uring_fallbacks, worker_);
   }
-  if (uring_fd_ < 0) {
-    epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-    SKYLOFT_CHECK(epoll_fd_ >= 0) << "epoll_create1 failed: " << std::strerror(errno);
-    event_buf_.resize(static_cast<std::size_t>(options_.max_events) * sizeof(epoll_event));
-  }
+#endif
 }
 
 IoEngine::~IoEngine() {
@@ -1372,45 +1245,11 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
   auto* handle = new IoHandle;
   handle->fd = fd;
   handle->engine = this;
-  if (uring_fd_ >= 0) {
-#ifdef SKYLOFT_IO_URING
-#ifdef SKYLOFT_URING_COMPLETION
-    if (completion_ && mode != IoRegisterMode::kReadiness) {
-      handle->mode = mode;
-      auto* cs = new IoCompletionState;
-      cs->mode = mode;
-      if (mode == IoRegisterMode::kDatagram) {
-        cs->rx_msg.msg_namelen = sizeof(sockaddr_in);
-      }
-      cs->fixed_slot = AllocFixedSlot(fd);
-      handle->cs = cs;
-      // Pre-publication: count the main op's expected terminal CQE before
-      // the kernel can post it.
-      handle->main_poll_armed.store(true, std::memory_order_relaxed);
-      handle->pending_cqes.store(1, std::memory_order_relaxed);
-      if (!ArmMainOp(handle)) {
-        if (cs->fixed_slot >= 0) {
-          ReleaseFixedSlot(cs->fixed_slot);
-        }
-        delete cs;
-        handle->cs = nullptr;
-        delete handle;
-        return nullptr;
-      }
-      TrackHandle(handle);
-      IncLane(stats_.registered, worker_);
-      return handle;
-    }
-#endif
-    // Readiness mode (or completion unavailable): multishot POLL_ADD. The
-    // SQE rides the next poll round's batched submit.
-    handle->main_poll_armed.store(true, std::memory_order_relaxed);
-    handle->pending_cqes.store(1, std::memory_order_relaxed);
-    if (!UringArmPoll(handle, POLLIN | POLLRDHUP, kTagMainPoll)) {
+  if (using_io_uring() && mode != IoRegisterMode::kReadiness) {
+    if (!ArmCompletion(handle, mode)) {
       delete handle;
       return nullptr;
     }
-#endif
   } else {
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
@@ -1427,45 +1266,32 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
 
 void IoEngine::Deregister(IoHandle* handle) {
   SKYLOFT_CHECK(handle != nullptr && handle->engine == this);
-  if (uring_fd_ >= 0) {
-    // Take a queueing reference BEFORE publishing closed: once closed is
-    // visible, a concurrent reaper dropping pending_cqes to zero frees the
-    // handle, and this function is still using it below. seq_cst pairs with
-    // RearmStalled's armed-store/closed-recheck so the two can never both
-    // miss each other (a stalled handle re-armed with no cancel queued).
-    handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
+  if (handle->cs != nullptr) {
+    // Completion handle. The registration reference keeps it alive until the
+    // end of this function, however the reaper's counts interleave. seq_cst
+    // pairs with RearmStalled's armed-store/closed-recheck so the two can
+    // never both miss each other (a stalled handle re-armed with no cancel
+    // queued).
     const bool was_closed = handle->closed.exchange(true, std::memory_order_seq_cst);
     SKYLOFT_CHECK(!was_closed) << "double Deregister of fd " << handle->fd;
-    // Cancel every outstanding op — the multishot main op (POLL_ADD for
-    // readiness handles, RECV/RECVMSG/ACCEPT for completion handles), the
-    // oneshot write poll, and an in-flight async send. A pending op holds a
-    // file reference, so closing the fd alone would not complete it and its
-    // CQE could fire after the handle was freed. Each cancel yields its own
-    // CQE too; count both before queueing. The fd can be closed right away —
-    // POLL_REMOVE/ASYNC_CANCEL target by user_data, not fd.
-    if (handle->main_poll_armed.load(std::memory_order_seq_cst)) {
+    // Cancel every outstanding op — the multishot RECV/RECVMSG/ACCEPT and an
+    // in-flight async send. A pending op holds a file reference, so closing
+    // the fd alone would not complete it and its CQE could fire after the
+    // handle was freed. Each cancel yields its own CQE too; count both
+    // before queueing. The fd can be closed right away — ASYNC_CANCEL
+    // targets by user_data, not fd.
+    if (handle->main_op_armed.load(std::memory_order_seq_cst)) {
       handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      if (handle->cs == nullptr) {
-        UringRemovePoll(handle, kTagRemove);
-      } else {
-        QueueCancel(handle, handle->mode == IoRegisterMode::kListener ? kTagAccept : kTagRecv);
-      }
+      QueueCancel(handle, handle->mode == IoRegisterMode::kListener ? kTagAccept : kTagRecv);
     }
-    if (handle->write_poll_armed.load(std::memory_order_acquire)) {
-      handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      UringRemovePoll(handle, kTagRemoveWrite);
-    }
-    if (handle->cs != nullptr) {
-      // An in-flight async send holds a file reference and could otherwise
-      // stay queued indefinitely (zero-window peer) pinning the handle;
-      // cancel unconditionally — a miss just yields a -ENOENT cancel CQE,
-      // which the +1 below absorbs either way.
-      handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      QueueCancel(handle, kTagSend);
-    }
+    // An in-flight async send could otherwise stay queued indefinitely
+    // (zero-window peer) pinning the handle; cancel unconditionally — a miss
+    // just yields a -ENOENT cancel CQE, which the +1 below absorbs either way.
+    handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
+    QueueCancel(handle, kTagSend);
     close(handle->fd);
     IncLane(stats_.retired, worker_);
-    UringFinishCqe(handle);  // drop the queueing reference; may free
+    UringFinishCqe(handle);  // drop the registration reference; may free
     return;
   }
   const bool was_closed = handle->closed.exchange(true, std::memory_order_acq_rel);
@@ -1519,12 +1345,11 @@ void IoEngine::DeliverReady(IoHandle* handle, unsigned bits) {
 }
 
 int IoEngine::EpollPoll() {
-  FreeRetired();
   auto* events = reinterpret_cast<epoll_event*>(event_buf_.data());
   // This epoll_wait only drains already-pending events: the scheduler loop
   // calls it between uthread switches precisely because it cannot block.
   // skylint:allow(blocking-call-on-worker) -- timeout 0 never sleeps
-  const int n = epoll_wait(epoll_fd_, events, options_.max_events, 0);
+  const int n = epoll_wait(epoll_fd_, events, kMaxEvents, 0);
   if (n <= 0) {
     return 0;
   }
@@ -1549,41 +1374,13 @@ int IoEngine::EpollPoll() {
 }
 
 int IoEngine::Poll() {
-  const int n = uring_fd_ >= 0 ? UringPoll() : EpollPoll();
+  FreeRetired();
+  const int n = using_io_uring() ? UringPoll() : EpollPoll();
   if (n > 0) {
     IncLane(stats_.polls, worker_);
     IncLane(stats_.events, worker_, static_cast<std::uint64_t>(n));
   }
   return n;
-}
-
-void IoEngine::RequestWritable(IoHandle* handle) {
-  if (uring_fd_ >= 0) {
-#ifdef SKYLOFT_IO_URING
-    if (handle->cs != nullptr) {
-      // Completion handles don't poll for POLLOUT: the parked writer is
-      // woken by the send queue draining (final send CQE latches
-      // kIoWritable).
-      return;
-    }
-    // At most one oneshot POLLOUT in flight per handle, so Deregister knows
-    // exactly which polls remain to cancel; an unreaped previous arm still
-    // delivers the wakeup this caller is about to wait for.
-    if (handle->write_poll_armed.exchange(true, std::memory_order_acq_rel)) {
-      return;
-    }
-    handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-    if (!UringArmPoll(handle, POLLOUT, kTagWritePoll)) {
-      handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel);
-      handle->write_poll_armed.store(false, std::memory_order_release);
-      // No write monitoring means the waiter would park forever; latch an
-      // error so it wakes and fails the write instead.
-      DeliverReady(handle, kIoError);
-    }
-#endif
-  }
-  // epoll: EPOLLOUT|EPOLLET is permanently armed; the edge fires when the
-  // send buffer drains.
 }
 
 void IoEngine::RelatchReadable(IoHandle* handle) {
@@ -1595,8 +1392,8 @@ void IoEngine::RelatchReadable(IoHandle* handle) {
 }
 
 void IoEngine::DumpDebug(std::FILE* out) {
-  std::fprintf(out, "engine[%d] backend=%s completion=%d\n", worker_,
-               uring_fd_ >= 0 ? "io_uring" : "epoll", completion_ ? 1 : 0);
+  std::fprintf(out, "engine[%d] backend=%s\n", worker_,
+               using_io_uring() ? "io_uring" : "epoll");
 #ifdef SKYLOFT_IO_URING
   if (uring_ != nullptr) {
     UringState* s = uring_;
@@ -1608,31 +1405,25 @@ void IoEngine::DumpDebug(std::FILE* out) {
                  __atomic_load_n(s->sq_flags, __ATOMIC_ACQUIRE),
                  __atomic_load_n(s->cq_head, __ATOMIC_ACQUIRE),
                  __atomic_load_n(s->cq_tail, __ATOMIC_ACQUIRE));
-#ifdef SKYLOFT_URING_COMPLETION
-    if (s->buf_ring != nullptr) {
-      std::fprintf(out, "  buf entries=%u tail=%u recycled=%llu stalled=%zu\n",
-                   s->buf_entries, static_cast<unsigned>(s->buf_tail),
-                   static_cast<unsigned long long>(
-                       s->buf_recycled.load(std::memory_order_acquire)),
-                   stalled_.size());
-    }
-#endif
+    std::fprintf(out, "  buf entries=%u tail=%u recycled=%llu stalled=%zu\n", s->buf_entries,
+                 static_cast<unsigned>(s->buf_tail),
+                 static_cast<unsigned long long>(s->buf_recycled.load(std::memory_order_acquire)),
+                 stalled_.size());
   }
 #endif
   LockHandles();
   for (IoHandle* handle : handles_) {
     std::fprintf(out,
-                 "  fd=%d mode=%d ready=%#x closed=%d armed=%d/%d pending=%d "
+                 "  fd=%d mode=%d ready=%#x closed=%d armed=%d pending=%d "
                  "reader=%d writer=%d",
                  handle->fd, static_cast<int>(handle->mode),
                  handle->ready.load(std::memory_order_acquire),
                  handle->closed.load(std::memory_order_acquire) ? 1 : 0,
-                 handle->main_poll_armed.load(std::memory_order_acquire) ? 1 : 0,
-                 handle->write_poll_armed.load(std::memory_order_acquire) ? 1 : 0,
+                 handle->main_op_armed.load(std::memory_order_acquire) ? 1 : 0,
                  handle->pending_cqes.load(std::memory_order_acquire),
                  handle->reader.load(std::memory_order_acquire) != nullptr ? 1 : 0,
                  handle->writer.load(std::memory_order_acquire) != nullptr ? 1 : 0);
-#ifdef SKYLOFT_URING_COMPLETION
+#ifdef SKYLOFT_IO_URING
     if (handle->cs != nullptr) {
       IoCompletionState* cs = handle->cs;
       QLock(cs);

@@ -2,50 +2,51 @@
 //
 // Skyloft's latency argument needs a real wakeup path: a NIC-driven readiness
 // event must turn into a runnable uthread in microseconds. Each runtime
-// worker owns one IoEngine — a private epoll set (io_uring behind
-// SKYLOFT_IO_URING, falling back to epoll when the kernel refuses) polled
-// from the worker's scheduler loop between uthread switches. Connections are
-// sharded at accept time (SO_REUSEPORT listeners, one per worker) and an fd
-// never changes engines; only the *handler uthread* migrates, via ordinary
-// work stealing. A readiness event therefore always fires on the fd's home
-// engine, and the resulting Unpark enqueues through that worker's own
-// runqueue — the remote-enqueue mailbox path when the handler was stolen.
+// worker owns one IoEngine polled from the worker's scheduler loop between
+// uthread switches. Connections are sharded at accept time (SO_REUSEPORT
+// listeners, one per worker) and an fd never changes engines; only the
+// *handler uthread* migrates, via ordinary work stealing. An event therefore
+// always fires on the fd's home engine, and the resulting Unpark enqueues
+// through that worker's own runqueue — the remote-enqueue mailbox path when
+// the handler was stolen.
 //
-// Blocking is cooperative, not thread-blocking: a uthread that would block on
-// a socket parks through WaitForReadable/WaitForWritable (src/runtime/sync.h)
-// and the worker runs other uthreads until the engine latches readiness and
-// unparks it. Readiness is edge-triggered and latched in the handle:
+// One backend per mechanism. READINESS is epoll's job on every build: each
+// engine owns a private epoll set, and every kReadiness handle lives there.
+// COMPLETION is io_uring's job (SKYLOFT_IO_URING builds whose kernel passes
+// the ring's feature probe): a handle registered in kStream/kListener/
+// kDatagram mode keeps a multishot RECV/RECVMSG/ACCEPT armed whose
+// completions carry the data itself — payload bytes land in engine-owned
+// provided buffers (IORING_REGISTER_PBUF_RING), accepted fds and datagrams
+// land in per-handle queues, and responses go out as engine-owned async
+// SEND/SENDMSG submissions with short-send continuation. All SQEs are
+// batched, one io_uring_enter per worker poll round, so a worker's steady
+// state is ~0 syscalls per request. On such an engine the ring also keeps
+// one multishot POLL_ADD armed on the epoll fd, so a single CQE scan covers
+// both mechanisms. An engine whose ring setup or probe fails closes the ring
+// and serves everything on epoll; completion-mode registers then degrade to
+// kReadiness.
+//
+// Blocking is cooperative, not thread-blocking: a uthread that would block
+// parks through WaitForReadable/WaitForWritable (src/runtime/sync.h) and the
+// worker runs other uthreads until the engine latches readiness and unparks
+// it. Readiness is edge-triggered and latched in the handle:
 //
 //   engine Poll():  ready.fetch_or(bits); wake parked reader/writer
 //   WaitForReadable: wait for the latch, consume it, caller then drains the
 //                    socket until EAGAIN (edge-triggered contract)
 //
-// The io_uring backend additionally offers a COMPLETION data path (DESIGN.md
-// section 10, "completion data path"): instead of POLL_ADD readiness followed
-// by per-request read/writev/accept4 syscalls, a handle registered in
-// kStream/kListener/kDatagram mode keeps a multishot RECV/RECVMSG/ACCEPT
-// armed whose completions carry the data itself — payload bytes land in
-// engine-owned provided buffers (IORING_REGISTER_PBUF_RING), accepted fds and
-// datagrams land in per-handle queues, and responses go out as engine-owned
-// async SEND/SENDMSG submissions with short-send continuation. All SQEs are
-// batched: one io_uring_enter per worker poll round (zero with the opt-in
-// SQPOLL knob), so a worker's steady state is ~0 syscalls per request. The
-// same latch/park machinery signals the handler: kIoReadable means "segments
-// (or fds) queued", kIoWritable means "send queue drained". Every completion
-// feature is probed at ring setup and degrades per-feature to the readiness
-// path at runtime — kernels without multishot recv or pbuf rings simply keep
-// the POLL_ADD behaviour, logged once.
+// Completion handles reuse the same latch: kIoReadable means "segments (or
+// fds) queued", kIoWritable means "send queue drained".
 //
-// Handle lifetime: Deregister unlinks the fd from the kernel set, closes it,
-// and pushes the handle onto the engine's retire list; the engine frees
-// retired handles at the top of a later Poll, after any in-flight event
-// batch that might still reference them has been processed (events on a
-// closed handle are skipped via the `closed` flag). This lets a handler
-// uthread close its connection from whatever worker it was stolen to while
-// the home engine is mid-poll. On io_uring, lifetime is completion-counted
-// instead: every armed op (poll, recv, accept, send, cancel) owes one
-// terminal CQE, and the free point is the expected-CQE count reaching zero
-// after close.
+// Handle lifetime: Deregister unlinks the fd, closes it, and retires the
+// handle. A readiness handle goes on the engine's retire list, freed at the
+// top of a later Poll, after any in-flight epoll batch that might still
+// reference it has been processed (events on a closed handle are skipped via
+// the `closed` flag). This lets a handler uthread close its connection from
+// whatever worker it was stolen to while the home engine is mid-poll. A
+// completion handle is completion-counted instead: every armed op (recv,
+// accept, send, cancel) owes one terminal CQE, and the free point is the
+// expected-CQE count reaching zero after close.
 #ifndef SRC_RUNTIME_IO_ENGINE_H_
 #define SRC_RUNTIME_IO_ENGINE_H_
 
@@ -77,10 +78,10 @@ enum IoReady : unsigned {
 };
 
 // What a Register()ed fd is, which selects the io_uring completion op kept
-// armed for it. kReadiness is the classic POLL_ADD/epoll contract (pipes,
-// anything the caller read()s itself); the other modes opt into the
-// completion data path and silently degrade to kReadiness when the engine
-// lacks completion support (check IoEngine::completion()).
+// armed for it. kReadiness is the epoll contract (pipes, anything the caller
+// read()s itself); the other modes opt into the completion data path and
+// silently degrade to kReadiness on an engine without io_uring (check
+// IoEngine::completion()).
 enum class IoRegisterMode {
   kReadiness,  // readiness only; caller does its own read/write/accept
   kStream,     // connected TCP: multishot RECV + engine-owned async sends
@@ -121,22 +122,19 @@ struct alignas(kCacheLineSize) IoHandle {
   std::atomic<UThread*> reader{nullptr};
   std::atomic<UThread*> writer{nullptr};
   std::atomic<bool> closed{false};
-  // io_uring backend only. Which ops are in flight — at most one multishot
-  // main op (POLL_ADD, RECV, RECVMSG or ACCEPT depending on mode) and one
-  // oneshot POLLOUT (RequestWritable is a no-op while armed) — so Deregister
-  // knows which to cancel; and a count of terminal CQEs still expected
-  // (+1 per armed op, +1 per submitted cancel, +1 held by Deregister itself
-  // while it queues the cancels, +1 while parked on the engine's buffer-
-  // exhaustion stall list). The kernel does NOT order a cancelled op's CQE
-  // before its cancel's CQE (task-work can post it later), so the free point
-  // is the count reaching zero after close, not any particular completion.
-  std::atomic<bool> main_poll_armed{false};
-  std::atomic<bool> write_poll_armed{false};
+  // Completion handles only. Whether the multishot main op (RECV, RECVMSG
+  // or ACCEPT depending on mode) is in flight, so Deregister knows to cancel
+  // it; and a count of references: terminal CQEs still expected (+1 per
+  // armed op, +1 per submitted cancel), +1 while parked on the engine's
+  // buffer-exhaustion stall list, and +1 held by the registration until
+  // Deregister. The kernel does NOT order a cancelled op's CQE before its
+  // cancel's CQE (task-work can post it later), so the free point is the
+  // count reaching zero, not any particular completion.
+  std::atomic<bool> main_op_armed{false};
   std::atomic<int> pending_cqes{0};
-  IoHandle* retire_next = nullptr;  // engine retire list linkage
+  IoHandle* retire_next = nullptr;  // engine retire list linkage (readiness)
   // Completion-mode state (recv/accept/send queues); null for kReadiness
-  // handles and whenever the engine fell back to readiness. Owned by the
-  // engine, freed with the handle.
+  // handles. Owned by the engine, freed with the handle.
   IoCompletionState* cs = nullptr;
 };
 
@@ -149,7 +147,7 @@ struct IoEngineStats {
   ShardedCounter* wakeups = nullptr;       // parked uthreads unparked
   ShardedCounter* registered = nullptr;    // fds registered (lifetime total)
   ShardedCounter* retired = nullptr;       // fds deregistered
-  ShardedCounter* uring_fallbacks = nullptr;  // io_uring refused -> epoll
+  ShardedCounter* uring_fallbacks = nullptr;  // io_uring build serving on epoll
   // Data-path syscall accounting, the bench's syscalls/request numerator.
   // The engine counts its own io_uring_enter calls; the readiness serving
   // paths self-report their read/write/accept syscalls via CountSys*.
@@ -164,25 +162,12 @@ struct IoEngineStats {
   ShardedCounter* buf_exhaustions = nullptr;  // recv stalled on empty buf ring
 };
 
+// Provided-buffer ring sizing for the completion data path (ignored by
+// engines without io_uring). Every other engine size is a constant in
+// io_engine.cpp.
 struct IoEngineOptions {
-  enum class Backend {
-    kAuto,    // io_uring when compiled in and the kernel allows it, else epoll
-    kEpoll,   // force epoll
-    kIoUring, // require io_uring (falls back to epoll with a counted fallback)
-  };
-  Backend backend = Backend::kAuto;
-  int max_events = 256;     // readiness batch drained per Poll
-  int uring_entries = 256;  // SQ depth (io_uring backend)
-  // Completion data path (io_uring backend; ignored by epoll). `completion`
-  // gates the whole path — when false, kStream/kListener/kDatagram registers
-  // behave like kReadiness even on a capable kernel (the bench's readiness
-  // baseline on the uring build).
-  bool completion = true;
-  bool sqpoll = false;          // kernel SQ polling thread: zero-enter submits
   int buf_ring_entries = 1024;  // provided buffers per engine (rounded to pow2)
   int buf_size = 2048;          // bytes per provided buffer
-  int fixed_file_slots = 4096;  // registered-file table size (0 disables)
-  int send_batch = 16;          // max frames folded into one async send
 };
 
 class IoEngine {
@@ -194,10 +179,11 @@ class IoEngine {
   IoEngine(const IoEngine&) = delete;
   IoEngine& operator=(const IoEngine&) = delete;
 
-  // Registers `fd` with this engine: sets O_NONBLOCK and arms edge-triggered
-  // read/write/hup monitoring — or, for completion modes on a completion-
-  // capable engine, the mode's multishot op. Callable from any worker
-  // (registration is spinlocked); returns null if the kernel rejects the fd.
+  // Registers `fd` with this engine: sets O_NONBLOCK and adds it to the epoll
+  // set with edge-triggered read/write/hup monitoring — or, for completion
+  // modes on an io_uring engine, arms the mode's multishot op. Callable from
+  // any worker (registration is spinlocked); returns null if the kernel
+  // rejects the fd.
   SKYLOFT_NO_SWITCH IoHandle* Register(int fd, IoRegisterMode mode = IoRegisterMode::kReadiness);
 
   // Unlinks the fd, closes it, and retires the handle (freed by a later
@@ -205,10 +191,10 @@ class IoEngine {
   // touch the handle afterwards.
   SKYLOFT_NO_SWITCH void Deregister(IoHandle* handle);
 
-  // Drains up to max_events readiness/completion events, latches them into
-  // handles, and unparks waiters. Returns the number of events dispatched.
-  // Must only be called from the owning worker's scheduler loop (single
-  // consumer).
+  // Frees retired handles, drains a bounded batch of epoll events and
+  // completions, latches them into handles, and unparks waiters. Returns the
+  // number of events dispatched. Must only be called from the owning
+  // worker's scheduler loop (single consumer).
   SKYLOFT_NO_SWITCH int Poll();
 
   // Pushes any deferred submission-queue entries to the kernel now (io_uring
@@ -217,13 +203,6 @@ class IoEngine {
   // send is never held hostage to the batching heuristic while the worker
   // sleeps. Home-worker only, like Poll().
   SKYLOFT_NO_SWITCH void FlushSubmissions();
-
-  // Backend hook for write-interest (io_uring arms a oneshot POLLOUT; epoll's
-  // persistent EPOLLOUT|EPOLLET makes this a no-op). Called by
-  // WaitForWritable before parking. On completion-mode handles this is a
-  // no-op too: the parked writer is woken by the send queue draining (its
-  // final send CQE latches kIoWritable), not by POLLOUT.
-  SKYLOFT_NO_SWITCH void RequestWritable(IoHandle* handle);
 
   // Re-latches readability on a handle — used by batched accept loops that
   // stop before EAGAIN (the consumed edge must be restored or the remaining
@@ -258,7 +237,7 @@ class IoEngine {
 
   // Queues `frame` on a kStream handle's async send queue and arms a send if
   // none is in flight (short sends re-arm from the CQE until drained; frames
-  // are coalesced up to send_batch iovecs per submission). Returns the bytes
+  // are coalesced up to 16 iovecs per submission). Returns the bytes
   // now queued, or 0 if the handle is closed/errored and the frame was
   // dropped. Single writer per handle (the one-uthread-per-connection
   // contract). Backpressure: callers above a high-water mark of
@@ -295,12 +274,14 @@ class IoEngine {
   // loops, not for hot paths.
   SKYLOFT_NO_SWITCH void DumpDebug(std::FILE* out);
 
+  // True when the ring is up, which also means the kernel passed the
+  // multishot/pbuf-ring/send feature probe: an engine keeps its ring only
+  // if it can serve the completion data path.
   bool using_io_uring() const { return uring_fd_ >= 0; }
-  // True when the completion data path is active: io_uring is up AND the
-  // kernel passed the multishot/pbuf-ring/send feature probe AND the
-  // `completion` option is on. When false, completion-mode registers degrade
-  // to readiness and the caller must use its readiness path.
-  bool completion() const { return completion_; }
+  // Whether completion-mode registers arm the completion data path; when
+  // false they degrade to readiness and the caller must use its readiness
+  // path. Equivalent to using_io_uring().
+  bool completion() const { return using_io_uring(); }
   int worker() const { return worker_; }
 
  private:
@@ -339,24 +320,28 @@ class IoEngine {
   // epoll backend.
   SKYLOFT_NO_SWITCH int EpollPoll();
 
-  // io_uring backend (compiled under SKYLOFT_IO_URING; stubs otherwise).
-  bool UringInit(int entries);
+  // io_uring backend (compiled under SKYLOFT_IO_URING; the entry points the
+  // neutral engine calls have stubs otherwise). UringInit keeps the ring
+  // only if the completion probe passes.
+  bool UringInit();
   void UringShutdown();
   SKYLOFT_NO_SWITCH int UringPoll();
-  SKYLOFT_NO_SWITCH bool UringArmPoll(IoHandle* handle, unsigned poll_mask, std::uintptr_t tag);
+  // Arms the multishot POLL_ADD on epoll_fd_ whose CQEs trigger EpollPoll.
+  SKYLOFT_NO_SWITCH bool ArmEpollPoll();
   // SQE slot claim/commit under the SQ lock. Prepare zeroes the next slot
   // (flushing inline once if the ring is full; null if still full); commit
-  // publishes it. Split so SQPOLL's kernel thread can never observe a
-  // half-filled entry.
+  // publishes it.
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(uring_sq) void* SqePrepareLocked();
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(uring_sq) void SqeCommitLocked();
-  SKYLOFT_NO_SWITCH void UringRemovePoll(IoHandle* handle, std::uintptr_t tag);
   SKYLOFT_NO_SWITCH void UringFinishCqe(IoHandle* handle);
   SKYLOFT_NO_SWITCH void UringSubmit();
 
   // Completion data path internals (io_uring backend; stubs otherwise).
   bool UringSetupCompletion();  // probe + pbuf ring + registered files
   void UringTeardownCompletion();
+  // Register's completion half: allocates the handle's queues and arms the
+  // mode's multishot op. False if the SQ is jammed; the caller frees the handle.
+  SKYLOFT_NO_SWITCH bool ArmCompletion(IoHandle* handle, IoRegisterMode mode);
   SKYLOFT_NO_SWITCH bool ArmMainOp(IoHandle* handle);  // RECV/RECVMSG/ACCEPT by mode
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(io_handle_q) bool ArmSendLocked(IoHandle* handle);
   SKYLOFT_NO_SWITCH void QueueCancel(IoHandle* handle, std::uintptr_t target_tag);
@@ -374,9 +359,14 @@ class IoEngine {
   IoEngineStats stats_;
 
   int epoll_fd_ = -1;
-  int uring_fd_ = -1;  // >= 0 => io_uring backend active
+  int uring_fd_ = -1;  // >= 0 => io_uring completion backend active
   UringState* uring_ = nullptr;
-  bool completion_ = false;  // completion data path probed + enabled
+  // Ring-side view of the epoll set (home worker only): whether the
+  // multishot POLL_ADD on epoll_fd_ is armed, and whether the set must be
+  // polled this round — its CQE fired, or the last epoll_wait returned a
+  // full batch (the multishot poll only fires on new wakeups).
+  bool epoll_poll_armed_ = false;
+  bool epoll_pending_ = false;
 
   std::vector<unsigned char> event_buf_;  // epoll_event array storage
 

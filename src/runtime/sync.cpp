@@ -12,7 +12,7 @@ namespace {
 // consumes (kIoReadable/kIoWritable); hup/error terminate either direction
 // and stay latched.
 SKYLOFT_MAY_SWITCH unsigned WaitForIo(IoHandle* handle, unsigned consume,
-                                      std::atomic<UThread*>* waiter_slot, bool want_write) {
+                                      std::atomic<UThread*>* waiter_slot) {
   const unsigned wake_mask = consume | kIoHup | kIoError;
   while (true) {
     unsigned ready = handle->ready.load(std::memory_order_acquire);
@@ -25,11 +25,6 @@ SKYLOFT_MAY_SWITCH unsigned WaitForIo(IoHandle* handle, unsigned consume,
     // the engine sees us and unparks. A double-win (both happen) costs one
     // stale unpark token, which every Park loop tolerates.
     waiter_slot->store(Runtime::Current(), std::memory_order_release);
-    if (want_write) {
-      // io_uring arms write interest on demand (oneshot POLLOUT); epoll's
-      // persistent EPOLLOUT|EPOLLET makes this a no-op.
-      handle->engine->RequestWritable(handle);
-    }
     // Full fence so the re-check below cannot be hoisted above the waiter
     // publish (StoreLoad reordering is legal even on x86, and would let both
     // sides miss each other). The engine side needs no fence: its fetch_or
@@ -48,11 +43,11 @@ SKYLOFT_MAY_SWITCH unsigned WaitForIo(IoHandle* handle, unsigned consume,
 }  // namespace
 
 unsigned WaitForReadable(IoHandle* handle) {
-  return WaitForIo(handle, kIoReadable, &handle->reader, /*want_write=*/false);
+  return WaitForIo(handle, kIoReadable, &handle->reader);
 }
 
 unsigned WaitForWritable(IoHandle* handle) {
-  return WaitForIo(handle, kIoWritable, &handle->writer, /*want_write=*/true);
+  return WaitForIo(handle, kIoWritable, &handle->writer);
 }
 
 void UthreadMutex::SpinAcquire() {

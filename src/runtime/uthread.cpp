@@ -762,19 +762,22 @@ void Runtime::Unpark(UThread* thread) {
 void Runtime::Join(UThread* thread) {
   Runtime* rt = g_runtime;
   SKYLOFT_CHECK(rt != nullptr);
-  // Loop: Park may return spuriously (e.g. a stale unpark token left by the
-  // mutex fast-path race), so completion is re-checked every wake. `self` is
-  // read once, before the first switch: Current() goes through tl_worker,
-  // which must not be touched after a Park that may migrate us.
+  // Link once, then loop: Park may return spuriously (e.g. a stale unpark
+  // token left by the mutex fast-path race), so completion is re-checked
+  // every wake — but the joiner entry stays linked until ExitCurrent swaps
+  // the list out, and a second entry would cost a duplicate Unpark (another
+  // stale token). `self` is read once, before the first switch: Current()
+  // goes through tl_worker, which must not be touched after a Park that may
+  // migrate us.
   UThread* self = Current();
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(rt->wait_lock_);
-      if (thread->state.load(std::memory_order_acquire) == UthreadState::kDone) {
-        return;
-      }
-      thread->joiners.push_back(self);
+  {
+    std::lock_guard<std::mutex> lock(rt->wait_lock_);
+    if (thread->state.load(std::memory_order_acquire) == UthreadState::kDone) {
+      return;
     }
+    thread->joiners.push_back(self);
+  }
+  while (thread->state.load(std::memory_order_acquire) != UthreadState::kDone) {
     Park();
   }
 }

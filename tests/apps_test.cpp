@@ -1,9 +1,14 @@
 // Tests for the application models (schbench, workload mixes, batch app) and
-// the real KV store.
+// the real KV store, plain and striped.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "src/simcore/simulation.h"
 #include "src/apps/batch_app.h"
+#include "src/apps/kv_server_net.h"
 #include "src/apps/kvstore.h"
 #include "src/apps/schbench.h"
 #include "src/apps/workloads.h"
@@ -71,6 +76,36 @@ TEST(KvStoreTest, ScanSkipsDeleted) {
   const auto result = kv.Scan("", 10);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].first, "b");
+}
+
+TEST(KvStripedStoreTest, ScanLimitIsGlobalAndAscending) {
+  // 256 keys hash across every one of the 8 stripes, each holding far more
+  // than `limit` keys past the start: the reply must still be exactly the
+  // store's first `limit` keys at or after the start, in one ascending run.
+  KvStripedStore store(/*workers=*/1);
+  ASSERT_EQ(store.stripes(), 8);
+  char key[16];
+  for (int i = 0; i < 256; i++) {
+    std::snprintf(key, sizeof(key), "key%03d", i);
+    store.Preload(key, std::to_string(i));
+  }
+  const std::string reply = store.Serve("SCAN key100 8", 0);
+  std::vector<std::string> keys;
+  std::size_t pos = 0;
+  while (pos < reply.size()) {
+    const std::size_t eq = reply.find('=', pos);
+    const std::size_t semi = reply.find(';', pos);
+    ASSERT_NE(eq, std::string::npos) << reply;
+    ASSERT_NE(semi, std::string::npos) << reply;
+    keys.push_back(reply.substr(pos, eq - pos));
+    pos = semi + 1;
+  }
+  ASSERT_EQ(keys.size(), 8u) << reply;
+  for (int i = 0; i < 8; i++) {
+    std::snprintf(key, sizeof(key), "key%03d", 100 + i);
+    EXPECT_EQ(keys[static_cast<std::size_t>(i)], key);
+  }
+  EXPECT_EQ(reply.substr(0, 11), "key100=100;");
 }
 
 // ---- Workload mixes ----

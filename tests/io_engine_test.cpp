@@ -7,7 +7,14 @@
 //   - peer hangup delivered while handler uthreads migrate across workers
 //   - Interrupt() waking a parked waiter for shutdown
 //   - Deregister with write interest still outstanding, then a late POLLOUT
-//     (the io_uring stale-oneshot-CQE lifetime regression)
+//   - every readiness edge reaching Poll, including past a full epoll batch
+//     (on io_uring builds the epoll set is polled behind the ring's multishot
+//     POLL_ADD, which only fires on new wakeups)
+//   - readiness and completion handles served side by side on one engine
+//   - a readiness handle deregistered from a worker other than its home
+//     engine's while a reader is parked on the same engine
+//   - the completion data path (io_uring builds whose kernel passes the
+//     probe; the tests skip elsewhere)
 // Runs under TSan/ASan in CI; every cross-thread handoff here is a real
 // data-race candidate.
 #include <arpa/inet.h>
@@ -371,13 +378,11 @@ TEST(IoEngineTest, InterruptWakesParkedWaiter) {
 }
 
 TEST(IoEngineTest, InterruptedWriterDeregisterThenPeerDrain) {
-  // Regression for the io_uring lifetime bug: a writer parked in
-  // WaitForWritable (oneshot POLLOUT pending in the ring) is woken by
-  // Interrupt — no write CQE is consumed — and deregisters its handle.
-  // io_uring holds a file reference per pending poll, so the close alone
-  // does not complete it; when the peer later drains the socket the POLLOUT
-  // completes, and it must land on a cancelled poll, never a freed handle
-  // (pre-fix this is a heap-use-after-free under ASan on the uring build).
+  // A writer parked in WaitForWritable is woken by Interrupt — no write
+  // event is consumed — and deregisters its handle. When the peer later
+  // drains the socket the kernel reports writability against whatever
+  // interest survived Deregister; it must never reach the freed handle
+  // (ASan).
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
   TcpPair pair = MakeTcpPair();
   const int small = 8 * 1024;
@@ -466,11 +471,131 @@ TEST(IoEngineTest, PipeReadinessWorks) {
   EXPECT_EQ(got, std::string("ping\0", 5));
 }
 
+TEST(IoEngineTest, EveryReadinessEdgeReachesPoll) {
+  // A standalone engine (no runtime; Poll runs on this thread) with more
+  // ready pipes than one Poll drains: the events left behind by a full batch
+  // raise no new wakeup, so the engine itself must come back for them. Then
+  // a second edge on an already-drained pipe must surface too — on io_uring
+  // builds that is the multishot POLL_ADD on the epoll fd firing again.
+  constexpr int kPipes = 300;  // > the engine's 256-event batch
+  IoEngine engine(0, IoEngineOptions{}, IoEngineStats{});
+  EXPECT_EQ(engine.completion(), engine.using_io_uring());
+  std::vector<int> write_ends;
+  std::vector<IoHandle*> handles;
+  for (int i = 0; i < kPipes; i++) {
+    int pipefd[2];
+    ASSERT_EQ(pipe(pipefd), 0);
+    IoHandle* handle = engine.Register(pipefd[0]);
+    ASSERT_NE(handle, nullptr);
+    EXPECT_EQ(handle->mode, IoRegisterMode::kReadiness);
+    handles.push_back(handle);
+    write_ends.push_back(pipefd[1]);
+  }
+  engine.FlushSubmissions();
+  for (const int fd : write_ends) {
+    ASSERT_EQ(write(fd, "a", 1), 1);
+  }
+  const auto latched = [](IoHandle* h) {
+    return (h->ready.load(std::memory_order_acquire) & kIoReadable) != 0;
+  };
+  const auto poll_until = [&](const auto& done) {
+    for (int round = 0; round < 2000 && !done(); round++) {
+      if (engine.Poll() == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    }
+    return done();
+  };
+  EXPECT_TRUE(poll_until([&] {
+    for (IoHandle* h : handles) {
+      if (!latched(h)) {
+        return false;
+      }
+    }
+    return true;
+  })) << "readiness left behind a full epoll batch never surfaced";
+
+  // Consume the first edge, then raise a fresh one on a single pipe.
+  char buf[8];
+  for (IoHandle* h : handles) {
+    ASSERT_EQ(read(h->fd, buf, sizeof(buf)), 1);
+    h->ready.fetch_and(~kIoReadable, std::memory_order_acq_rel);
+  }
+  while (engine.Poll() > 0) {
+  }
+  ASSERT_EQ(write(write_ends[7], "b", 1), 1);
+  EXPECT_TRUE(poll_until([&] { return latched(handles[7]); }))
+      << "a new readiness edge never surfaced";
+  for (int i = 0; i < kPipes; i++) {
+    engine.Deregister(handles[static_cast<std::size_t>(i)]);
+    close(write_ends[static_cast<std::size_t>(i)]);
+  }
+}
+
+TEST(IoEngineTest, DeregisterFromForeignWorkerWhileReaderParked) {
+  // One pipe per engine, both ends registered there. A reader uthread parks
+  // on each read end; then a single closer uthread deregisters both write
+  // ends. Whichever worker the closer runs on, one of its two Deregisters
+  // targets the other worker's engine while that engine keeps polling. The
+  // close must surface as a hangup through the home engine and wake the
+  // parked reader, and the retired handle must be freed behind any in-flight
+  // event batch (ASan/TSan).
+  Runtime rt(RuntimeOptions{.workers = 2, .io_engine = true});
+  constexpr int kEngines = 2;
+  int pipes[kEngines][2];
+  for (auto& p : pipes) {
+    ASSERT_EQ(pipe(p), 0);
+  }
+  std::atomic<int> readers_done{0};
+  unsigned observed[kEngines] = {0, 0};
+  rt.Run([&] {
+    IoHandle* read_ends[kEngines];
+    IoHandle* write_ends[kEngines];
+    for (int e = 0; e < kEngines; e++) {
+      IoEngine* engine = rt.io_engine(e);
+      EXPECT_EQ(engine->completion(), engine->using_io_uring());
+      read_ends[e] = engine->Register(pipes[e][0]);
+      write_ends[e] = engine->Register(pipes[e][1]);
+      ASSERT_NE(read_ends[e], nullptr);
+      ASSERT_NE(write_ends[e], nullptr);
+      IoHandle* handle = read_ends[e];
+      Runtime::Spawn([&, e, engine, handle] {
+        char buf[16];
+        while (true) {
+          observed[e] |= WaitForReadable(handle);
+          if (read(handle->fd, buf, sizeof(buf)) == 0) {
+            break;  // EOF: the write end is gone
+          }
+        }
+        engine->Deregister(handle);
+        readers_done.fetch_add(1, std::memory_order_acq_rel);
+      });
+    }
+    // Both readers published themselves as waiters (parked or about to).
+    while (read_ends[0]->reader.load(std::memory_order_acquire) == nullptr ||
+           read_ends[1]->reader.load(std::memory_order_acquire) == nullptr) {
+      Runtime::SleepFor(500);
+    }
+    Runtime::Spawn([&] {
+      for (int e = 0; e < kEngines; e++) {
+        rt.io_engine(e)->Deregister(write_ends[e]);
+      }
+    });
+    while (readers_done.load(std::memory_order_acquire) < kEngines) {
+      Runtime::SleepFor(500);
+    }
+  });
+  for (const unsigned bits : observed) {
+    EXPECT_NE(bits & kIoHup, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Completion data path (multishot RECV/ACCEPT, provided buffer rings, async
-// sends). Every test gates on IoEngine::completion() — the runtime probe —
-// and skips on epoll builds, pre-6.0 kernels, or completion=false, where the
-// same registrations silently degrade to the readiness path tested above.
+// sends). Every test but the first gates on IoEngine::completion() — the
+// runtime probe — and skips on epoll builds or kernels that fail the probe,
+// where the same registrations silently degrade to the readiness path
+// tested above.
 // ---------------------------------------------------------------------------
 
 // Reads a runtime io counter by unqualified name from the global registry
@@ -507,6 +632,95 @@ std::string PatternBytes(std::size_t n, unsigned seed) {
     s[i] = static_cast<char>('a' + (seed >> 24) % 26);
   }
   return s;
+}
+
+TEST(IoEngineTest, ReadinessPipeAndCompletionStreamShareEngine) {
+  // A readiness pipe and a kStream socket on one engine. On an io_uring
+  // engine the pipe is served by the epoll set behind the ring's POLL_ADD
+  // and the socket by multishot RECV + async send, both out of one Poll; on
+  // epoll both are readiness handles. Either way both must be served.
+  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+  int pipefd[2];
+  ASSERT_EQ(pipe(pipefd), 0);
+  TcpPair pair = MakeTcpPair();
+  const std::string msg = PatternBytes(300, 11);
+  std::thread client([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(write(pipefd[1], "ping", 4), 4);
+    close(pipefd[1]);
+    ASSERT_EQ(write(pair.client, msg.data(), msg.size()), static_cast<ssize_t>(msg.size()));
+    std::string back;
+    char buf[1024];
+    while (back.size() < msg.size()) {
+      const ssize_t n = read(pair.client, buf, sizeof(buf));
+      ASSERT_GT(n, 0);
+      back.append(buf, static_cast<std::size_t>(n));
+    }
+    EXPECT_EQ(back, msg);
+    close(pair.client);
+  });
+  std::string piped;
+  std::atomic<int> done{0};
+  rt.Run([&] {
+    IoEngine* engine = rt.io_engine(0);
+    EXPECT_EQ(engine->completion(), engine->using_io_uring());
+    IoHandle* pipe_handle = engine->Register(pipefd[0]);
+    IoHandle* stream = engine->Register(pair.server, IoRegisterMode::kStream);
+    ASSERT_NE(pipe_handle, nullptr);
+    ASSERT_NE(stream, nullptr);
+    EXPECT_EQ(pipe_handle->mode, IoRegisterMode::kReadiness);
+    EXPECT_EQ(stream->cs != nullptr, engine->using_io_uring());
+    Runtime::Spawn([&, engine, pipe_handle] {
+      char buf[16];
+      while (true) {
+        WaitForReadable(pipe_handle);
+        const ssize_t n = read(pipe_handle->fd, buf, sizeof(buf));
+        if (n == 0) {
+          break;
+        }
+        if (n > 0) {
+          piped.append(buf, static_cast<std::size_t>(n));
+        }
+      }
+      engine->Deregister(pipe_handle);
+      done.fetch_add(1, std::memory_order_acq_rel);
+    });
+    Runtime::Spawn([&, engine, stream] {
+      std::string got;
+      while (got.size() < msg.size()) {
+        const unsigned ready = WaitForReadable(stream);
+        ASSERT_EQ(ready & kIoError, 0u);
+        if (stream->cs != nullptr) {
+          DrainRecvInto(engine, stream, &got);
+          continue;
+        }
+        char buf[512];
+        ssize_t n;
+        while ((n = read(stream->fd, buf, sizeof(buf))) > 0) {
+          got.append(buf, static_cast<std::size_t>(n));
+        }
+      }
+      if (stream->cs != nullptr) {
+        ASSERT_GT(engine->SendEnqueue(stream, got), 0u);
+        while (engine->SendQueuedBytes(stream) > 0) {
+          const unsigned w = WaitForWritable(stream);
+          ASSERT_EQ(w & kIoError, 0u);
+          if ((w & kIoWritable) == 0) {
+            Runtime::Yield();
+          }
+        }
+      } else {
+        ASSERT_EQ(write(stream->fd, got.data(), got.size()), static_cast<ssize_t>(got.size()));
+      }
+      engine->Deregister(stream);
+      done.fetch_add(1, std::memory_order_acq_rel);
+    });
+    while (done.load(std::memory_order_acquire) < 2) {
+      Runtime::SleepFor(500);
+    }
+  });
+  client.join();
+  EXPECT_EQ(piped, "ping");
 }
 
 TEST(IoEngineTest, CompletionStreamEchoRoundTrip) {

@@ -1,5 +1,5 @@
-// Tests for the network substrate: NIC + RSS rings, the IPv4/UDP codec, and
-// the open-loop Poisson load generator.
+// Tests for the network substrate: NIC + RSS rings and the open-loop Poisson
+// load generator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,7 +8,6 @@
 #include "src/libos/percpu_engine.h"
 #include "src/net/loadgen.h"
 #include "src/net/nic.h"
-#include "src/net/udp.h"
 #include "src/policies/work_stealing.h"
 
 namespace skyloft {
@@ -69,71 +68,6 @@ TEST(NicTest, FullRingDropsAndCounts) {
   sim.Run();
   EXPECT_EQ(nic.delivered(), 4u);
   EXPECT_EQ(nic.drops(), 6u);
-}
-
-// ---- UDP codec ----
-
-UdpDatagram MakeDgram() {
-  UdpDatagram d;
-  d.ip.src_addr = 0x0a000001;  // 10.0.0.1
-  d.ip.dst_addr = 0x0a000002;
-  d.udp.src_port = 12345;
-  d.udp.dst_port = 11211;
-  d.payload = {'g', 'e', 't', ' ', 'k', 'e', 'y'};
-  return d;
-}
-
-TEST(UdpTest, SerializeParseRoundTrip) {
-  const auto bytes = SerializeUdp(MakeDgram());
-  auto parsed = ParseUdp(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->ip.src_addr, 0x0a000001u);
-  EXPECT_EQ(parsed->ip.dst_addr, 0x0a000002u);
-  EXPECT_EQ(parsed->udp.src_port, 12345);
-  EXPECT_EQ(parsed->udp.dst_port, 11211);
-  EXPECT_EQ(parsed->payload, MakeDgram().payload);
-}
-
-TEST(UdpTest, HeaderChecksumValidates) {
-  auto bytes = SerializeUdp(MakeDgram());
-  bytes[16] ^= 0xff;  // corrupt dst address
-  EXPECT_FALSE(ParseUdp(bytes).has_value());
-}
-
-TEST(UdpTest, PayloadCorruptionCaughtByUdpChecksum) {
-  auto bytes = SerializeUdp(MakeDgram());
-  bytes.back() ^= 0x01;
-  EXPECT_FALSE(ParseUdp(bytes).has_value());
-}
-
-TEST(UdpTest, TruncatedPacketRejected) {
-  auto bytes = SerializeUdp(MakeDgram());
-  bytes.pop_back();
-  EXPECT_FALSE(ParseUdp(bytes).has_value());
-}
-
-TEST(UdpTest, NonUdpProtocolRejected) {
-  auto dgram = MakeDgram();
-  dgram.ip.protocol = 6;  // TCP
-  // Serialize computes checksums for whatever is set; parse must reject the
-  // protocol before anything else matters.
-  auto bytes = SerializeUdp(dgram);
-  EXPECT_FALSE(ParseUdp(bytes).has_value());
-}
-
-TEST(UdpTest, EmptyPayloadOk) {
-  UdpDatagram d = MakeDgram();
-  d.payload.clear();
-  auto parsed = ParseUdp(SerializeUdp(d));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->payload.empty());
-}
-
-TEST(UdpTest, ChecksumRfc1071KnownVector) {
-  // Classic example: the checksum of a buffer including its own checksum
-  // field is zero.
-  const auto bytes = SerializeUdp(MakeDgram());
-  EXPECT_EQ(InternetChecksum(bytes.data(), 20), 0);
 }
 
 // ---- Poisson load generator ----

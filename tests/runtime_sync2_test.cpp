@@ -1,5 +1,5 @@
-// Tests for the second wave of host-runtime primitives: SleepFor, counting
-// semaphore, and the bounded channel.
+// Tests for the second wave of host-runtime primitives: SleepFor, Join under
+// spurious wakeups, counting semaphore, and the bounded channel.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,6 +60,42 @@ TEST(SleepTest, ManySleepersWakeInOrder) {
     }
   });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(JoinTest, SpuriousWakesLinkJoinerOnce) {
+  // Park may return spuriously, and Join loops on the target's state. Each
+  // spurious wake must re-park, not link the joiner again: a duplicate entry
+  // in `joiners` costs a duplicate Unpark at exit, i.e. a stale park token
+  // for whatever the joiner parks on next. One cooperative worker, so the
+  // main uthread can read `joiners` without racing its writers.
+  constexpr int kSpuriousWakes = 16;
+  Runtime rt(RuntimeOptions{.workers = 1});
+  std::atomic<bool> release{false};
+  std::size_t links = 0;
+  rt.Run([&] {
+    UThread* target = Runtime::Spawn([&] {
+      while (!release.load(std::memory_order_acquire)) {
+        Runtime::Yield();
+      }
+    });
+    UThread* joiner = Runtime::Spawn([target] { Runtime::Join(target); });
+    const auto await_parked = [joiner] {
+      while (joiner->state.load(std::memory_order_acquire) != UthreadState::kBlocked) {
+        Runtime::Yield();
+      }
+    };
+    for (int i = 0; i < kSpuriousWakes; i++) {
+      await_parked();
+      Runtime::Unpark(joiner);
+    }
+    await_parked();
+    for (const UThread* j : target->joiners) {
+      links += j == joiner ? 1 : 0;
+    }
+    release.store(true, std::memory_order_release);
+    Runtime::Join(joiner);
+  });
+  EXPECT_EQ(links, 1u);
 }
 
 TEST(SemaphoreTest, InitialPermits) {
