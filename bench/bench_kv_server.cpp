@@ -652,7 +652,7 @@ int main(int argc, char** argv) {
 
       RuntimeOptions ropts;
       ropts.workers = workers;
-      // Small stacks: handlers are shallow (read/serve/writev), and at 10k+
+      // Small stacks: handlers are shallow (pop/serve/send), and at 10k+
       // uthreads the default 64 KB each would be the dominant allocation.
       ropts.stack_size = 16 * 1024;
       ropts.io_engine = true;
@@ -670,7 +670,7 @@ int main(int argc, char** argv) {
       std::uint64_t io_syscalls = 0;
       rt.Run([&] {
         KvServerNetOptions sopts;
-        sopts.udp = false;  // TCP sweep; the UDP path is covered by tests
+        sopts.udp = false;  // TCP sweep; kv_server_net_test covers UDP
         KvServerNet server(&rt, sopts);
         server.Start();
         const std::uint64_t sys_before = rt.io_data_syscalls();

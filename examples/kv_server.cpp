@@ -3,9 +3,9 @@
 // The serving path lives in src/apps/kv_server_net: per-worker I/O engine
 // cores (epoll, plus io_uring completions with SKYLOFT_IO_URING), SO_REUSEPORT
 // listener sharding, one handler uthread per TCP connection, frame-codec
-// requests answered via scatter/gather writev. This main just stands the
-// server up on loopback, drives it with a few closed-loop client threads
-// over real TCP sockets (plus a UDP spot check), and dumps the metrics
+// requests answered with one send per pipelined batch. This main just
+// stands the server up on loopback, drives it with a few closed-loop client
+// threads over real TCP sockets (plus a UDP spot check), and dumps the metrics
 // registry — per-op-kind service latencies, preemption/steal counters —
 // as JSON. For the measured sweep, see bench/bench_kv_server.
 //

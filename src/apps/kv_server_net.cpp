@@ -4,14 +4,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <iterator>
 #include <utility>
 
@@ -80,24 +78,14 @@ std::uint16_t BoundPort(int fd) {
   return ntohs(addr.sin_port);
 }
 
-// One queued response frame: header and payload stay separate buffers and go
-// out as two iovec entries — the "no intermediate copy" scatter/gather path.
-struct OutFrame {
-  std::uint8_t hdr[kFrameHeaderSize];
-  std::string payload;
-};
+constexpr int kListenBacklog = 4096;
+// Accepts and datagrams taken per wakeup before the loop relatches
+// readability and yields, so one busy socket cannot starve the worker.
+constexpr int kAcceptBatch = 64;
+constexpr int kUdpBatch = 64;
 
-constexpr std::size_t kMaxFlushIovs = 32;  // iovec budget per writev
-// Frames at or below this size are memcpy'd into a per-flush coalescing
-// buffer instead of spending two iovec entries each: typical KV replies
-// ("VALUE profile-123", "STORED") are tens of bytes, so a burst of pipelined
-// responses leaves in one writev instead of ceil(n/16) — keeping the
-// readiness baseline's syscalls/request honest next to the completion path.
-constexpr std::size_t kCoalesceFrameMax = 512;
-constexpr std::size_t kCoalesceBufMax = 16 * 1024;
-
-// Completion-path send backpressure: above this many queued-but-unsent bytes
-// the handler parks until the engine's async send queue drains.
+// Send backpressure: above this many queued-but-unsent bytes the handler
+// parks until the engine drains its send queue.
 constexpr std::size_t kSendHighWater = 256 * 1024;
 
 }  // namespace
@@ -106,11 +94,9 @@ constexpr std::size_t kSendHighWater = 256 * 1024;
 // KvStripedStore
 // ---------------------------------------------------------------------------
 
-KvStripedStore::KvStripedStore(int workers, int stripes_override) {
-  const int stripes = stripes_override > 0
-                          ? stripes_override
-                          : static_cast<int>(RoundUpPow2(
-                                static_cast<unsigned>(std::max(8, 4 * workers))));
+KvStripedStore::KvStripedStore(int workers) {
+  const int stripes =
+      static_cast<int>(RoundUpPow2(static_cast<unsigned>(std::max(8, 4 * workers))));
   for (int i = 0; i < stripes; i++) {
     stripes_.push_back(std::make_unique<Stripe>());
   }
@@ -260,7 +246,7 @@ struct KvServerNet::Listener {
 };
 
 KvServerNet::KvServerNet(Runtime* rt, const KvServerNetOptions& options)
-    : rt_(rt), options_(options), store_(rt->workers(), options.lock_stripes) {
+    : rt_(rt), options_(options), store_(rt->workers()) {
   tcp_conns_ = metrics_.AddCounter("tcp_connections");
   tcp_requests_ = metrics_.AddCounter("tcp_requests");
   udp_requests_ = metrics_.AddCounter("udp_requests");
@@ -286,18 +272,14 @@ void KvServerNet::Start() {
     auto listener = std::make_unique<Listener>();
     listener->worker = w;
     listener->engine = engine;
-    if (options_.tcp) {
-      const int fd = BoundSocket(SOCK_STREAM, tcp_port_ != 0 ? tcp_port_ : options_.tcp_port);
-      SKYLOFT_CHECK(fd >= 0) << "tcp listener bind failed: " << std::strerror(errno);
-      SKYLOFT_CHECK(listen(fd, options_.listen_backlog) == 0);
-      if (tcp_port_ == 0) {
-        tcp_port_ = BoundPort(fd);  // first bind fixes the group's port
-      }
-      // kListener arms multishot accept on a completion-capable engine and
-      // degrades to epoll readiness everywhere else.
-      listener->tcp = engine->Register(fd, IoRegisterMode::kListener);
-      SKYLOFT_CHECK(listener->tcp != nullptr);
+    const int tcp_fd = BoundSocket(SOCK_STREAM, tcp_port_ != 0 ? tcp_port_ : options_.tcp_port);
+    SKYLOFT_CHECK(tcp_fd >= 0) << "tcp listener bind failed: " << std::strerror(errno);
+    SKYLOFT_CHECK(listen(tcp_fd, kListenBacklog) == 0);
+    if (tcp_port_ == 0) {
+      tcp_port_ = BoundPort(tcp_fd);  // first bind fixes the group's port
     }
+    listener->tcp = engine->Register(tcp_fd, IoRegisterMode::kListener);
+    SKYLOFT_CHECK(listener->tcp != nullptr);
     if (options_.udp) {
       const int fd = BoundSocket(SOCK_DGRAM, udp_port_ != 0 ? udp_port_ : options_.udp_port);
       SKYLOFT_CHECK(fd >= 0) << "udp bind failed: " << std::strerror(errno);
@@ -311,10 +293,8 @@ void KvServerNet::Start() {
   }
   for (auto& listener : listeners_) {
     Listener* l = listener.get();
-    if (l->tcp != nullptr) {
-      live_server_uthreads_.fetch_add(1, std::memory_order_acq_rel);
-      Runtime::Spawn([this, l] { AcceptLoop(l); });
-    }
+    live_server_uthreads_.fetch_add(1, std::memory_order_acq_rel);
+    Runtime::Spawn([this, l] { AcceptLoop(l); });
     if (l->udp != nullptr) {
       live_server_uthreads_.fetch_add(1, std::memory_order_acq_rel);
       Runtime::Spawn([this, l] { UdpLoop(l); });
@@ -325,9 +305,7 @@ void KvServerNet::Start() {
 void KvServerNet::Stop() {
   stop_.store(true, std::memory_order_release);
   for (auto& listener : listeners_) {
-    if (listener->tcp != nullptr) {
-      IoEngine::Interrupt(listener->tcp);
-    }
+    IoEngine::Interrupt(listener->tcp);
     if (listener->udp != nullptr) {
       IoEngine::Interrupt(listener->udp);
     }
@@ -351,10 +329,8 @@ void KvServerNet::Stop() {
   // do it themselves: a readiness event racing stop_ could otherwise retire
   // a handle while this function concurrently Interrupts it above.)
   for (auto& listener : listeners_) {
-    if (listener->tcp != nullptr) {
-      listener->engine->Deregister(listener->tcp);
-      listener->tcp = nullptr;
-    }
+    listener->engine->Deregister(listener->tcp);
+    listener->tcp = nullptr;
     if (listener->udp != nullptr) {
       listener->engine->Deregister(listener->udp);
       listener->udp = nullptr;
@@ -396,36 +372,19 @@ bool KvServerNet::UntrackConn(IoHandle* handle) {
 }
 
 void KvServerNet::AcceptLoop(Listener* listener) {
-  // Path choice is per handle, fixed at Register() time: a completion-mode
-  // listener queues fds from multishot-accept CQEs; readiness keeps accept4.
-  const bool use_completion = listener->tcp->cs != nullptr;
+  IoEngine* engine = listener->engine;
   while (!stop_.load(std::memory_order_acquire)) {
     const unsigned ready = WaitForReadable(listener->tcp);
     if (stop_.load(std::memory_order_acquire) || (ready & kIoError) != 0) {
       break;
     }
     int accepted = 0;
-    while (accepted < options_.accept_batch) {
-      int fd;
-      if (use_completion) {
-        fd = listener->engine->TakeAccepted(listener->tcp);
-        if (fd < 0) {
-          break;  // queue drained; the next accept CQE re-latches readability
-        }
-      } else {
-        fd = accept4(listener->tcp->fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-        listener->engine->CountSysAccept();
-        if (fd < 0) {
-          if (errno == EINTR) {
-            continue;
-          }
-          break;  // EAGAIN: backlog drained (or transient error; next edge retries)
-        }
-      }
+    int fd;
+    while (accepted < kAcceptBatch && (fd = engine->TakeAccepted(listener->tcp)) >= 0) {
       accepted++;
       const int one = 1;
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      IoHandle* conn = listener->engine->Register(fd, IoRegisterMode::kStream);
+      IoHandle* conn = engine->Register(fd, IoRegisterMode::kStream);
       if (conn == nullptr) {
         close(fd);
         continue;
@@ -434,12 +393,13 @@ void KvServerNet::AcceptLoop(Listener* listener) {
       open_conns_.fetch_add(1, std::memory_order_relaxed);
       TrackConn(conn);
       live_server_uthreads_.fetch_add(1, std::memory_order_acq_rel);
-      Runtime::Spawn([this, conn] { HandleConn(conn); });
+      Runtime::Spawn([this, conn] { ConnLoop(conn); });
     }
-    if (accepted == options_.accept_batch) {
-      // Batch limit hit before EAGAIN: the consumed edge must be restored or
-      // the rest of the backlog would wait for the next incoming SYN. Yield
-      // so freshly spawned handlers get a turn before we keep accepting.
+    if (accepted == kAcceptBatch) {
+      // Batch limit hit before the queue ran dry: the consumed edge must be
+      // restored or the rest of the backlog would wait for the next incoming
+      // SYN. Yield so freshly spawned handlers get a turn before we keep
+      // accepting.
       IoEngine::RelatchReadable(listener->tcp);
       Runtime::Yield();
     }
@@ -449,171 +409,12 @@ void KvServerNet::AcceptLoop(Listener* listener) {
   live_server_uthreads_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-// Flushes queued response frames with writev. `front_off` tracks bytes of
-// the front frame already written (partial writev). Returns false when the
-// connection died (peer reset mid-write).
-SKYLOFT_MAY_SWITCH static bool FlushFrames(IoHandle* conn, std::deque<OutFrame>* queue,
-                                           std::size_t* front_off) {
-  while (!queue->empty()) {
-    // Plan the iovec batch first: consecutive small frames are copied into
-    // `coalesce` and merged into one segment per run; large frames keep the
-    // zero-copy two-iovec scatter/gather shape. Segments store offsets into
-    // `coalesce` and are resolved to pointers only once the plan is complete,
-    // because the string may reallocate while growing.
-    struct Seg {
-      bool copied;      // true: bytes live at coalesce[pos..pos+len)
-      const void* ptr;  // false: borrowed from the frame, [ptr, ptr+len)
-      std::size_t pos;
-      std::size_t len;
-    };
-    Seg segs[kMaxFlushIovs];
-    int nseg = 0;
-    std::string coalesce;
-    std::size_t skip = *front_off;
-    for (const OutFrame& frame : *queue) {
-      const std::size_t frame_len = kFrameHeaderSize + frame.payload.size();
-      if (frame_len <= kCoalesceFrameMax && coalesce.size() + frame_len <= kCoalesceBufMax) {
-        if (nseg == 0 || !segs[nseg - 1].copied) {
-          if (nseg == static_cast<int>(kMaxFlushIovs)) {
-            break;
-          }
-          segs[nseg++] = Seg{true, nullptr, coalesce.size(), 0};
-        }
-        if (skip < kFrameHeaderSize) {
-          coalesce.append(reinterpret_cast<const char*>(frame.hdr) + skip,
-                          kFrameHeaderSize - skip);
-          skip = 0;
-        } else {
-          skip -= kFrameHeaderSize;
-        }
-        if (skip < frame.payload.size()) {
-          coalesce.append(frame.payload.data() + skip, frame.payload.size() - skip);
-        }
-        segs[nseg - 1].len = coalesce.size() - segs[nseg - 1].pos;
-        skip = 0;  // only the front frame carries an offset
-        continue;
-      }
-      if (nseg + 2 > static_cast<int>(kMaxFlushIovs)) {
-        break;
-      }
-      if (skip < kFrameHeaderSize) {
-        segs[nseg++] = Seg{false, frame.hdr + skip, 0, kFrameHeaderSize - skip};
-        skip = 0;
-      } else {
-        skip -= kFrameHeaderSize;
-      }
-      if (skip < frame.payload.size()) {
-        segs[nseg++] = Seg{false, frame.payload.data() + skip, 0, frame.payload.size() - skip};
-      }
-      skip = 0;
-    }
-    iovec iov[kMaxFlushIovs];
-    for (int i = 0; i < nseg; i++) {
-      iov[i].iov_base = const_cast<void*>(segs[i].copied
-                                              ? static_cast<const void*>(coalesce.data() + segs[i].pos)
-                                              : segs[i].ptr);
-      iov[i].iov_len = segs[i].len;
-    }
-    const ssize_t wrote = writev(conn->fd, iov, nseg);
-    conn->engine->CountSysWrite();
-    if (wrote < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        const unsigned ready = WaitForWritable(conn);
-        if (ready & kIoError) {
-          return false;
-        }
-        continue;
-      }
-      return false;  // EPIPE / ECONNRESET: peer is gone
-    }
-    std::size_t remaining = static_cast<std::size_t>(wrote) + *front_off;
-    while (!queue->empty()) {
-      const std::size_t frame_len = kFrameHeaderSize + queue->front().payload.size();
-      if (remaining < frame_len) {
-        break;
-      }
-      remaining -= frame_len;
-      queue->pop_front();
-    }
-    *front_off = remaining;
-  }
-  return true;
-}
-
-// Readiness connection loop: read() to EAGAIN, decode, serve, writev back.
-bool KvServerNet::ConnLoopReadiness(IoHandle* conn, std::uint64_t lane) {
-  FrameDecoder decoder;
-  std::deque<OutFrame> outq;
-  std::size_t front_off = 0;
-  std::vector<char> buf(options_.read_buffer);
-  bool reset = false;
-
-  while (true) {
-    const unsigned ready = WaitForReadable(conn);
-    if (stop_.load(std::memory_order_acquire)) {
-      break;
-    }
-    bool dead = (ready & kIoError) != 0;
-    bool peer_eof = false;
-    while (!dead) {
-      const ssize_t n = read(conn->fd, buf.data(), buf.size());
-      conn->engine->CountSysRead();
-      if (n > 0) {
-        decoder.Feed(buf.data(), static_cast<std::size_t>(n));
-        if (static_cast<std::size_t>(n) < buf.size()) {
-          continue;  // short read usually means the socket is drained; one
-                     // more read() confirms with EAGAIN
-        }
-        continue;
-      }
-      if (n == 0) {
-        peer_eof = true;
-        break;
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      }
-      reset = errno == ECONNRESET;
-      dead = true;
-    }
-    std::string payload;
-    while (!dead && decoder.Next(&payload) == FrameDecodeStatus::kFrame) {
-      OutFrame out;
-      out.payload = store_.Serve(payload, lane);
-      EncodeFrameHeader(out.hdr, static_cast<std::uint32_t>(out.payload.size()));
-      outq.push_back(std::move(out));
-      tcp_requests_->Inc();
-    }
-    if (decoder.poisoned()) {
-      frame_errors_->Inc();
-      dead = true;
-    }
-    if (!dead && !outq.empty()) {
-      if (!FlushFrames(conn, &outq, &front_off)) {
-        reset = true;
-        dead = true;
-      }
-    }
-    if (dead || peer_eof || (ready & kIoHup) != 0) {
-      break;
-    }
-  }
-  return reset;
-}
-
-// Completion connection loop: request bytes arrive in kernel-filled provided
-// buffers (multishot recv CQEs queued by the home engine's Poll), responses
-// leave through the engine's async send queue. The handler makes zero
-// syscalls in steady state — it only copies out of provided buffers,
-// recycles them, and queues frames for the engine's batched submission.
-bool KvServerNet::ConnLoopCompletion(IoHandle* conn, std::uint64_t lane) {
+// One connection: every wakeup pops all received bytes into the decoder,
+// serves every complete frame, and queues the batch's replies as one send —
+// one sendmsg on epoll, one async send on io_uring.
+void KvServerNet::ConnLoop(IoHandle* conn) {
   IoEngine* engine = conn->engine;
+  const std::uint64_t lane = Runtime::Current()->id;
   FrameDecoder decoder;
   bool reset = false;
 
@@ -622,9 +423,8 @@ bool KvServerNet::ConnLoopCompletion(IoHandle* conn, std::uint64_t lane) {
     if (stop_.load(std::memory_order_acquire)) {
       break;
     }
-    // kIoError latches on a recv/send CQE failure (ECONNRESET and friends);
-    // data already queued before the error is still drained below, matching
-    // the readiness path's read-until-error behavior.
+    // kIoError latches on a failed receive or send (ECONNRESET and friends).
+    // Bytes that arrived before it are still drained below, but not served.
     bool dead = (ready & kIoError) != 0;
     if (dead) {
       reset = true;
@@ -632,62 +432,56 @@ bool KvServerNet::ConnLoopCompletion(IoHandle* conn, std::uint64_t lane) {
     IoRecvSlice slice;
     while (engine->PopRecv(conn, &slice)) {
       decoder.Feed(slice.data, slice.len);
-      // The buffer belongs to the HOME engine's ring; the frame bytes were
-      // copied into the decoder, so it can go back before we serve.
+      // The frame bytes were copied into the decoder, so the buffer can go
+      // back to the HOME engine before we serve.
       engine->RecycleBuffer(slice.buf_id);
     }
+    std::string out;
     std::string payload;
     while (!dead && decoder.Next(&payload) == FrameDecodeStatus::kFrame) {
-      std::string reply = store_.Serve(payload, lane);
-      std::string out;
-      out.reserve(kFrameHeaderSize + reply.size());
+      const std::string reply = store_.Serve(payload, lane);
       std::uint8_t hdr[kFrameHeaderSize];
       EncodeFrameHeader(hdr, static_cast<std::uint32_t>(reply.size()));
       out.append(reinterpret_cast<const char*>(hdr), kFrameHeaderSize);
       out += reply;
-      if (engine->SendEnqueue(conn, std::move(out)) == 0) {
-        reset = true;  // queue refused: the handle errored under us
-        dead = true;
-        break;
-      }
       tcp_requests_->Inc();
+    }
+    if (!out.empty() && engine->SendEnqueue(conn, std::move(out)) == 0) {
+      reset = true;  // queue refused: the handle errored under us
+      dead = true;
     }
     if (decoder.poisoned()) {
       frame_errors_->Inc();
       dead = true;
     }
-    // Backpressure: above the high-water mark, park until the final send CQE
-    // drains the queue (kIoWritable latch). A stale latch from an earlier
-    // drain just re-checks, hence the loop.
+    // Backpressure: above the high-water mark, park until the engine drains
+    // the queue (kIoWritable latch). A stale latch from an earlier drain just
+    // re-checks, hence the loop.
     while (!dead && engine->SendQueuedBytes(conn) > kSendHighWater) {
       const unsigned w = WaitForWritable(conn);
       if (stop_.load(std::memory_order_acquire)) {
-        return reset;
-      }
-      if ((w & kIoError) != 0) {
+        dead = true;
+      } else if ((w & kIoError) != 0) {
         reset = true;
         dead = true;
       } else if ((w & kIoWritable) == 0) {
         // Sticky kIoHup makes WaitForWritable non-blocking from here on, and
-        // the drain we need (this conn's send CQE) is reaped by our worker's
-        // scheduler loop — which never runs if we spin. Yield to it.
+        // the drain we need is finished by our home engine's poll — which
+        // never runs if we spin. Yield to it.
         Runtime::Yield();
       }
     }
     if ((ready & kIoHup) != 0 && !dead) {
-      // Graceful EOF: all request CQEs precede the hup CQE, so the decoder
-      // has everything; finish flushing queued responses before closing
-      // (the readiness path's synchronous FlushFrames did this implicitly).
+      // Graceful EOF: every received byte precedes the hangup, so the
+      // decoder has everything; finish sending queued replies before
+      // closing.
       while (engine->SendQueuedBytes(conn) > 0) {
         const unsigned w = WaitForWritable(conn);
         if (stop_.load(std::memory_order_acquire) || (w & kIoError) != 0) {
           break;
         }
         if ((w & kIoWritable) == 0) {
-          // Same sticky-HUP spin hazard as the backpressure loop above: wake
-          // reason was the latched hup, not a drained queue. Let the worker
-          // poll so the in-flight send CQE can land.
-          Runtime::Yield();
+          Runtime::Yield();  // same sticky-hup spin hazard as above
         }
       }
       break;
@@ -696,13 +490,7 @@ bool KvServerNet::ConnLoopCompletion(IoHandle* conn, std::uint64_t lane) {
       break;
     }
   }
-  return reset;
-}
 
-void KvServerNet::HandleConn(IoHandle* conn) {
-  const std::uint64_t lane = Runtime::Current()->id;
-  const bool reset = conn->cs != nullptr ? ConnLoopCompletion(conn, lane)
-                                         : ConnLoopReadiness(conn, lane);
   if (reset) {
     peer_resets_->Inc();
   }
@@ -710,91 +498,35 @@ void KvServerNet::HandleConn(IoHandle* conn) {
   // Whether or not Stop() already removed us from the registry (and owns any
   // interrupt), releasing the fd is the handler's job.
   UntrackConn(conn);
-  conn->engine->Deregister(conn);
+  engine->Deregister(conn);
   live_server_uthreads_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-// Completion UDP loop: datagrams arrive as multishot-RECVMSG CQEs in
-// provided buffers (kernel-packed recvmsg_out + sender address + payload);
-// replies go out as fire-and-forget async SENDMSG ops. Zero syscalls per
-// datagram in steady state.
-void KvServerNet::UdpLoopCompletion(Listener* listener, std::uint64_t lane) {
-  IoEngine* engine = listener->engine;
-  while (!stop_.load(std::memory_order_acquire)) {
-    const unsigned ready = WaitForReadable(listener->udp);
-    if (stop_.load(std::memory_order_acquire) || (ready & kIoError) != 0) {
-      break;
-    }
-    int handled = 0;
-    IoRecvSlice slice;
-    while (handled < options_.udp_batch && engine->PopRecv(listener->udp, &slice)) {
-      handled++;
-      IoDatagram dgram;
-      std::string payload;
-      if (!IoEngine::ParseDatagram(slice, &dgram) ||
-          DecodeFrame(reinterpret_cast<const std::uint8_t*>(dgram.data), dgram.len, &payload) !=
-              FrameDecodeStatus::kFrame) {
-        frame_errors_->Inc();  // stray/truncated datagram: drop, never assert
-        engine->RecycleBuffer(slice.buf_id);
-        continue;
-      }
-      std::string reply = EncodeFrame(store_.Serve(payload, lane));
-      // Best-effort reply, UDP semantics: a refused submission (closed
-      // handle, SQ pressure) drops the response like a full socket buffer.
-      engine->SendDatagram(listener->udp, dgram.peer, std::move(reply));
-      engine->RecycleBuffer(slice.buf_id);
-      udp_requests_->Inc();
-    }
-    if (handled == options_.udp_batch) {
-      IoEngine::RelatchReadable(listener->udp);
-      Runtime::Yield();
-    }
-  }
-}
-
 void KvServerNet::UdpLoop(Listener* listener) {
+  IoEngine* engine = listener->engine;
   const std::uint64_t lane = Runtime::Current()->id;
-  if (listener->udp->cs != nullptr) {
-    UdpLoopCompletion(listener, lane);
-    // As in AcceptLoop, the listener handle is retired by Stop(), not here.
-    live_server_uthreads_.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
-  std::vector<std::uint8_t> buf(65536);
   while (!stop_.load(std::memory_order_acquire)) {
     const unsigned ready = WaitForReadable(listener->udp);
     if (stop_.load(std::memory_order_acquire) || (ready & kIoError) != 0) {
       break;
     }
     int handled = 0;
-    while (handled < options_.udp_batch) {
-      sockaddr_in peer{};
-      socklen_t peer_len = sizeof(peer);
-      const ssize_t n = recvfrom(listener->udp->fd, buf.data(), buf.size(), 0,
-                                 reinterpret_cast<sockaddr*>(&peer), &peer_len);
-      listener->engine->CountSysRead();
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        break;  // EAGAIN: drained
-      }
+    IoDatagram dgram;
+    while (handled < kUdpBatch && engine->PopDatagram(listener->udp, &dgram)) {
       handled++;
       std::string payload;
-      if (DecodeFrame(buf.data(), static_cast<std::size_t>(n), &payload) !=
+      if (DecodeFrame(reinterpret_cast<const std::uint8_t*>(dgram.data), dgram.len, &payload) ==
           FrameDecodeStatus::kFrame) {
+        udp_requests_->Inc();
+        // Best-effort reply, UDP semantics: a refused send drops the
+        // response like a full socket buffer.
+        engine->SendDatagram(listener->udp, dgram.peer, EncodeFrame(store_.Serve(payload, lane)));
+      } else {
         frame_errors_->Inc();  // stray/truncated datagram: drop, never assert
-        continue;
       }
-      const std::string reply = EncodeFrame(store_.Serve(payload, lane));
-      // Best-effort datagram reply: a full socket buffer drops the response,
-      // exactly like a real UDP service under overload.
-      sendto(listener->udp->fd, reply.data(), reply.size(), 0,
-             reinterpret_cast<sockaddr*>(&peer), peer_len);
-      listener->engine->CountSysWrite();
-      udp_requests_->Inc();
+      engine->RecycleBuffer(dgram.buf_id);
     }
-    if (handled == options_.udp_batch) {
+    if (handled == kUdpBatch) {
       IoEngine::RelatchReadable(listener->udp);
       Runtime::Yield();
     }

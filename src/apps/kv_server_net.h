@@ -9,26 +9,19 @@
 //   - a SO_REUSEPORT TCP listener + UDP socket per worker, registered with
 //     that worker's engine, so the kernel shards connections/datagrams at
 //     accept time and an fd never changes engines;
-//   - an acceptor uthread per listener draining accepts in batches;
-//   - one handler uthread per TCP connection: WaitForReadable -> drain ->
-//     frame-decode (src/net/frame) -> serve -> respond via writev of
-//     per-connection scatter/gather buffers (frame header and payload are
-//     separate iovecs; nothing is concatenated);
+//   - an acceptor uthread per listener taking accepted fds in batches;
+//   - one handler uthread per TCP connection: WaitForReadable -> pop every
+//     received segment into the frame decoder (src/net/frame) -> serve each
+//     decoded request -> queue all replies of the batch as one send;
 //   - a UDP uthread per worker serving one frame per datagram.
 //
-// Every server loop has TWO data paths selected per handle at runtime:
-//   - readiness (epoll, on any engine without io_uring): the classic
-//     accept4/read/writev/recvfrom/sendto loops above, self-reporting their
-//     syscalls via IoEngine::CountSys* for the syscalls/request metric;
-//   - completion (io_uring with multishot + provided buffer rings): accepts
-//     arrive via TakeAccepted, request bytes via PopRecv from kernel-filled
-//     provided buffers (recycled after FrameDecoder::Feed), and responses go
-//     out through the engine's async send queue (SendEnqueue) — the steady
-//     state makes zero syscalls per request; the engine batches one
-//     io_uring_enter per poll round.
-// Register() picks the path: completion-mode registrations degrade to
-// readiness automatically when the engine lacks completion support, so one
-// binary serves both and the loops branch on IoHandle::cs.
+// There is one loop per socket kind. Every loop speaks the engine's
+// completion-shaped API (TakeAccepted, PopRecv/RecycleBuffer, SendEnqueue,
+// PopDatagram/SendDatagram), and the engine decides how to serve it: an
+// io_uring engine with multishot ops and provided buffers (~0 syscalls per
+// request in steady state), or an epoll engine making the syscalls a
+// readiness loop would, in the caller's context. The server never learns
+// which one is armed.
 //
 // Handler uthreads are ordinary runtime uthreads: they migrate via work
 // stealing, while their fd's readiness keeps firing on the home engine —
@@ -71,7 +64,7 @@ enum class KvOpKind { kGet = 0, kSet = 1, kScan = 2, kError = 3 };
 // spinlock beats a parking mutex here.
 class KvStripedStore {
  public:
-  explicit KvStripedStore(int workers, int stripes_override = 0);
+  explicit KvStripedStore(int workers);
 
   // Serves one request, recording service latency into the per-kind lane
   // histograms. `lane` spreads latency recording across lanes (callers pass
@@ -121,16 +114,10 @@ class KvStripedStore {
 };
 
 struct KvServerNetOptions {
-  bool tcp = true;
-  bool udp = true;
+  bool udp = true;             // also serve UDP (TCP is always served)
   std::uint16_t tcp_port = 0;  // 0 = kernel-assigned; read back via tcp_port()
   std::uint16_t udp_port = 0;
-  int accept_batch = 64;   // accepts drained per readiness edge
-  int udp_batch = 64;      // datagrams drained per readiness edge
-  int listen_backlog = 4096;
-  int lock_stripes = 0;    // 0 = derived from worker count
   int preload_keys = 10'000;
-  std::size_t read_buffer = 4096;  // per-connection heap read buffer
 };
 
 // One serving instance. Lifecycle (all inside Runtime::Run, uthread context):
@@ -161,13 +148,8 @@ class KvServerNet {
   struct Listener;  // per-worker listener/udp state
 
   SKYLOFT_MAY_SWITCH void AcceptLoop(Listener* listener);
-  SKYLOFT_MAY_SWITCH void HandleConn(IoHandle* handle);
+  SKYLOFT_MAY_SWITCH void ConnLoop(IoHandle* conn);
   SKYLOFT_MAY_SWITCH void UdpLoop(Listener* listener);
-  // Per-data-path bodies of HandleConn/UdpLoop (see the file comment).
-  // The Conn loops return true when the connection died by peer reset.
-  SKYLOFT_MAY_SWITCH bool ConnLoopReadiness(IoHandle* handle, std::uint64_t lane);
-  SKYLOFT_MAY_SWITCH bool ConnLoopCompletion(IoHandle* handle, std::uint64_t lane);
-  SKYLOFT_MAY_SWITCH void UdpLoopCompletion(Listener* listener, std::uint64_t lane);
 
   void TrackConn(IoHandle* handle);
   // Returns false if Stop() already interrupted (and will not re-interrupt)

@@ -44,9 +44,9 @@ enum class FrameOp : std::uint8_t {
 void EncodeFrameHeader(std::uint8_t out[kFrameHeaderSize], std::uint32_t len,
                        FrameOp op = FrameOp::kData);
 
-// Convenience: header + payload in one buffer (client side and UDP, where a
-// copy is acceptable; the server's TCP path writev's header and payload
-// separately instead — see kv_server_net).
+// Convenience: header + payload in one buffer (client side and UDP; the
+// server's TCP path appends header and payload to its per-batch reply
+// buffer instead — see kv_server_net).
 std::string EncodeFrame(std::string_view payload, FrameOp op = FrameOp::kData);
 
 enum class FrameDecodeStatus {

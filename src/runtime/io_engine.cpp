@@ -3,12 +3,15 @@
 #include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <deque>
 #include <memory>
+#include <string>
 
 #include "src/base/logging.h"
 #include "src/runtime/uthread.h"
@@ -18,9 +21,6 @@
 #include <poll.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
-
-#include <deque>
-#include <string>
 #endif  // SKYLOFT_IO_URING
 
 namespace skyloft {
@@ -39,12 +39,22 @@ constexpr std::uintptr_t kTagSend = 4;    // stream async send (SEND/SENDMSG)
 constexpr std::uintptr_t kTagDgram = 5;   // datagram async SENDMSG (op ptr)
 
 // Engine sizing: the epoll events (and CQEs) drained per Poll, the SQ depth,
-// the registered-file table size, and the iovec capacity of a stream
-// handle's in-flight send (frames folded into one async send).
+// the registered-file table size, the iovec capacity of one stream send
+// (frames folded into one sendmsg or async send), and the per-handle read
+// buffer an epoll engine receives into.
 constexpr int kMaxEvents = 256;
 constexpr unsigned kUringEntries = 256;
 constexpr int kFixedFileSlots = 4096;
 constexpr int kMaxSendIovs = 16;
+constexpr std::size_t kReadBufSize = 4096;
+
+// Whether this build compiles the io_uring half. Branches on it are
+// `if constexpr`, so builds without it never reference that half.
+#ifdef SKYLOFT_IO_URING
+constexpr bool kIoUringBuild = true;
+#else
+constexpr bool kIoUringBuild = false;
+#endif
 
 // Every engine registers its provided-buffer ring under one group id; rings
 // are per-engine (per ring fd), so the ids never collide across engines.
@@ -57,6 +67,98 @@ void IncLane(ShardedCounter* c, int lane, std::uint64_t n = 1) {
 }
 
 }  // namespace
+
+// Per-handle state of a completion-mode handle. The queues are shared
+// between the home engine (reaping CQEs, or continuing a send on EPOLLOUT)
+// and the handler uthread on whichever worker stole it; q_spin (lock class
+// io_handle_q) guards them. Single-writer send contract: only the one
+// handler uthread enqueues, so tx ordering needs no further synchronization
+// beyond the spinlock.
+struct IoCompletionState {
+  std::atomic_flag q_spin = ATOMIC_FLAG_INIT;
+  // Send queue, both backends. tx_off = bytes of tx.front() already sent;
+  // tx_bytes = total unsent bytes. tx_inflight: io_uring has a send op armed
+  // (tx_iov/tx_msg describe it, and the front frames they reference must not
+  // be popped until its CQE); epoll waits for EPOLLOUT to write the rest.
+  std::deque<std::string> tx;
+  std::size_t tx_off = 0;
+  std::size_t tx_bytes = 0;
+  bool tx_inflight = false;
+  iovec tx_iov[kMaxSendIovs];
+  msghdr tx_msg{};
+  // io_uring: received segments and accepted fds queued by the home engine,
+  // the registered-file index (-1 = raw fd), and the multishot RECVMSG
+  // template of a kDatagram handle (namelen reserves space for the sender
+  // address that the kernel packs into the provided buffer).
+  std::deque<IoRecvSlice> rx;
+  std::deque<int> accepted;
+  int fixed_slot = -1;
+  msghdr rx_msg{};
+  // epoll: the kStream/kDatagram read buffer (kReadBufSize bytes), and
+  // whether a stream read already hit end of stream or an error (later pops
+  // return false without another read()). Reader-only, like the buffer.
+  std::unique_ptr<char[]> rd_buf;
+  bool rd_done = false;
+};
+
+namespace {
+
+// The send-queue steps both backends share; the caller holds the queue lock.
+
+// Points tx_iov/tx_msg at the first kMaxSendIovs unsent frames and returns
+// their byte count.
+std::size_t BuildSendIov(IoCompletionState* cs) {
+  std::size_t niov = 0;
+  std::size_t bytes = 0;
+  std::size_t skip = cs->tx_off;
+  for (const std::string& frame : cs->tx) {
+    if (niov == static_cast<std::size_t>(kMaxSendIovs)) {
+      break;
+    }
+    cs->tx_iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
+    cs->tx_iov[niov].iov_len = frame.size() - skip;
+    bytes += frame.size() - skip;
+    skip = 0;  // only the front frame carries an offset
+    niov++;
+  }
+  cs->tx_msg.msg_iov = cs->tx_iov;
+  cs->tx_msg.msg_iovlen = niov;
+  return bytes;
+}
+
+// Retires `sent` bytes from the front of the queue; true once it is empty.
+bool ConsumeSent(IoCompletionState* cs, std::size_t sent) {
+  cs->tx_bytes -= std::min(sent, cs->tx_bytes);
+  std::size_t consumed = cs->tx_off + sent;
+  while (!cs->tx.empty() && consumed >= cs->tx.front().size()) {
+    consumed -= cs->tx.front().size();
+    cs->tx.pop_front();
+  }
+  cs->tx_off = consumed;
+  return cs->tx.empty();
+}
+
+// Drops every unsent frame: the connection can no longer write, and
+// teardown must not wait on bytes that can never leave.
+void DropSendQueue(IoCompletionState* cs) {
+  cs->tx.clear();
+  cs->tx_off = 0;
+  cs->tx_bytes = 0;
+  cs->tx_inflight = false;
+}
+
+}  // namespace
+
+void IoEngine::QLock(IoCompletionState* cs) {
+  SpinBackoff backoff;
+  while (cs->q_spin.test_and_set(std::memory_order_acquire)) {
+    backoff.Pause();
+  }
+}
+
+void IoEngine::QUnlock(IoCompletionState* cs) {
+  cs->q_spin.clear(std::memory_order_release);
+}
 
 // ---------------------------------------------------------------------------
 // io_uring completion backend (raw syscalls; liburing is not a dependency).
@@ -333,6 +435,10 @@ void IoEngine::UringFinishCqe(IoHandle* handle) {
 
 void IoEngine::UringSubmit() {
   UringState* s = uring_;
+  submit_rounds_ = 0;
+  if (s->to_submit.load(std::memory_order_relaxed) == 0) {
+    return;
+  }
   SqLock(s);
   const unsigned n = s->to_submit.load(std::memory_order_relaxed);
   s->to_submit.store(0, std::memory_order_relaxed);
@@ -423,66 +529,15 @@ int IoEngine::UringPoll() {
   if (pending == 0) {
     submit_rounds_ = 0;
   } else if (pending >= kSubmitEagerBatch || ++submit_rounds_ >= kSubmitRoundLimit) {
-    submit_rounds_ = 0;
     UringSubmit();
   }
   return dispatched;
-}
-
-void IoEngine::FlushSubmissions() {
-  UringState* s = uring_;
-  if (s != nullptr && s->to_submit.load(std::memory_order_relaxed) > 0) {
-    submit_rounds_ = 0;
-    UringSubmit();
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Completion data path (multishot RECV/RECVMSG/ACCEPT + provided buffers +
 // async sends), probed at ring setup.
 // ---------------------------------------------------------------------------
-
-// One queued received segment: `len` payload bytes in provided buffer `bid`.
-struct IoRecvSeg {
-  std::uint32_t len = 0;
-  std::uint16_t bid = 0;
-};
-
-// Per-handle completion state. The queues are filled by the home engine's
-// reaping and drained by the handler uthread from whichever worker stole it;
-// q_spin (lock class io_handle_q) guards them. Single-writer send contract:
-// only the one handler uthread enqueues, so tx ordering needs no further
-// synchronization beyond the spinlock.
-struct IoCompletionState {
-  int fixed_slot = -1;  // registered-file table index; -1 = raw fd
-  std::atomic_flag q_spin = ATOMIC_FLAG_INIT;
-  std::deque<IoRecvSeg> rx;
-  std::deque<int> accepted;
-  // Send queue. tx_off = bytes of tx.front() already sent; tx_bytes = total
-  // unsent bytes. While tx_inflight, tx_iov/tx_msg describe the submitted
-  // batch and the referenced front frames must not be popped (only the send
-  // CQE pops, under q_spin, before any re-arm).
-  std::deque<std::string> tx;
-  std::size_t tx_off = 0;
-  std::size_t tx_bytes = 0;
-  bool tx_inflight = false;
-  iovec tx_iov[kMaxSendIovs];
-  msghdr tx_msg{};
-  // Multishot RECVMSG template (kDatagram): namelen reserves space for the
-  // sender address that the kernel packs into the provided buffer.
-  msghdr rx_msg{};
-};
-
-void IoEngine::QLock(IoCompletionState* cs) {
-  SpinBackoff backoff;
-  while (cs->q_spin.test_and_set(std::memory_order_acquire)) {
-    backoff.Pause();
-  }
-}
-
-void IoEngine::QUnlock(IoCompletionState* cs) {
-  cs->q_spin.clear(std::memory_order_release);
-}
 
 void IoEngine::BufLock(UringState* s) {
   SpinBackoff backoff;
@@ -634,14 +689,12 @@ void IoEngine::ReleaseFixedSlot(int slot) {
   UnlockHandles();
 }
 
-bool IoEngine::ArmCompletion(IoHandle* handle, IoRegisterMode mode) {
-  handle->mode = mode;
-  auto* cs = new IoCompletionState;
-  if (mode == IoRegisterMode::kDatagram) {
+bool IoEngine::ArmCompletion(IoHandle* handle) {
+  IoCompletionState* cs = handle->cs;
+  if (handle->mode == IoRegisterMode::kDatagram) {
     cs->rx_msg.msg_namelen = sizeof(sockaddr_in);
   }
   cs->fixed_slot = AllocFixedSlot(handle->fd);
-  handle->cs = cs;
   // Pre-publication: one reference for the main op's expected terminal CQE,
   // counted before the kernel can post it, and one held by the registration
   // until Deregister drops it.
@@ -652,9 +705,8 @@ bool IoEngine::ArmCompletion(IoHandle* handle, IoRegisterMode mode) {
   }
   if (cs->fixed_slot >= 0) {
     ReleaseFixedSlot(cs->fixed_slot);
+    cs->fixed_slot = -1;
   }
-  delete cs;
-  handle->cs = nullptr;
   return false;
 }
 
@@ -707,18 +759,8 @@ bool IoEngine::ArmMainOp(IoHandle* handle) {
 // raising SIGPIPE out of the kernel's async context.
 bool IoEngine::ArmSendLocked(IoHandle* handle) {
   IoCompletionState* cs = handle->cs;
-  int niov = 0;
-  std::size_t skip = cs->tx_off;
-  for (const std::string& frame : cs->tx) {
-    if (niov >= kMaxSendIovs) {
-      break;
-    }
-    cs->tx_iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
-    cs->tx_iov[niov].iov_len = frame.size() - skip;
-    skip = 0;  // only the front frame carries an offset
-    niov++;
-  }
-  SKYLOFT_CHECK(niov > 0) << "ArmSendLocked with an empty send queue";
+  BuildSendIov(cs);
+  SKYLOFT_CHECK(cs->tx_msg.msg_iovlen > 0) << "ArmSendLocked with an empty send queue";
   UringState* s = uring_;
   SqLock(s);
   auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
@@ -728,14 +770,12 @@ bool IoEngine::ArmSendLocked(IoHandle* handle) {
     if (fixed) {
       sqe->flags |= IOSQE_FIXED_FILE;
     }
-    if (niov == 1) {
+    if (cs->tx_msg.msg_iovlen == 1) {
       sqe->opcode = IORING_OP_SEND;
       sqe->addr = reinterpret_cast<std::uintptr_t>(cs->tx_iov[0].iov_base);
       sqe->len = static_cast<std::uint32_t>(cs->tx_iov[0].iov_len);
     } else {
       sqe->opcode = IORING_OP_SENDMSG;
-      cs->tx_msg.msg_iov = cs->tx_iov;
-      cs->tx_msg.msg_iovlen = static_cast<std::size_t>(niov);
       sqe->addr = reinterpret_cast<std::uintptr_t>(&cs->tx_msg);
     }
     sqe->msg_flags = MSG_NOSIGNAL;
@@ -827,7 +867,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
     // Stale completion for a deregistered handle: the buffer still belongs
     // to the ring, the data does not belong to anyone.
     if (has_buf) {
-      RecycleBuffer(bid);
+      RecycleToRing(bid);
     }
     if (!more) {
       handle->main_op_armed.store(false, std::memory_order_release);
@@ -853,7 +893,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
   if (res == 0) {
     // Stream EOF. Terminal: re-arming would just replay 0-byte completions.
     if (has_buf) {
-      RecycleBuffer(bid);
+      RecycleToRing(bid);
     }
     handle->main_op_armed.store(false, std::memory_order_release);
     DeliverReady(handle, kIoHup);
@@ -864,8 +904,11 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
   }
   if (has_buf) {
     IoCompletionState* cs = handle->cs;
+    UringState* s = uring_;
+    const IoRecvSlice slice{s->buf_arena.get() + static_cast<std::size_t>(bid) * s->buf_size,
+                            static_cast<std::uint32_t>(res), bid};
     QLock(cs);
-    cs->rx.push_back(IoRecvSeg{static_cast<std::uint32_t>(res), bid});
+    cs->rx.push_back(slice);
     QUnlock(cs);
     IncLane(stats_.recv_segments, worker_);
     DeliverReady(handle, kIoReadable);
@@ -925,36 +968,19 @@ void IoEngine::HandleSendCqe(IoHandle* handle, std::int32_t res) {
   bool finished = true;  // this CQE retires the in-flight send unless re-armed
   QLock(cs);
   if (res < 0) {
-    // EPIPE/ECONNRESET and friends: the connection is done writing; drop the
-    // queue so teardown doesn't wait on bytes that can never leave.
-    cs->tx.clear();
-    cs->tx_off = 0;
-    cs->tx_bytes = 0;
+    // EPIPE/ECONNRESET and friends: the connection is done writing.
+    DropSendQueue(cs);
+    latch = kIoError;
+  } else if (ConsumeSent(cs, static_cast<std::size_t>(res))) {
+    cs->tx_inflight = false;
+    latch = kIoWritable;  // drained: wake a backpressured writer
+  } else if (handle->closed.load(std::memory_order_acquire)) {
+    DropSendQueue(cs);
+  } else if (ArmSendLocked(handle)) {
+    finished = false;  // short send: continuation keeps the expected CQE
+  } else {
     cs->tx_inflight = false;
     latch = kIoError;
-  } else {
-    const auto sent = static_cast<std::size_t>(res);
-    cs->tx_bytes -= std::min(sent, cs->tx_bytes);
-    std::size_t consumed = cs->tx_off + sent;
-    while (!cs->tx.empty() && consumed >= cs->tx.front().size()) {
-      consumed -= cs->tx.front().size();
-      cs->tx.pop_front();
-    }
-    cs->tx_off = consumed;
-    if (cs->tx.empty()) {
-      cs->tx_inflight = false;
-      latch = kIoWritable;  // drained: wake a backpressured writer
-    } else if (handle->closed.load(std::memory_order_acquire)) {
-      cs->tx.clear();
-      cs->tx_off = 0;
-      cs->tx_bytes = 0;
-      cs->tx_inflight = false;
-    } else if (ArmSendLocked(handle)) {
-      finished = false;  // short send: continuation keeps the expected CQE
-    } else {
-      cs->tx_inflight = false;
-      latch = kIoError;
-    }
   }
   QUnlock(cs);
   if (latch != 0) {
@@ -965,28 +991,7 @@ void IoEngine::HandleSendCqe(IoHandle* handle, std::int32_t res) {
   }
 }
 
-bool IoEngine::PopRecv(IoHandle* handle, IoRecvSlice* slice) {
-  IoCompletionState* cs = handle->cs;
-  if (cs == nullptr) {
-    return false;
-  }
-  IoRecvSeg seg;
-  QLock(cs);
-  if (cs->rx.empty()) {
-    QUnlock(cs);
-    return false;
-  }
-  seg = cs->rx.front();
-  cs->rx.pop_front();
-  QUnlock(cs);
-  UringState* s = uring_;
-  slice->data = s->buf_arena.get() + static_cast<std::size_t>(seg.bid) * s->buf_size;
-  slice->len = seg.len;
-  slice->buf_id = seg.bid;
-  return true;
-}
-
-void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
+void IoEngine::RecycleToRing(std::uint16_t buf_id) {
   UringState* s = uring_;
   BufLock(s);
   const std::uint16_t tail = s->buf_tail;
@@ -1001,77 +1006,35 @@ void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
   s->buf_recycled.fetch_add(1, std::memory_order_release);
 }
 
-int IoEngine::TakeAccepted(IoHandle* handle) {
-  IoCompletionState* cs = handle->cs;
-  if (cs == nullptr) {
-    return -1;
-  }
-  int fd = -1;
-  QLock(cs);
-  if (!cs->accepted.empty()) {
-    fd = cs->accepted.front();
-    cs->accepted.pop_front();
-  }
-  QUnlock(cs);
-  return fd;
-}
-
-std::size_t IoEngine::SendEnqueue(IoHandle* handle, std::string frame) {
-  IoCompletionState* cs = handle->cs;
-  SKYLOFT_CHECK(cs != nullptr) << "SendEnqueue on a readiness handle";
-  if (frame.empty()) {
-    return SendQueuedBytes(handle);
-  }
-  bool arm_failed = false;
-  std::size_t queued = 0;
-  QLock(cs);
-  if (!handle->closed.load(std::memory_order_acquire)) {
-    cs->tx_bytes += frame.size();
-    queued = cs->tx_bytes;
-    cs->tx.push_back(std::move(frame));
-    if (!cs->tx_inflight) {
-      // Count the send's expected CQE before the kernel can post it. The
-      // handle cannot race to its free point here: it is not closed and we
-      // are its (single) writer.
-      handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      if (ArmSendLocked(handle)) {
-        cs->tx_inflight = true;
-      } else {
-        handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel);
-        cs->tx.clear();
-        cs->tx_off = 0;
-        cs->tx_bytes = 0;
-        arm_failed = true;
-        queued = 0;
-      }
-    }
-  }
-  QUnlock(cs);
-  if (arm_failed) {
-    // No send monitoring means the writer could wait forever; latch an error
-    // so it wakes and fails the connection instead.
-    DeliverReady(handle, kIoError);
-  }
-  return queued;
-}
-
-std::size_t IoEngine::SendQueuedBytes(IoHandle* handle) {
-  IoCompletionState* cs = handle->cs;
-  if (cs == nullptr) {
-    return 0;
-  }
-  QLock(cs);
-  const std::size_t n = cs->tx_bytes;
-  QUnlock(cs);
-  return n;
-}
-
-bool IoEngine::SendDatagram(IoHandle* handle, const sockaddr_in& to, std::string frame) {
-  IoCompletionState* cs = handle->cs;
-  SKYLOFT_CHECK(cs != nullptr) << "SendDatagram on a readiness handle";
-  if (handle->closed.load(std::memory_order_acquire)) {
+bool IoEngine::UringPopDatagram(IoHandle* handle, IoDatagram* datagram) {
+  IoRecvSlice slice;
+  if (!PopRecv(handle, &slice)) {  // on a ring engine: the queued segments
     return false;
   }
+  *datagram = IoDatagram{};
+  datagram->data = slice.data;
+  datagram->buf_id = slice.buf_id;
+  // Multishot RECVMSG packs [io_uring_recvmsg_out][name area][control area]
+  // [payload] into the provided buffer; the armed msghdr reserved
+  // sizeof(sockaddr_in) of name space and no control space. A datagram (or
+  // sender address) that did not fit keeps len 0.
+  const std::size_t payload_off = sizeof(io_uring_recvmsg_out) + sizeof(sockaddr_in);
+  if (slice.len < payload_off) {
+    return true;
+  }
+  io_uring_recvmsg_out hdr;
+  std::memcpy(&hdr, slice.data, sizeof(hdr));
+  if (slice.len - payload_off < hdr.payloadlen || hdr.namelen < sizeof(sockaddr_in)) {
+    return true;
+  }
+  std::memcpy(&datagram->peer, slice.data + sizeof(hdr), sizeof(datagram->peer));
+  datagram->data = slice.data + payload_off;
+  datagram->len = hdr.payloadlen;
+  return true;
+}
+
+bool IoEngine::UringSendDatagram(IoHandle* handle, const sockaddr_in& to, std::string frame) {
+  IoCompletionState* cs = handle->cs;
   auto* op = new DgramSendOp;
   op->handle = handle;
   op->to = to;
@@ -1111,64 +1074,32 @@ bool IoEngine::SendDatagram(IoHandle* handle, const sockaddr_in& to, std::string
   return true;
 }
 
-bool IoEngine::ParseDatagram(const IoRecvSlice& slice, IoDatagram* out) {
-  // Multishot RECVMSG packs [io_uring_recvmsg_out][name area][control area]
-  // [payload] into the provided buffer; the armed msghdr reserved
-  // sizeof(sockaddr_in) of name space and no control space.
-  const auto* hdr = reinterpret_cast<const io_uring_recvmsg_out*>(slice.data);
-  if (slice.len < sizeof(*hdr)) {
-    return false;
+void IoEngine::UringDeregister(IoHandle* handle) {
+  // The registration reference keeps the handle alive until the end of this
+  // function, however the reaper's counts interleave. seq_cst pairs with
+  // RearmStalled's armed-store/closed-recheck so the two can never both miss
+  // each other (a stalled handle re-armed with no cancel queued).
+  const bool was_closed = handle->closed.exchange(true, std::memory_order_seq_cst);
+  SKYLOFT_CHECK(!was_closed) << "double Deregister of fd " << handle->fd;
+  // Cancel every outstanding op — the multishot RECV/RECVMSG/ACCEPT and an
+  // in-flight async send. A pending op holds a file reference, so closing
+  // the fd alone would not complete it and its CQE could fire after the
+  // handle was freed. Each cancel yields its own CQE too; count both before
+  // queueing. The fd can be closed right away — ASYNC_CANCEL targets by
+  // user_data, not fd.
+  if (handle->main_op_armed.load(std::memory_order_seq_cst)) {
+    handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
+    QueueCancel(handle, handle->mode == IoRegisterMode::kListener ? kTagAccept : kTagRecv);
   }
-  const std::size_t payload_off = sizeof(*hdr) + sizeof(sockaddr_in);
-  if (slice.len < payload_off || slice.len - payload_off < hdr->payloadlen) {
-    return false;  // truncated (datagram or sender address didn't fit)
-  }
-  if (hdr->namelen < sizeof(sockaddr_in)) {
-    return false;
-  }
-  std::memcpy(&out->peer, slice.data + sizeof(*hdr), sizeof(out->peer));
-  out->data = slice.data + payload_off;
-  out->len = hdr->payloadlen;
-  return true;
+  // An in-flight async send could otherwise stay queued indefinitely
+  // (zero-window peer) pinning the handle; cancel unconditionally — a miss
+  // just yields a -ENOENT cancel CQE, which the +1 below absorbs either way.
+  handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
+  QueueCancel(handle, kTagSend);
+  close(handle->fd);
+  IncLane(stats_.retired, worker_);
+  UringFinishCqe(handle);  // drop the registration reference; may free
 }
-
-void IoEngine::FreeCompletionResources(IoHandle* handle) {
-  IoCompletionState* cs = handle->cs;
-  if (cs == nullptr) {
-    return;
-  }
-  // The free point: no op references the handle any more, so queued-but-
-  // unconsumed resources return to their owners — buffers to the ring,
-  // never-taken accepted fds to the kernel.
-  for (const IoRecvSeg& seg : cs->rx) {
-    RecycleBuffer(seg.bid);
-  }
-  for (const int fd : cs->accepted) {
-    close(fd);
-  }
-  if (cs->fixed_slot >= 0) {
-    ReleaseFixedSlot(cs->fixed_slot);
-  }
-  delete cs;
-  handle->cs = nullptr;
-}
-
-#else  // !SKYLOFT_IO_URING (no handle ever gets completion state)
-
-void IoEngine::UringShutdown() {}
-int IoEngine::UringPoll() { return 0; }
-void IoEngine::FlushSubmissions() {}
-void IoEngine::UringFinishCqe(IoHandle*) {}
-bool IoEngine::ArmCompletion(IoHandle*, IoRegisterMode) { return false; }
-void IoEngine::QueueCancel(IoHandle*, std::uintptr_t) {}
-bool IoEngine::PopRecv(IoHandle*, IoRecvSlice*) { return false; }
-void IoEngine::RecycleBuffer(std::uint16_t) {}
-int IoEngine::TakeAccepted(IoHandle*) { return -1; }
-std::size_t IoEngine::SendEnqueue(IoHandle*, std::string) { return 0; }
-std::size_t IoEngine::SendQueuedBytes(IoHandle*) { return 0; }
-bool IoEngine::SendDatagram(IoHandle*, const sockaddr_in&, std::string) { return false; }
-bool IoEngine::ParseDatagram(const IoRecvSlice&, IoDatagram*) { return false; }
-void IoEngine::FreeCompletionResources(IoHandle*) {}
 
 #endif  // SKYLOFT_IO_URING
 
@@ -1181,11 +1112,11 @@ IoEngine::IoEngine(int worker, const IoEngineOptions& options, const IoEngineSta
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   SKYLOFT_CHECK(epoll_fd_ >= 0) << "epoll_create1 failed: " << std::strerror(errno);
   event_buf_.resize(static_cast<std::size_t>(kMaxEvents) * sizeof(epoll_event));
-#ifdef SKYLOFT_IO_URING
-  if (!UringInit()) {
-    IncLane(stats_.uring_fallbacks, worker_);
+  if constexpr (kIoUringBuild) {
+    if (!UringInit()) {
+      IncLane(stats_.uring_fallbacks, worker_);
+    }
   }
-#endif
 }
 
 IoEngine::~IoEngine() {
@@ -1204,7 +1135,9 @@ IoEngine::~IoEngine() {
     delete handle;
   }
   handles_.clear();
-  UringShutdown();
+  if constexpr (kIoUringBuild) {
+    UringShutdown();
+  }
   if (epoll_fd_ >= 0) {
     close(epoll_fd_);
   }
@@ -1245,19 +1178,31 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
   auto* handle = new IoHandle;
   handle->fd = fd;
   handle->engine = this;
-  if (using_io_uring() && mode != IoRegisterMode::kReadiness) {
-    if (!ArmCompletion(handle, mode)) {
-      delete handle;
-      return nullptr;
+  handle->mode = mode;
+  if (mode != IoRegisterMode::kReadiness) {
+    handle->cs = new IoCompletionState;
+  }
+  bool ok = false;
+  bool on_ring = false;
+  if constexpr (kIoUringBuild) {
+    if (uring_ != nullptr && mode != IoRegisterMode::kReadiness) {
+      on_ring = true;
+      ok = ArmCompletion(handle);
     }
-  } else {
+  }
+  if (!on_ring) {
+    if (mode == IoRegisterMode::kStream || mode == IoRegisterMode::kDatagram) {
+      handle->cs->rd_buf = std::make_unique_for_overwrite<char[]>(kReadBufSize);
+    }
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
     ev.data.ptr = handle;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      delete handle;
-      return nullptr;
-    }
+    ok = epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+  }
+  if (!ok) {
+    delete handle->cs;
+    delete handle;
+    return nullptr;
   }
   TrackHandle(handle);
   IncLane(stats_.registered, worker_);
@@ -1266,35 +1211,23 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
 
 void IoEngine::Deregister(IoHandle* handle) {
   SKYLOFT_CHECK(handle != nullptr && handle->engine == this);
-  if (handle->cs != nullptr) {
-    // Completion handle. The registration reference keeps it alive until the
-    // end of this function, however the reaper's counts interleave. seq_cst
-    // pairs with RearmStalled's armed-store/closed-recheck so the two can
-    // never both miss each other (a stalled handle re-armed with no cancel
-    // queued).
-    const bool was_closed = handle->closed.exchange(true, std::memory_order_seq_cst);
-    SKYLOFT_CHECK(!was_closed) << "double Deregister of fd " << handle->fd;
-    // Cancel every outstanding op — the multishot RECV/RECVMSG/ACCEPT and an
-    // in-flight async send. A pending op holds a file reference, so closing
-    // the fd alone would not complete it and its CQE could fire after the
-    // handle was freed. Each cancel yields its own CQE too; count both
-    // before queueing. The fd can be closed right away — ASYNC_CANCEL
-    // targets by user_data, not fd.
-    if (handle->main_op_armed.load(std::memory_order_seq_cst)) {
-      handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      QueueCancel(handle, handle->mode == IoRegisterMode::kListener ? kTagAccept : kTagRecv);
+  if constexpr (kIoUringBuild) {
+    if (uring_ != nullptr && handle->mode != IoRegisterMode::kReadiness) {
+      UringDeregister(handle);  // the ring owns ops for it: CQE-counted teardown
+      return;
     }
-    // An in-flight async send could otherwise stay queued indefinitely
-    // (zero-window peer) pinning the handle; cancel unconditionally — a miss
-    // just yields a -ENOENT cancel CQE, which the +1 below absorbs either way.
-    handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-    QueueCancel(handle, kTagSend);
-    close(handle->fd);
-    IncLane(stats_.retired, worker_);
-    UringFinishCqe(handle);  // drop the registration reference; may free
-    return;
   }
-  const bool was_closed = handle->closed.exchange(true, std::memory_order_acq_rel);
+  bool was_closed;
+  if (IoCompletionState* cs = handle->cs; cs != nullptr) {
+    // Under the queue lock: an EPOLLOUT continuation re-checks `closed` there
+    // before it writes, so it can never write to the fd number after the
+    // close below (when it may already name another socket).
+    QLock(cs);
+    was_closed = handle->closed.exchange(true, std::memory_order_acq_rel);
+    QUnlock(cs);
+  } else {
+    was_closed = handle->closed.exchange(true, std::memory_order_acq_rel);
+  }
   SKYLOFT_CHECK(!was_closed) << "double Deregister of fd " << handle->fd;
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, handle->fd, nullptr);
   close(handle->fd);
@@ -1312,6 +1245,7 @@ void IoEngine::Deregister(IoHandle* handle) {
 void IoEngine::FreeRetired() {
   for (IoHandle* handle : retire_graveyard_) {
     UntrackHandle(handle);
+    FreeCompletionResources(handle);
     delete handle;
   }
   retire_graveyard_.clear();
@@ -1368,19 +1302,38 @@ int IoEngine::EpollPoll() {
     if (ev & EPOLLERR) {
       bits |= kIoError;
     }
-    DeliverReady(static_cast<IoHandle*>(events[i].data.ptr), bits);
+    auto* handle = static_cast<IoHandle*>(events[i].data.ptr);
+    if ((ev & (EPOLLOUT | EPOLLERR)) != 0 && handle->mode == IoRegisterMode::kStream) {
+      // kIoWritable on a stream means "send queue drained", not "socket
+      // writable": the continuation decides which it is.
+      bits = (bits & ~kIoWritable) | EpollContinueSend(handle);
+    }
+    DeliverReady(handle, bits);
   }
   return n;
 }
 
 int IoEngine::Poll() {
   FreeRetired();
-  const int n = using_io_uring() ? UringPoll() : EpollPoll();
+  int n;
+  if constexpr (kIoUringBuild) {
+    n = uring_ != nullptr ? UringPoll() : EpollPoll();
+  } else {
+    n = EpollPoll();
+  }
   if (n > 0) {
     IncLane(stats_.polls, worker_);
     IncLane(stats_.events, worker_, static_cast<std::uint64_t>(n));
   }
   return n;
+}
+
+void IoEngine::FlushSubmissions() {
+  if constexpr (kIoUringBuild) {
+    if (uring_ != nullptr) {
+      UringSubmit();
+    }
+  }
 }
 
 void IoEngine::RelatchReadable(IoHandle* handle) {
@@ -1389,6 +1342,241 @@ void IoEngine::RelatchReadable(IoHandle* handle) {
   if (waiter != nullptr) {
     Runtime::Unpark(waiter);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Completion-shaped data path. On an io_uring engine the home engine's CQE
+// handlers fill the per-handle queues drained here; on epoll each call makes
+// its syscall in the caller's context (any worker) and counts it.
+// ---------------------------------------------------------------------------
+
+bool IoEngine::PopRecv(IoHandle* handle, IoRecvSlice* slice) {
+  IoCompletionState* cs = handle->cs;
+  if (uring_ != nullptr) {
+    QLock(cs);
+    const bool popped = !cs->rx.empty();
+    if (popped) {
+      *slice = cs->rx.front();
+      cs->rx.pop_front();
+    }
+    QUnlock(cs);
+    return popped;
+  }
+  while (!cs->rd_done) {
+    // skylint:allow(blocking-call-on-worker) -- O_NONBLOCK fd; the caller parks in WaitForReadable once this returns false
+    const ssize_t n = read(handle->fd, cs->rd_buf.get(), kReadBufSize);
+    IncLane(stats_.sys_read, worker_);
+    if (n > 0) {
+      *slice = IoRecvSlice{cs->rd_buf.get(), static_cast<std::uint32_t>(n), 0};
+      return true;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return false;
+    }
+    // The same sticky bits the recv CQE latches.
+    cs->rd_done = true;
+    DeliverReady(handle, n == 0 ? kIoHup : kIoError);
+  }
+  return false;
+}
+
+bool IoEngine::PopDatagram(IoHandle* handle, IoDatagram* datagram) {
+  if constexpr (kIoUringBuild) {
+    if (uring_ != nullptr) {
+      return UringPopDatagram(handle, datagram);
+    }
+  }
+  IoCompletionState* cs = handle->cs;
+  while (true) {
+    socklen_t peer_len = sizeof(datagram->peer);
+    // skylint:allow(blocking-call-on-worker) -- O_NONBLOCK fd; the caller parks in WaitForReadable once this returns false
+    const ssize_t n = recvfrom(handle->fd, cs->rd_buf.get(), kReadBufSize, 0,
+                               reinterpret_cast<sockaddr*>(&datagram->peer), &peer_len);
+    IncLane(stats_.sys_read, worker_);
+    if (n >= 0) {
+      datagram->data = cs->rd_buf.get();
+      datagram->len = static_cast<std::uint32_t>(n);
+      datagram->buf_id = 0;
+      return true;
+    }
+    if (errno != EINTR) {
+      return false;
+    }
+  }
+}
+
+void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
+  if constexpr (kIoUringBuild) {
+    if (uring_ != nullptr) {
+      RecycleToRing(buf_id);
+    }
+  }
+}
+
+int IoEngine::TakeAccepted(IoHandle* handle) {
+  IoCompletionState* cs = handle->cs;
+  if (uring_ != nullptr) {
+    int fd = -1;
+    QLock(cs);
+    if (!cs->accepted.empty()) {
+      fd = cs->accepted.front();
+      cs->accepted.pop_front();
+    }
+    QUnlock(cs);
+    return fd;
+  }
+  while (true) {
+    // skylint:allow(blocking-call-on-worker) -- O_NONBLOCK listener; the caller parks in WaitForReadable once this returns -1
+    const int fd = accept4(handle->fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    IncLane(stats_.sys_accept, worker_);
+    // EAGAIN ends the batch; a connection reset while queued does not.
+    if (fd >= 0 || (errno != EINTR && errno != ECONNABORTED)) {
+      return fd;
+    }
+  }
+}
+
+std::size_t IoEngine::SendEnqueue(IoHandle* handle, std::string frame) {
+  SKYLOFT_CHECK(handle->mode == IoRegisterMode::kStream) << "SendEnqueue on a non-stream handle";
+  if (frame.empty()) {
+    return SendQueuedBytes(handle);
+  }
+  IoCompletionState* cs = handle->cs;
+  unsigned error = 0;
+  std::size_t queued = 0;
+  QLock(cs);
+  if (!handle->closed.load(std::memory_order_acquire)) {
+    cs->tx_bytes += frame.size();
+    queued = cs->tx_bytes;
+    cs->tx.push_back(std::move(frame));
+    if (!cs->tx_inflight) {
+      // Only an error is news to the caller: it is the single writer, and
+      // reads the drained state from SendQueuedBytes.
+      error = StartSendLocked(handle) & kIoError;
+    }
+  }
+  QUnlock(cs);
+  if (error != 0) {
+    // A dropped queue must wake a writer parked on it and fail the
+    // connection instead of letting it wait forever.
+    DeliverReady(handle, error);
+    queued = 0;
+  }
+  return queued;
+}
+
+unsigned IoEngine::StartSendLocked(IoHandle* handle) {
+  if constexpr (kIoUringBuild) {
+    if (uring_ != nullptr) {
+      IoCompletionState* cs = handle->cs;
+      // Count the send's expected CQE before the kernel can post it. The
+      // handle cannot race to its free point here: it is not closed and we
+      // are its (single) writer.
+      handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
+      if (ArmSendLocked(handle)) {
+        cs->tx_inflight = true;
+        return 0;
+      }
+      handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel);
+      DropSendQueue(cs);
+      return kIoError;
+    }
+  }
+  return EpollSendLocked(handle);
+}
+
+unsigned IoEngine::EpollSendLocked(IoHandle* handle) {
+  IoCompletionState* cs = handle->cs;
+  while (!cs->tx.empty()) {
+    const std::size_t batch = BuildSendIov(cs);
+    // sendmsg, not writev: MSG_NOSIGNAL keeps a reset peer from raising
+    // SIGPIPE in the serving process.
+    // skylint:allow(blocking-call-on-worker) -- O_NONBLOCK socket; what it refuses waits for the EPOLLOUT continuation
+    const ssize_t n = sendmsg(handle->fd, &cs->tx_msg, MSG_NOSIGNAL);
+    IncLane(stats_.sys_write, worker_);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+      DropSendQueue(cs);
+      return kIoError;
+    }
+    // A short write set the socket's no-space flag, so like EAGAIN it
+    // guarantees an EPOLLOUT edge once the peer makes room.
+    if (n < 0 || (!ConsumeSent(cs, static_cast<std::size_t>(n)) &&
+                  static_cast<std::size_t>(n) < batch)) {
+      cs->tx_inflight = true;
+      return 0;
+    }
+  }
+  cs->tx_inflight = false;
+  return kIoWritable;
+}
+
+unsigned IoEngine::EpollContinueSend(IoHandle* handle) {
+  IoCompletionState* cs = handle->cs;
+  unsigned latch = 0;
+  QLock(cs);
+  if (!handle->closed.load(std::memory_order_acquire)) {
+    latch = cs->tx.empty() ? kIoWritable : EpollSendLocked(handle);
+  }
+  QUnlock(cs);
+  return latch;
+}
+
+std::size_t IoEngine::SendQueuedBytes(IoHandle* handle) {
+  IoCompletionState* cs = handle->cs;
+  if (cs == nullptr) {
+    return 0;
+  }
+  QLock(cs);
+  const std::size_t n = cs->tx_bytes;
+  QUnlock(cs);
+  return n;
+}
+
+bool IoEngine::SendDatagram(IoHandle* handle, const sockaddr_in& to, std::string frame) {
+  SKYLOFT_CHECK(handle->mode == IoRegisterMode::kDatagram)
+      << "SendDatagram on a non-datagram handle";
+  if (handle->closed.load(std::memory_order_acquire)) {
+    return false;
+  }
+  if constexpr (kIoUringBuild) {
+    if (uring_ != nullptr) {
+      return UringSendDatagram(handle, to, std::move(frame));
+    }
+  }
+  // skylint:allow(blocking-call-on-worker) -- O_NONBLOCK socket; a full buffer drops the reply (UDP semantics)
+  const ssize_t n = sendto(handle->fd, frame.data(), frame.size(), MSG_NOSIGNAL,
+                           reinterpret_cast<const sockaddr*>(&to), sizeof(to));
+  IncLane(stats_.sys_write, worker_);
+  return n >= 0;
+}
+
+void IoEngine::FreeCompletionResources(IoHandle* handle) {
+  IoCompletionState* cs = handle->cs;
+  if (cs == nullptr) {
+    return;
+  }
+  // The free point: nothing references the handle any more, so queued-but-
+  // unconsumed resources return to their owners — buffers to the ring,
+  // never-taken accepted fds to the kernel.
+  for (const IoRecvSlice& seg : cs->rx) {
+    RecycleBuffer(seg.buf_id);
+  }
+  for (const int fd : cs->accepted) {
+    close(fd);
+  }
+  if constexpr (kIoUringBuild) {
+    if (cs->fixed_slot >= 0) {
+      ReleaseFixedSlot(cs->fixed_slot);
+    }
+  }
+  delete cs;
+  handle->cs = nullptr;
 }
 
 void IoEngine::DumpDebug(std::FILE* out) {
@@ -1423,7 +1611,6 @@ void IoEngine::DumpDebug(std::FILE* out) {
                  handle->pending_cqes.load(std::memory_order_acquire),
                  handle->reader.load(std::memory_order_acquire) != nullptr ? 1 : 0,
                  handle->writer.load(std::memory_order_acquire) != nullptr ? 1 : 0);
-#ifdef SKYLOFT_IO_URING
     if (handle->cs != nullptr) {
       IoCompletionState* cs = handle->cs;
       QLock(cs);
@@ -1432,7 +1619,6 @@ void IoEngine::DumpDebug(std::FILE* out) {
                    cs->tx_off, cs->tx_inflight ? 1 : 0);
       QUnlock(cs);
     }
-#endif
     std::fprintf(out, "\n");
   }
   UnlockHandles();

@@ -10,21 +10,30 @@
 // through that worker's own runqueue — the remote-enqueue mailbox path when
 // the handler was stolen.
 //
-// One backend per mechanism. READINESS is epoll's job on every build: each
-// engine owns a private epoll set, and every kReadiness handle lives there.
-// COMPLETION is io_uring's job (SKYLOFT_IO_URING builds whose kernel passes
-// the ring's feature probe): a handle registered in kStream/kListener/
-// kDatagram mode keeps a multishot RECV/RECVMSG/ACCEPT armed whose
-// completions carry the data itself — payload bytes land in engine-owned
-// provided buffers (IORING_REGISTER_PBUF_RING), accepted fds and datagrams
-// land in per-handle queues, and responses go out as engine-owned async
-// SEND/SENDMSG submissions with short-send continuation. All SQEs are
-// batched, one io_uring_enter per worker poll round, so a worker's steady
-// state is ~0 syscalls per request. On such an engine the ring also keeps
-// one multishot POLL_ADD armed on the epoll fd, so a single CQE scan covers
-// both mechanisms. An engine whose ring setup or probe fails closes the ring
-// and serves everything on epoll; completion-mode registers then degrade to
-// kReadiness.
+// One backend per mechanism, one data-path API. READINESS is epoll's job on
+// every build: each engine owns a private epoll set, and every kReadiness
+// handle (pipes, anything the caller read()s itself) lives there. The
+// COMPLETION-shaped API — PopRecv/PopDatagram/RecycleBuffer, TakeAccepted,
+// SendEnqueue, SendDatagram — serves kStream/kListener/kDatagram handles on
+// every engine, so an application writes one loop per socket kind and never
+// learns which backend is armed:
+//   - io_uring (SKYLOFT_IO_URING builds whose kernel passes the ring's
+//     feature probe): each handle keeps a multishot RECV/RECVMSG/ACCEPT
+//     armed whose completions carry the data itself — payload bytes land in
+//     engine-owned provided buffers (IORING_REGISTER_PBUF_RING), accepted
+//     fds and datagrams in per-handle queues — and responses go out as
+//     engine-owned async SEND/SENDMSG submissions with short-send
+//     continuation. All SQEs are batched, one io_uring_enter per worker poll
+//     round, so a worker's steady state is ~0 syscalls per request. The ring
+//     also keeps one multishot POLL_ADD armed on the epoll fd, so a single
+//     CQE scan covers both mechanisms.
+//   - epoll (every other engine, including an io_uring build whose ring
+//     setup or probe failed): the same calls make the syscall in the
+//     caller's context — read/recvfrom into a per-handle buffer, accept4,
+//     sendto — and SendEnqueue writes the queue inline with one sendmsg,
+//     leaving whatever the socket refused for the home engine's EPOLLOUT
+//     continuation.
+// The engine counts every data-path syscall it makes (IoEngineStats::sys_*).
 //
 // Blocking is cooperative, not thread-blocking: a uthread that would block
 // parks through WaitForReadable/WaitForWritable (src/runtime/sync.h) and the
@@ -35,18 +44,18 @@
 //   WaitForReadable: wait for the latch, consume it, caller then drains the
 //                    socket until EAGAIN (edge-triggered contract)
 //
-// Completion handles reuse the same latch: kIoReadable means "segments (or
-// fds) queued", kIoWritable means "send queue drained".
+// Completion-mode handles reuse the same latch: kIoReadable means "data (or
+// fds) to pop", kIoWritable means "send queue drained".
 //
 // Handle lifetime: Deregister unlinks the fd, closes it, and retires the
-// handle. A readiness handle goes on the engine's retire list, freed at the
-// top of a later Poll, after any in-flight epoll batch that might still
-// reference it has been processed (events on a closed handle are skipped via
-// the `closed` flag). This lets a handler uthread close its connection from
-// whatever worker it was stolen to while the home engine is mid-poll. A
-// completion handle is completion-counted instead: every armed op (recv,
-// accept, send, cancel) owes one terminal CQE, and the free point is the
-// expected-CQE count reaching zero after close.
+// handle. A handle in the epoll set goes on the engine's retire list, freed
+// at the top of a later Poll, after any in-flight epoll batch that might
+// still reference it has been processed (events on a closed handle are
+// skipped via the `closed` flag). This lets a handler uthread close its
+// connection from whatever worker it was stolen to while the home engine is
+// mid-poll. A handle whose ops the ring owns is completion-counted instead:
+// every armed op (recv, accept, send, cancel) owes one terminal CQE, and the
+// free point is the expected-CQE count reaching zero after close.
 #ifndef SRC_RUNTIME_IO_ENGINE_H_
 #define SRC_RUNTIME_IO_ENGINE_H_
 
@@ -77,35 +86,38 @@ enum IoReady : unsigned {
   kIoError = 1u << 3,
 };
 
-// What a Register()ed fd is, which selects the io_uring completion op kept
-// armed for it. kReadiness is the epoll contract (pipes, anything the caller
-// read()s itself); the other modes opt into the completion data path and
-// silently degrade to kReadiness on an engine without io_uring (check
-// IoEngine::completion()).
+// What a Register()ed fd is, which selects the data-path calls that serve
+// it. kReadiness is the epoll contract (pipes, anything the caller read()s
+// itself); the other modes are served by the completion-shaped API on every
+// engine (multishot ops on an io_uring engine, caller-context syscalls on
+// epoll).
 enum class IoRegisterMode {
   kReadiness,  // readiness only; caller does its own read/write/accept
-  kStream,     // connected TCP: multishot RECV + engine-owned async sends
-  kListener,   // listening TCP: multishot ACCEPT into an fd queue
-  kDatagram,   // UDP: multishot RECVMSG (peer addr in-buffer) + SENDMSG out
+  kStream,     // connected TCP: PopRecv + SendEnqueue
+  kListener,   // listening TCP: TakeAccepted
+  kDatagram,   // UDP: PopDatagram + SendDatagram
 };
 
-// One received completion segment: `data/len` point into the engine's
-// provided-buffer arena and stay valid until the consumer returns the buffer
-// with IoEngine::RecycleBuffer(buf_id). Consumers may be on any worker (a
-// stolen handler); recycling is thread-safe.
+// One received segment of a kStream handle. `data/len` stay valid until the
+// consumer returns the buffer with IoEngine::RecycleBuffer(buf_id), and on
+// an epoll engine (where they point into the handle's read buffer) only
+// until the next pop on the handle. Consumers may be on any worker (a stolen
+// handler); recycling is thread-safe.
 struct IoRecvSlice {
   const char* data = nullptr;
   std::uint32_t len = 0;
   std::uint16_t buf_id = 0;
 };
 
-// A decoded datagram completion (kDatagram handles): payload view into the
-// slice's provided buffer plus the sender address recovered from the
-// multishot RECVMSG header that the kernel packs in front of the payload.
+// One received datagram of a kDatagram handle: the sender and a payload view
+// with the same lifetime rules as IoRecvSlice. A datagram that did not fit
+// the receive buffer pops with its payload cut short (io_uring: len 0), so
+// the caller's frame decode rejects it.
 struct IoDatagram {
   sockaddr_in peer{};
   const char* data = nullptr;
   std::uint32_t len = 0;
+  std::uint16_t buf_id = 0;
 };
 
 // One registered fd. Created by IoEngine::Register, destroyed by the engine
@@ -115,26 +127,25 @@ struct IoDatagram {
 struct alignas(kCacheLineSize) IoHandle {
   int fd = -1;
   IoEngine* engine = nullptr;
-  // Effective mode: what Register actually armed (a completion-mode request
-  // on an engine without completion support records kReadiness here).
   IoRegisterMode mode = IoRegisterMode::kReadiness;
   std::atomic<unsigned> ready{0};
   std::atomic<UThread*> reader{nullptr};
   std::atomic<UThread*> writer{nullptr};
   std::atomic<bool> closed{false};
-  // Completion handles only. Whether the multishot main op (RECV, RECVMSG
-  // or ACCEPT depending on mode) is in flight, so Deregister knows to cancel
-  // it; and a count of references: terminal CQEs still expected (+1 per
-  // armed op, +1 per submitted cancel), +1 while parked on the engine's
-  // buffer-exhaustion stall list, and +1 held by the registration until
-  // Deregister. The kernel does NOT order a cancelled op's CQE before its
+  // Handles whose ops the io_uring ring owns. Whether the multishot main op
+  // (RECV, RECVMSG or ACCEPT depending on mode) is in flight, so Deregister
+  // knows to cancel it; and a count of references: terminal CQEs still
+  // expected (+1 per armed op, +1 per submitted cancel), +1 while parked on
+  // the engine's buffer-exhaustion stall list, and +1 held by the
+  // registration until Deregister. The kernel does NOT order a cancelled op's CQE before its
   // cancel's CQE (task-work can post it later), so the free point is the
   // count reaching zero, not any particular completion.
   std::atomic<bool> main_op_armed{false};
   std::atomic<int> pending_cqes{0};
-  IoHandle* retire_next = nullptr;  // engine retire list linkage (readiness)
-  // Completion-mode state (recv/accept/send queues); null for kReadiness
-  // handles. Owned by the engine, freed with the handle.
+  IoHandle* retire_next = nullptr;  // engine retire list linkage (epoll set)
+  // Completion-mode state (send queue; the ring's recv/accept queues or the
+  // epoll read buffer); null for kReadiness handles. Owned by the engine,
+  // freed with the handle.
   IoCompletionState* cs = nullptr;
 };
 
@@ -148,12 +159,12 @@ struct IoEngineStats {
   ShardedCounter* registered = nullptr;    // fds registered (lifetime total)
   ShardedCounter* retired = nullptr;       // fds deregistered
   ShardedCounter* uring_fallbacks = nullptr;  // io_uring build serving on epoll
-  // Data-path syscall accounting, the bench's syscalls/request numerator.
-  // The engine counts its own io_uring_enter calls; the readiness serving
-  // paths self-report their read/write/accept syscalls via CountSys*.
+  // Data-path syscall accounting, the bench's syscalls/request numerator:
+  // every io_uring_enter and every read/recvfrom, sendmsg/sendto and accept4
+  // the completion-shaped API makes on an epoll engine.
   ShardedCounter* sys_enter = nullptr;     // io_uring_enter calls
   ShardedCounter* sys_read = nullptr;      // read/recvfrom on the data path
-  ShardedCounter* sys_write = nullptr;     // writev/sendto on the data path
+  ShardedCounter* sys_write = nullptr;     // sendmsg/sendto on the data path
   ShardedCounter* sys_accept = nullptr;    // accept4 on the data path
   // Completion data-path traffic.
   ShardedCounter* recv_segments = nullptr;    // provided-buffer segments queued
@@ -215,58 +226,53 @@ class IoEngine {
   // any thread.
   SKYLOFT_NO_SWITCH static void Interrupt(IoHandle* handle);
 
-  // ---- Completion data path (io_uring only; see completion()) ----
+  // ---- Completion-shaped data path (kStream/kListener/kDatagram) ----
   //
-  // All of these are callable from any worker: the handler uthread migrates
-  // via work stealing while the fd's completions keep landing on the home
-  // engine, which fills the per-handle queues these drain.
+  // Served by every engine. All of these are callable from any worker: the
+  // handler uthread migrates via work stealing while the fd's events keep
+  // landing on the home engine. On an io_uring engine the home engine fills
+  // per-handle queues that these drain; on epoll they make the syscall in
+  // the caller's context and count it.
 
-  // Pops the next received segment of a kStream/kDatagram handle. Returns
-  // false when no segment is queued (wait for kIoReadable and retry). The
-  // caller owns the slice's buffer until RecycleBuffer(slice.buf_id).
+  // Pops the next received segment of a kStream handle. Returns false when
+  // nothing is left (wait for kIoReadable and retry); on epoll that is the
+  // read() that hit EAGAIN, so popping until false drains the socket as the
+  // edge-triggered contract requires. End of stream latches kIoHup and a
+  // receive error kIoError. The caller owns the slice until
+  // RecycleBuffer(slice.buf_id).
   SKYLOFT_NO_SWITCH bool PopRecv(IoHandle* handle, IoRecvSlice* slice);
 
-  // Returns a provided buffer to this engine's ring. Must be called exactly
-  // once per popped slice, on the handle's HOME engine (slice buffers belong
-  // to the engine that produced them, not to whichever worker consumed).
+  // Pops the next datagram of a kDatagram handle; false when none is left.
+  // The caller owns it until RecycleBuffer(datagram.buf_id).
+  SKYLOFT_NO_SWITCH bool PopDatagram(IoHandle* handle, IoDatagram* datagram);
+
+  // Returns a popped buffer to the handle's HOME engine (io_uring: its
+  // provided-buffer ring; epoll: nothing to return). Must be called exactly
+  // once per popped slice or datagram.
   SKYLOFT_NO_SWITCH void RecycleBuffer(std::uint16_t buf_id);
 
-  // Pops the next accepted connection fd of a kListener handle; -1 when the
-  // queue is empty (wait for kIoReadable and retry).
+  // Pops the next accepted connection fd of a kListener handle; -1 when none
+  // is left (wait for kIoReadable and retry).
   SKYLOFT_NO_SWITCH int TakeAccepted(IoHandle* handle);
 
-  // Queues `frame` on a kStream handle's async send queue and arms a send if
-  // none is in flight (short sends re-arm from the CQE until drained; frames
-  // are coalesced up to 16 iovecs per submission). Returns the bytes
-  // now queued, or 0 if the handle is closed/errored and the frame was
-  // dropped. Single writer per handle (the one-uthread-per-connection
-  // contract). Backpressure: callers above a high-water mark of
-  // SendQueuedBytes should WaitForWritable, which returns once the final
-  // send CQE drains the queue.
+  // Queues `frame` on a kStream handle's send queue and starts sending it if
+  // no send is pending: io_uring arms an async send whose short completions
+  // re-arm from the CQE until drained; epoll writes the queue inline and
+  // leaves what the socket refused to the home engine's EPOLLOUT
+  // continuation. Up to 16 queued frames leave per send. Returns the bytes
+  // queued by this call (earlier unsent bytes included, before any inline
+  // write), or 0 if the handle is closed/errored and the frame was dropped.
+  // Single writer per handle (the one-uthread-per-connection contract).
+  // Backpressure: callers above a high-water mark of SendQueuedBytes should
+  // WaitForWritable, which returns once the queue drains.
   SKYLOFT_NO_SWITCH std::size_t SendEnqueue(IoHandle* handle, std::string frame);
   SKYLOFT_NO_SWITCH std::size_t SendQueuedBytes(IoHandle* handle);
 
-  // Fire-and-forget datagram reply on a kDatagram handle (async SENDMSG; the
-  // op owns the payload until its CQE). Returns false if the frame was
-  // dropped (closed handle or submission-queue pressure) — UDP semantics.
+  // Fire-and-forget datagram reply on a kDatagram handle (io_uring: async
+  // SENDMSG owning the payload until its CQE; epoll: sendto). Returns false
+  // if the frame was dropped (closed handle, submission-queue pressure, full
+  // socket buffer) — UDP semantics.
   SKYLOFT_NO_SWITCH bool SendDatagram(IoHandle* handle, const sockaddr_in& to, std::string frame);
-
-  // Decodes a kDatagram slice (kernel-packed io_uring_recvmsg_out + sender
-  // address + payload) into an IoDatagram view. False on truncated input.
-  static bool ParseDatagram(const IoRecvSlice& slice, IoDatagram* out);
-
-  // Syscall self-reporting hooks for the READINESS data path: the serving
-  // loops count their per-request read/writev/accept4/recvfrom/sendto calls
-  // here so the bench's syscalls/request column covers both paths.
-  SKYLOFT_NO_SWITCH void CountSysRead(std::uint64_t n = 1) {
-    if (stats_.sys_read != nullptr) stats_.sys_read->Inc(worker_, n);
-  }
-  SKYLOFT_NO_SWITCH void CountSysWrite(std::uint64_t n = 1) {
-    if (stats_.sys_write != nullptr) stats_.sys_write->Inc(worker_, n);
-  }
-  SKYLOFT_NO_SWITCH void CountSysAccept(std::uint64_t n = 1) {
-    if (stats_.sys_accept != nullptr) stats_.sys_accept->Inc(worker_, n);
-  }
 
   // Diagnostics: one-line-per-handle snapshot of queue depths, latch bits,
   // armed ops and ring positions. Callable from any thread (takes the handle
@@ -276,11 +282,11 @@ class IoEngine {
 
   // True when the ring is up, which also means the kernel passed the
   // multishot/pbuf-ring/send feature probe: an engine keeps its ring only
-  // if it can serve the completion data path.
+  // if it can serve the completion data path. Diagnostics only — the data
+  // path API is the same either way.
   bool using_io_uring() const { return uring_fd_ >= 0; }
-  // Whether completion-mode registers arm the completion data path; when
-  // false they degrade to readiness and the caller must use its readiness
-  // path. Equivalent to using_io_uring().
+  // Whether completion-mode handles are served by io_uring completions;
+  // equal to using_io_uring().
   bool completion() const { return using_io_uring(); }
   int worker() const { return worker_; }
 
@@ -319,10 +325,21 @@ class IoEngine {
 
   // epoll backend.
   SKYLOFT_NO_SWITCH int EpollPoll();
+  // Starts sending a kStream handle's queue (the backend's half of
+  // SendEnqueue); returns kIoError if the queue had to be dropped.
+  SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(io_handle_q) unsigned StartSendLocked(IoHandle* handle);
+  // Writes the queue until it drains or the socket refuses more; returns the
+  // bits to latch: kIoWritable (drained), kIoError (dropped) or 0 (the rest
+  // waits for the next EPOLLOUT edge).
+  SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(io_handle_q) unsigned EpollSendLocked(IoHandle* handle);
+  // EpollPoll's EPOLLOUT continuation of a kStream handle's send queue.
+  SKYLOFT_NO_SWITCH unsigned EpollContinueSend(IoHandle* handle);
+  SKYLOFT_NO_SWITCH void FreeCompletionResources(IoHandle* handle);
 
-  // io_uring backend (compiled under SKYLOFT_IO_URING; the entry points the
-  // neutral engine calls have stubs otherwise). UringInit keeps the ring
-  // only if the completion probe passes.
+  // io_uring backend, compiled only under SKYLOFT_IO_URING: the neutral
+  // engine reaches these through `if constexpr` branches that builds
+  // without io_uring discard. UringInit keeps the ring only if the
+  // completion probe passes.
   bool UringInit();
   void UringShutdown();
   SKYLOFT_NO_SWITCH int UringPoll();
@@ -334,14 +351,17 @@ class IoEngine {
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(uring_sq) void* SqePrepareLocked();
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(uring_sq) void SqeCommitLocked();
   SKYLOFT_NO_SWITCH void UringFinishCqe(IoHandle* handle);
-  SKYLOFT_NO_SWITCH void UringSubmit();
+  SKYLOFT_NO_SWITCH void UringSubmit();  // flushes queued SQEs, if any
 
-  // Completion data path internals (io_uring backend; stubs otherwise).
   bool UringSetupCompletion();  // probe + pbuf ring + registered files
   void UringTeardownCompletion();
-  // Register's completion half: allocates the handle's queues and arms the
-  // mode's multishot op. False if the SQ is jammed; the caller frees the handle.
-  SKYLOFT_NO_SWITCH bool ArmCompletion(IoHandle* handle, IoRegisterMode mode);
+  // Register's ring half: arms the mode's multishot op on a handle whose
+  // state Register allocated. False if the SQ is jammed; the caller frees
+  // the handle.
+  SKYLOFT_NO_SWITCH bool ArmCompletion(IoHandle* handle);
+  // Deregister's ring half: cancels the handle's ops and drops the
+  // registration reference (CQE-counted teardown).
+  SKYLOFT_NO_SWITCH void UringDeregister(IoHandle* handle);
   SKYLOFT_NO_SWITCH bool ArmMainOp(IoHandle* handle);  // RECV/RECVMSG/ACCEPT by mode
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(io_handle_q) bool ArmSendLocked(IoHandle* handle);
   SKYLOFT_NO_SWITCH void QueueCancel(IoHandle* handle, std::uintptr_t target_tag);
@@ -350,7 +370,10 @@ class IoEngine {
   SKYLOFT_NO_SWITCH void HandleSendCqe(IoHandle* handle, std::int32_t res);
   SKYLOFT_NO_SWITCH void StallHandle(IoHandle* handle);
   SKYLOFT_NO_SWITCH void RearmStalled();
-  SKYLOFT_NO_SWITCH void FreeCompletionResources(IoHandle* handle);
+  SKYLOFT_NO_SWITCH void RecycleToRing(std::uint16_t buf_id);
+  SKYLOFT_NO_SWITCH bool UringPopDatagram(IoHandle* handle, IoDatagram* datagram);
+  SKYLOFT_NO_SWITCH bool UringSendDatagram(IoHandle* handle, const sockaddr_in& to,
+                                           std::string frame);
   SKYLOFT_NO_SWITCH int AllocFixedSlot(int fd);       // -1 when table off/full
   SKYLOFT_NO_SWITCH void ReleaseFixedSlot(int slot);
 
@@ -360,6 +383,7 @@ class IoEngine {
 
   int epoll_fd_ = -1;
   int uring_fd_ = -1;  // >= 0 => io_uring completion backend active
+  // Non-null exactly when uring_fd_ >= 0; always null without SKYLOFT_IO_URING.
   UringState* uring_ = nullptr;
   // Ring-side view of the epoll set (home worker only): whether the
   // multishot POLL_ADD on epoll_fd_ is armed, and whether the set must be

@@ -61,7 +61,7 @@ void UthreadMutex::SpinRelease() { wait_spin_.clear(std::memory_order_release); 
 
 bool UthreadMutex::TryLock() {
   bool expected = false;
-  return locked_.compare_exchange_strong(expected, true, std::memory_order_acquire);
+  return locked_.compare_exchange_strong(expected, true, std::memory_order_seq_cst);
 }
 
 void UthreadMutex::Lock() {
@@ -78,7 +78,7 @@ void UthreadMutex::Lock() {
       return;
     }
     waiters_.PushBack(&waiter);
-    waiter_count_.fetch_add(1, std::memory_order_release);
+    waiter_count_.fetch_add(1, std::memory_order_seq_cst);
     SpinRelease();
     // Recheck after publishing the waiter: an Unlock may have raced between
     // our failed TryLock and the publish, and seen zero waiters.
@@ -89,29 +89,52 @@ void UthreadMutex::Lock() {
         waiter_count_.fetch_sub(1, std::memory_order_release);
       }
       SpinRelease();
-      // If we were already popped, a stale unpark token is pending; Park()
-      // consumers (all loops) tolerate the resulting spurious return.
+      // If we were already popped, a stale unpark token is pending; every
+      // Park() caller loops on its own predicate, so it is harmless.
       return;
     }
-    Runtime::Park();
-    // Woken by an Unlock handoff attempt: loop and race for the lock.
+    // Park until an Unlock pops the waiter. A stale token returns early with
+    // it still linked: then take the lock if it is free (unlinking first) or
+    // park again — pushing a linked node a second time would corrupt the list.
+    bool linked = true;
+    while (linked) {
+      Runtime::Park();
+      SpinAcquire();
+      linked = waiter.IsLinked();
+      if (linked && TryLock()) {
+        waiters_.Remove(&waiter);
+        waiter_count_.fetch_sub(1, std::memory_order_release);
+        SpinRelease();
+        return;
+      }
+      SpinRelease();
+    }
+    // Popped by an Unlock handoff attempt: loop and race for the lock.
   }
 }
 
 void UthreadMutex::Unlock() {
-  locked_.store(false, std::memory_order_release);
-  if (waiter_count_.load(std::memory_order_acquire) == 0) {
+  // seq_cst on both sides (here and Lock's count-publish / TryLock
+  // recheck): with release/acquire the store may still sit in the store
+  // buffer when the count is read as 0, while the locker's recheck still
+  // sees the lock held — and it parks with no Unlock left to wake it.
+  locked_.store(false, std::memory_order_seq_cst);
+  if (waiter_count_.load(std::memory_order_seq_cst) == 0) {
     return;  // uncontended fast path: one store + one load
   }
   Runtime::PreemptGuard guard;
   SpinAcquire();
   Waiter* next = waiters_.PopFront();
+  // Read under the spin: once unlinked, the waiter's frame may be gone as
+  // soon as we release it.
+  UThread* thread = nullptr;
   if (next != nullptr) {
     waiter_count_.fetch_sub(1, std::memory_order_release);
+    thread = next->thread;
   }
   SpinRelease();
-  if (next != nullptr) {
-    Runtime::Unpark(next->thread);
+  if (thread != nullptr) {
+    Runtime::Unpark(thread);
   }
 }
 
@@ -132,30 +155,41 @@ void UthreadCondVar::Wait(UthreadMutex* mutex) {
   waiters_.PushBack(&waiter);
   SpinRelease();
   mutex->Unlock();
-  Runtime::Park();
+  // Park until a Signal/Broadcast unlinks the waiter. A stale unpark token
+  // makes Park return early; returning then would leave this frame's waiter
+  // linked for a later Signal to touch after the frame is gone.
+  bool linked = true;
+  while (linked) {
+    Runtime::Park();
+    SpinAcquire();
+    linked = waiter.IsLinked();
+    SpinRelease();
+  }
   mutex->Lock();
+}
+
+UThread* UthreadCondVar::PopWaiter() {
+  SpinAcquire();
+  Waiter* waiter = waiters_.PopFront();
+  // Read under the spin: once unlinked, the waiter's frame may be gone as
+  // soon as we release it.
+  UThread* thread = waiter != nullptr ? waiter->thread : nullptr;
+  SpinRelease();
+  return thread;
 }
 
 void UthreadCondVar::Signal() {
   Runtime::PreemptGuard guard;
-  SpinAcquire();
-  Waiter* waiter = waiters_.PopFront();
-  SpinRelease();
-  if (waiter != nullptr) {
-    Runtime::Unpark(waiter->thread);
+  UThread* thread = PopWaiter();
+  if (thread != nullptr) {
+    Runtime::Unpark(thread);
   }
 }
 
 void UthreadCondVar::Broadcast() {
   Runtime::PreemptGuard guard;
-  while (true) {
-    SpinAcquire();
-    Waiter* waiter = waiters_.PopFront();
-    SpinRelease();
-    if (waiter == nullptr) {
-      return;
-    }
-    Runtime::Unpark(waiter->thread);
+  while (UThread* thread = PopWaiter()) {
+    Runtime::Unpark(thread);
   }
 }
 

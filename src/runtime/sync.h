@@ -91,6 +91,8 @@ class UthreadCondVar {
 
   SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(wait_spin) void SpinAcquire();
   SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(wait_spin) void SpinRelease();
+  // Unlinks the oldest waiter; returns its uthread, or null if none waits.
+  SKYLOFT_NO_SWITCH UThread* PopWaiter();
 };
 
 // Counting semaphore built on the mutex + condvar primitives.

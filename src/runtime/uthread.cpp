@@ -278,8 +278,8 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
     io_stats_.retired = io_metrics_.AddSharded("retired", options_.workers);
     io_stats_.uring_fallbacks = io_metrics_.AddSharded("uring_fallbacks", options_.workers);
     // Data-path syscall accounting (the bench's syscalls/request family):
-    // engines count their own io_uring_enter calls; readiness serving loops
-    // self-report read/write/accept via IoEngine::CountSys*.
+    // engines count every io_uring_enter and every read/write/accept their
+    // completion-shaped API makes.
     io_stats_.sys_enter = io_metrics_.AddSharded("sys_enter", options_.workers);
     io_stats_.sys_read = io_metrics_.AddSharded("sys_read", options_.workers);
     io_stats_.sys_write = io_metrics_.AddSharded("sys_write", options_.workers);

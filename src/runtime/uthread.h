@@ -178,9 +178,9 @@ class Runtime {
   }
 
   // Data-path syscall totals across all engines, and the numerator of the
-  // bench's syscalls/request column: io_uring_enter + read + write + accept.
-  // Engines count their own enters; the readiness serving loops self-report
-  // via IoEngine::CountSys*. Zero when the runtime has no I/O engines.
+  // bench's syscalls/request column: io_uring_enter + read + write + accept,
+  // as counted by the engines themselves. Zero when the runtime has no I/O
+  // engines.
   std::uint64_t io_data_syscalls() const;
 
  private:

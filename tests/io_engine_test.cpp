@@ -13,8 +13,8 @@
 //   - readiness and completion handles served side by side on one engine
 //   - a readiness handle deregistered from a worker other than its home
 //     engine's while a reader is parked on the same engine
-//   - the completion data path (io_uring builds whose kernel passes the
-//     probe; the tests skip elsewhere)
+//   - the completion-shaped data path, on whichever backend the engine armed
+//     (io_uring completions, or epoll syscalls made by the engine)
 // Runs under TSan/ASan in CI; every cross-thread handoff here is a real
 // data-race candidate.
 #include <arpa/inet.h>
@@ -591,11 +591,11 @@ TEST(IoEngineTest, DeregisterFromForeignWorkerWhileReaderParked) {
 }
 
 // ---------------------------------------------------------------------------
-// Completion data path (multishot RECV/ACCEPT, provided buffer rings, async
-// sends). Every test but the first gates on IoEngine::completion() — the
-// runtime probe — and skips on epoll builds or kernels that fail the probe,
-// where the same registrations silently degrade to the readiness path
-// tested above.
+// Completion-shaped data path (PopRecv/RecycleBuffer, TakeAccepted,
+// SendEnqueue, PopDatagram/SendDatagram). Every test runs on whichever
+// backend the engine armed: multishot RECV/ACCEPT, provided buffer rings and
+// async sends on an io_uring engine; caller-context syscalls and the EPOLLOUT
+// send continuation on epoll.
 // ---------------------------------------------------------------------------
 
 // Reads a runtime io counter by unqualified name from the global registry
@@ -638,7 +638,8 @@ TEST(IoEngineTest, ReadinessPipeAndCompletionStreamShareEngine) {
   // A readiness pipe and a kStream socket on one engine. On an io_uring
   // engine the pipe is served by the epoll set behind the ring's POLL_ADD
   // and the socket by multishot RECV + async send, both out of one Poll; on
-  // epoll both are readiness handles. Either way both must be served.
+  // epoll both live in the epoll set, the socket behind the engine's own
+  // read/sendmsg. Either way both must be served through one API.
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
   int pipefd[2];
   ASSERT_EQ(pipe(pipefd), 0);
@@ -669,7 +670,7 @@ TEST(IoEngineTest, ReadinessPipeAndCompletionStreamShareEngine) {
     ASSERT_NE(pipe_handle, nullptr);
     ASSERT_NE(stream, nullptr);
     EXPECT_EQ(pipe_handle->mode, IoRegisterMode::kReadiness);
-    EXPECT_EQ(stream->cs != nullptr, engine->using_io_uring());
+    EXPECT_EQ(stream->mode, IoRegisterMode::kStream);
     Runtime::Spawn([&, engine, pipe_handle] {
       char buf[16];
       while (true) {
@@ -690,27 +691,15 @@ TEST(IoEngineTest, ReadinessPipeAndCompletionStreamShareEngine) {
       while (got.size() < msg.size()) {
         const unsigned ready = WaitForReadable(stream);
         ASSERT_EQ(ready & kIoError, 0u);
-        if (stream->cs != nullptr) {
-          DrainRecvInto(engine, stream, &got);
-          continue;
-        }
-        char buf[512];
-        ssize_t n;
-        while ((n = read(stream->fd, buf, sizeof(buf))) > 0) {
-          got.append(buf, static_cast<std::size_t>(n));
-        }
+        DrainRecvInto(engine, stream, &got);
       }
-      if (stream->cs != nullptr) {
-        ASSERT_GT(engine->SendEnqueue(stream, got), 0u);
-        while (engine->SendQueuedBytes(stream) > 0) {
-          const unsigned w = WaitForWritable(stream);
-          ASSERT_EQ(w & kIoError, 0u);
-          if ((w & kIoWritable) == 0) {
-            Runtime::Yield();
-          }
+      ASSERT_GT(engine->SendEnqueue(stream, got), 0u);
+      while (engine->SendQueuedBytes(stream) > 0) {
+        const unsigned w = WaitForWritable(stream);
+        ASSERT_EQ(w & kIoError, 0u);
+        if ((w & kIoWritable) == 0) {
+          Runtime::Yield();
         }
-      } else {
-        ASSERT_EQ(write(stream->fd, got.data(), got.size()), static_cast<ssize_t>(got.size()));
       }
       engine->Deregister(stream);
       done.fetch_add(1, std::memory_order_acq_rel);
@@ -725,9 +714,6 @@ TEST(IoEngineTest, ReadinessPipeAndCompletionStreamShareEngine) {
 
 TEST(IoEngineTest, CompletionStreamEchoRoundTrip) {
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
-  }
   TcpPair pair = MakeTcpPair();
   const std::string msg = PatternBytes(512, 7);
   std::thread client([&] {
@@ -777,17 +763,21 @@ TEST(IoEngineTest, CompletionStreamEchoRoundTrip) {
 
 TEST(IoEngineTest, CompletionShortSendContinuation) {
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
-  }
   TcpPair pair = MakeTcpPair();
-  // Tiny send buffer + a slow reader: the async SEND must complete short and
-  // the CQE handler must re-arm the remainder (repeatedly) until drained.
+  // Tiny send buffer + a slow reader that starts only once the payload is
+  // queued: 1 MiB cannot fit the send buffer plus the reader's receive
+  // window, so the send must go out short, and the engine must continue the
+  // remainder (repeatedly) until drained — from the send CQE on io_uring,
+  // from EPOLLOUT edges on epoll.
   const int sndbuf = 4096;
   ASSERT_EQ(setsockopt(pair.server, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
   constexpr std::size_t kPayload = 1 << 20;
   const std::string payload = PatternBytes(kPayload, 99);
+  std::atomic<bool> queued{false};
   std::thread client([&] {
+    while (!queued.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     std::string back;
     char buf[16 * 1024];
     while (back.size() < kPayload) {
@@ -809,6 +799,10 @@ TEST(IoEngineTest, CompletionShortSendContinuation) {
     ASSERT_NE(handle->cs, nullptr);
     Runtime::Spawn([&, handle] {
       ASSERT_GT(engine->SendEnqueue(handle, payload), 0u);
+      // Far more than both socket buffers: the rest must wait for the
+      // continuation.
+      EXPECT_GT(engine->SendQueuedBytes(handle), kPayload / 2);
+      queued.store(true, std::memory_order_release);
       while (engine->SendQueuedBytes(handle) > 0) {
         const unsigned w = WaitForWritable(handle);
         ASSERT_EQ(w & kIoError, 0u);
@@ -825,16 +819,14 @@ TEST(IoEngineTest, CompletionShortSendContinuation) {
 }
 
 TEST(IoEngineTest, CompletionBufferRingExhaustionRearms) {
-  // An 8-slot x 256-byte provided ring against a 64 KiB flood: the multishot
-  // recv MUST hit -ENOBUFS, park on the stall list, and re-arm as the
-  // consumer recycles — all bytes still arrive, in order.
+  // An 8-slot x 256-byte provided ring against a 64 KiB flood: on io_uring
+  // the multishot recv MUST hit -ENOBUFS, park on the stall list, and re-arm
+  // as the consumer recycles; on epoll the flood is read through the
+  // handle's buffer. Either way all bytes arrive, in order.
   RuntimeOptions ropts{.workers = 1, .io_engine = true};
   ropts.io.buf_ring_entries = 8;
   ropts.io.buf_size = 256;
   Runtime rt(ropts);
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
-  }
   const std::int64_t exhaustions_before = IoCounterValue("buf_exhaustions");
   TcpPair pair = MakeTcpPair();
   constexpr std::size_t kTotal = 64 * 1024;
@@ -868,7 +860,9 @@ TEST(IoEngineTest, CompletionBufferRingExhaustionRearms) {
       done.store(true, std::memory_order_release);
     });
     AwaitFlag(done);
-    EXPECT_GT(IoCounterValue("buf_exhaustions"), exhaustions_before);
+    if (engine->using_io_uring()) {
+      EXPECT_GT(IoCounterValue("buf_exhaustions"), exhaustions_before);
+    }
   });
   client.join();
 }
@@ -878,9 +872,6 @@ TEST(IoEngineTest, CompletionEchoUnderStealChurn) {
   // their fds' completions keep landing on the HOME engine, so PopRecv/
   // RecycleBuffer/SendEnqueue all cross workers. TSan is the real assertion.
   Runtime rt(RuntimeOptions{.workers = 2, .io_engine = true});
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
-  }
   constexpr int kConns = 4;
   constexpr int kRounds = 200;
   TcpPair pairs[kConns];
@@ -956,9 +947,6 @@ TEST(IoEngineTest, CompletionPeerResetMidSend) {
   // armed: the error must latch kIoError (waking the handler), the send
   // queue must drop, and teardown must not leak ops or buffers (ASan).
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
-  }
   TcpPair pair = MakeTcpPair();
   const int sndbuf = 4096;
   ASSERT_EQ(setsockopt(pair.server, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
@@ -1004,9 +992,6 @@ TEST(IoEngineTest, CompletionEofDeliveredAfterData) {
   // Graceful FIN: every data CQE precedes the zero-byte EOF CQE, so a
   // handler that wakes on kIoHup still finds (and must drain) all bytes.
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
-  }
   TcpPair pair = MakeTcpPair();
   constexpr std::size_t kTotal = 10 * 1024;
   const std::string payload = PatternBytes(kTotal, 21);
@@ -1045,9 +1030,6 @@ TEST(IoEngineTest, CompletionEofDeliveredAfterData) {
 
 TEST(IoEngineTest, CompletionMultishotAcceptQueuesFds) {
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
-  }
   const int lfd = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
   sockaddr_in addr{};
@@ -1115,7 +1097,9 @@ TEST(IoEngineTest, CompletionMultishotAcceptQueuesFds) {
       done.store(true, std::memory_order_release);
     });
     AwaitFlag(done);
-    EXPECT_GE(IoCounterValue("completion_accepts"), kClients);
+    // io_uring counts the fds its multishot ACCEPT queued; epoll its accept4 calls.
+    EXPECT_GE(IoCounterValue(engine->using_io_uring() ? "completion_accepts" : "sys_accept"),
+              kClients);
   });
   for (std::thread& t : clients) {
     t.join();
@@ -1124,9 +1108,6 @@ TEST(IoEngineTest, CompletionMultishotAcceptQueuesFds) {
 
 TEST(IoEngineTest, CompletionDatagramRoundTrip) {
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
-  }
   const int ufd = socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(ufd, 0);
   sockaddr_in addr{};
@@ -1171,13 +1152,12 @@ TEST(IoEngineTest, CompletionDatagramRoundTrip) {
       int echoed = 0;
       while (echoed < kDatagrams) {
         WaitForReadable(handle);
-        IoRecvSlice slice;
-        while (engine->PopRecv(handle, &slice)) {
-          IoDatagram dgram;
-          ASSERT_TRUE(IoEngine::ParseDatagram(slice, &dgram));
+        IoDatagram dgram;
+        while (engine->PopDatagram(handle, &dgram)) {
+          ASSERT_GT(dgram.len, 0u);
           ASSERT_TRUE(engine->SendDatagram(handle, dgram.peer,
                                            std::string(dgram.data, dgram.len)));
-          engine->RecycleBuffer(slice.buf_id);
+          engine->RecycleBuffer(dgram.buf_id);
           echoed++;
         }
       }

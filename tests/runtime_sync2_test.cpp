@@ -1,5 +1,6 @@
-// Tests for the second wave of host-runtime primitives: SleepFor, Join under
-// spurious wakeups, counting semaphore, and the bounded channel.
+// Tests for the second wave of host-runtime primitives: SleepFor, Join,
+// UthreadMutex and UthreadCondVar under spurious wakeups, counting
+// semaphore, and the bounded channel.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -96,6 +97,56 @@ TEST(JoinTest, SpuriousWakesLinkJoinerOnce) {
     Runtime::Join(joiner);
   });
   EXPECT_EQ(links, 1u);
+}
+
+TEST(MutexTest, StaleTokenDoesNotRelinkWaiter) {
+  // A stale unpark token makes the waiter's Park return while it is still
+  // linked behind the holder. Lock must park again, never push the linked
+  // node a second time (that aborts in the intrusive list).
+  Runtime rt(RuntimeOptions{.workers = 1});
+  bool locked = false;
+  rt.Run([&] {
+    UthreadMutex mutex;
+    mutex.Lock();
+    UThread* waiter = Runtime::Spawn([&] {
+      Runtime::Unpark(Runtime::Current());  // leaves a pending token
+      mutex.Lock();
+      locked = true;
+      mutex.Unlock();
+    });
+    for (int i = 0; i < 10; i++) {
+      Runtime::Yield();
+    }
+    mutex.Unlock();
+    Runtime::Join(waiter);
+  });
+  EXPECT_TRUE(locked);
+}
+
+TEST(CondVarTest, StaleTokenDoesNotEndWait) {
+  // A stale unpark token makes Park return at once. Wait must keep parking
+  // until a Signal unlinks its waiter: returning early leaves the waiter
+  // linked in a dead frame for the Signal to touch.
+  Runtime rt(RuntimeOptions{.workers = 1});
+  bool signalled_at_return = false;
+  rt.Run([&] {
+    UthreadMutex mutex;
+    UthreadCondVar cond;
+    bool signalled = false;
+    mutex.Lock();
+    UThread* signaller = Runtime::Spawn([&] {
+      mutex.Lock();
+      signalled = true;
+      cond.Signal();
+      mutex.Unlock();
+    });
+    Runtime::Unpark(Runtime::Current());  // leaves a pending token
+    cond.Wait(&mutex);
+    signalled_at_return = signalled;
+    mutex.Unlock();
+    Runtime::Join(signaller);
+  });
+  EXPECT_TRUE(signalled_at_return);
 }
 
 TEST(SemaphoreTest, InitialPermits) {
