@@ -14,8 +14,10 @@
 #include <sched.h>
 
 #include <chrono>
-#include <string_view>
 #include <cstdio>
+#include <cstdlib>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -308,6 +310,24 @@ void Main() {
       "\n(Go column omitted: no offline Go toolchain — see DESIGN.md.)\n"
       "Shape check: skyloft << pthread on Yield/Spawn/Condvar; Mutex ~ tie.\n");
   reporter.WriteFile();
+#ifndef SKYLOFT_BENCH_SANITIZED
+  // The shape the table claims, enforced: user-space threads must beat
+  // pthreads on every operation that crosses the kernel for pthreads.
+  int shape_failures = 0;
+  for (const auto& [op, pthread_ns, skyloft_ns] :
+       {std::tuple{"Yield", yield_pthread, yield_skyloft},
+        std::tuple{"Spawn", spawn_pthread, spawn_skyloft},
+        std::tuple{"Condvar", condvar_pthread, condvar_skyloft}}) {
+    if (!(skyloft_ns < pthread_ns)) {
+      std::fprintf(stderr, "shape check failed: skyloft %s %.0f ns >= pthread %.0f ns\n", op,
+                   skyloft_ns, pthread_ns);
+      shape_failures++;
+    }
+  }
+  if (shape_failures != 0) {
+    std::exit(1);
+  }
+#endif
 }
 
 }  // namespace

@@ -28,6 +28,7 @@ __asm__(
     "  pushq %r15\n"
     "  movq %rsp, (%rdi)\n"
     "  movq %rsi, %rsp\n"
+    "  movb $0, (%rdx)\n"  // on_cpu = false, once rsp is off the old stack
     "  popq %r15\n"
     "  popq %r14\n"
     "  popq %r13\n"
@@ -35,6 +36,9 @@ __asm__(
     "  popq %rbx\n"
     "  popq %rbp\n"
     "  retq\n"
+    ".globl skyloft_ctx_switch_end\n"
+    ".hidden skyloft_ctx_switch_end\n"
+    "skyloft_ctx_switch_end:\n"
     ".size skyloft_ctx_switch,.-skyloft_ctx_switch\n"
     // Trampoline: the forged stack leaves entry in %r12 and arg in %r13
     // (callee-saved, so the switch restored them). Aligns and calls.
@@ -49,6 +53,7 @@ __asm__(
     ".size skyloft_ctx_trampoline,.-skyloft_ctx_trampoline\n");
 
 extern "C" void skyloft_ctx_trampoline();
+extern "C" const char skyloft_ctx_switch_end[];
 
 namespace skyloft {
 
@@ -71,6 +76,11 @@ void* InitContext(void* stack_base, std::size_t stack_size, UthreadEntry entry, 
   *--sp = 0;                                          // r14
   *--sp = 0;                                          // r15
   return sp;
+}
+
+bool InContextSwitch(std::uintptr_t pc) {
+  return pc >= reinterpret_cast<std::uintptr_t>(&skyloft_ctx_switch) &&
+         pc < reinterpret_cast<std::uintptr_t>(skyloft_ctx_switch_end);
 }
 
 }  // namespace skyloft

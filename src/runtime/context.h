@@ -7,6 +7,7 @@
 #ifndef SRC_RUNTIME_CONTEXT_H_
 #define SRC_RUNTIME_CONTEXT_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -15,13 +16,24 @@
 extern "C" {
 
 // Saves the current callee-saved state on the current stack, stores the
-// resulting stack pointer into *save_sp, switches to restore_sp, restores
-// callee-saved state, and returns on the new stack.
+// resulting stack pointer into *save_sp, switches to restore_sp, stores
+// false into *on_cpu, restores callee-saved state, and returns on the new
+// stack.
+//
+// `on_cpu` is the departing context's "still on its stack" flag: a uthread
+// passes its own (UThreadExtra::on_cpu), the scheduler stack a worker-owned
+// byte nobody reads. It is cleared only once rsp has left the old stack, so
+// a signal frame never lands on a stack another worker may already be
+// resuming; whoever switches into a uthread first waits for its flag to
+// clear (Runtime::SwitchTo). That is what lets Park publish itself as
+// parked before it switches out: a racing Unpark may queue it on another
+// worker, which then waits a few ns instead of running on a live stack.
 //
 // This is THE switch primitive: the may-switch set skylint enforces is the
 // transitive-caller closure of this annotation. It is also called from the
 // preemption signal handler, so it must stay async-signal-safe.
-SKYLOFT_MAY_SWITCH SKYLOFT_SIGNAL_SAFE void skyloft_ctx_switch(void** save_sp, void* restore_sp);
+SKYLOFT_MAY_SWITCH SKYLOFT_SIGNAL_SAFE void skyloft_ctx_switch(void** save_sp, void* restore_sp,
+                                                              std::atomic<bool>* on_cpu);
 
 }  // extern "C"
 
@@ -37,6 +49,12 @@ using UthreadEntry = void (*)(void* arg);
 //   stack_size: bytes
 SKYLOFT_NO_SWITCH void* InitContext(void* stack_base, std::size_t stack_size, UthreadEntry entry,
                                     void* arg);
+
+// True when `pc` lies inside skyloft_ctx_switch. The preemption handler
+// defers there: between the stack swap and the on_cpu store, a preemption
+// would leave the departing context marked on-CPU until the interrupted
+// switch resumed.
+SKYLOFT_SIGNAL_SAFE bool InContextSwitch(std::uintptr_t pc);
 
 }  // namespace skyloft
 

@@ -68,9 +68,16 @@ namespace {
 Runtime* g_runtime = nullptr;
 
 // What the uthread asked the scheduler to do when it switched out.
+//   kPark: nothing to complete (Park published itself before switching);
+//   the scheduler runs the uthread Park left it in RuntimeWorker::handoff.
 //   kTick: the preemption timer fired; the scheduler runs sched_timer_tick
 //   and either requeues the uthread (preempt) or resumes it directly.
 enum class SwitchAction : std::uint8_t { kNone, kYield, kPark, kTick, kExit };
+
+// Direct Park-to-uthread handoffs a worker makes between two passes of its
+// scheduler loop. Each pass polls the worker's I/O engine, so a Park/Unpark
+// ping-pong cannot starve it for more than this many segments.
+constexpr int kDirectHandoffBudget = 64;
 
 constexpr int kPreemptSignal = SIGURG;
 
@@ -207,7 +214,18 @@ struct RuntimeWorker {
   std::int64_t trace_run_start = 0;
 
   // 0 => the preemption signal handler may switch; anything else defers.
+  // Written with PreemptDepthInc/Dec and absolute stores, only by this
+  // worker's pthread; read only by its own signal handler.
   std::atomic<int> preempt_disable{1};
+
+  // The scheduler stack's on_cpu flag for skyloft_ctx_switch; nothing waits
+  // on it (the scheduler stack is never switched into by another worker).
+  std::atomic<bool> sched_on_cpu{false};
+  // Direct handoffs Park may still make before the next scheduler pass.
+  int handoffs_left = 0;
+  // A uthread Park dequeued but left to the scheduler stack, because it was
+  // still leaving another worker's CPU (see Park).
+  UThread* handoff = nullptr;
 
   void* tsan_fiber = nullptr;  // the worker's scheduler stack, under TSan
 
@@ -225,12 +243,29 @@ struct RuntimeWorker {
 namespace {
 thread_local RuntimeWorker* tl_worker = nullptr;
 
-// UThread park/unpark handshake states (see Park/Unpark):
-//   0 running, 1 parking (announced), 2 unpark pending, 3 fully parked
+// UThread park/unpark handshake states (see Park/Unpark). Park CASes
+// running -> parked on its own stack; whichever Unpark then sees parked owns
+// the wakeup. An Unpark that finds the uthread running leaves a pending
+// token its next Park consumes.
 constexpr int kParkRunning = 0;
-constexpr int kParkParking = 1;
-constexpr int kParkUnparkPending = 2;
-constexpr int kParkParked = 3;
+constexpr int kParkUnparkPending = 1;
+constexpr int kParkParked = 2;
+
+// Preempt-disable depths (RuntimeWorker::preempt_disable and
+// UThreadExtra::preempt_count) are written only by the pthread running the
+// uthread and read only by that pthread's own signal handler, so a plain
+// load+store updates them: no other CPU races the write, and the handler
+// either runs before it or after it. The signal fences keep the compiler
+// from moving the guarded section across the update.
+SKYLOFT_SIGNAL_SAFE void PreemptDepthInc(std::atomic<int>& depth) {
+  depth.store(depth.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+}
+
+SKYLOFT_SIGNAL_SAFE void PreemptDepthDec(std::atomic<int>& depth) {
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  depth.store(depth.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
+}
 }  // namespace
 
 // Park handshake word; kept out of UThread's public header to avoid leaking
@@ -238,6 +273,10 @@ constexpr int kParkParked = 3;
 // same storage block (see AllocUthread).
 struct UThreadExtra {
   std::atomic<int> park{kParkRunning};
+  // True from the moment a worker switches into this uthread until the
+  // switch out has left its stack (skyloft_ctx_switch clears it). SwitchTo
+  // waits for it before switching in.
+  std::atomic<bool> on_cpu{false};
   // PreemptGuard depth for this uthread; checked by the signal handler in
   // addition to the worker's own preempt_disable. Per-uthread because a
   // guard can span a Park() that resumes on a different worker.
@@ -250,6 +289,21 @@ struct UThreadExtra {
 
 namespace {
 UThreadExtra* ExtraOf(UThread* t) { return reinterpret_cast<UThreadExtra*>(t + 1); }
+
+// Switches the running uthread `self` out to its worker's scheduler stack,
+// which then carries out `action`. Returns when `self` is switched back in,
+// possibly on another worker, so nothing here touches `worker` after the
+// switch.
+SKYLOFT_SIGNAL_SAFE void SwitchToScheduler(RuntimeWorker* worker, UThread* self,
+                                           SwitchAction action) {
+  worker->action = action;
+  TsanSwitchTo(worker->tsan_fiber);
+  // An exiting fiber leaves for good: a null save slot destroys its fake stack.
+  AsanStartSwitch(action == SwitchAction::kExit ? nullptr : &ExtraOf(self)->asan_fake_stack,
+                  worker->asan_stack_bottom, worker->asan_stack_size);
+  skyloft_ctx_switch(&self->sp, worker->sched_sp, &ExtraOf(self)->on_cpu);
+  AsanFinishSwitch(ExtraOf(self)->asan_fake_stack);
+}
 }  // namespace
 
 Runtime::Runtime(RuntimeOptions options) : options_(options) {
@@ -522,6 +576,7 @@ void Runtime::WorkerLoop(int index) {
     if (engine != nullptr) {
       engine->Poll();
     }
+    worker->handoffs_left = kDirectHandoffBudget;
     if (next == nullptr) {
       next = FindWork(worker);
     }
@@ -537,10 +592,12 @@ void Runtime::WorkerLoop(int index) {
       continue;
     }
     worker->sched.SetIdle(false);
-    SwitchTo(worker, next);
+    SwitchTo(worker, nullptr, next);
     next = nullptr;
 
-    // Back on the scheduler stack: complete whatever the uthread asked.
+    // Back on the scheduler stack (the last uthread of the segment chain
+    // switched out): complete whatever it asked.
+    worker->preempt_disable.store(1, std::memory_order_release);
     UThread* prev = worker->current;
     worker->current = nullptr;
     if (tracer_ != nullptr) {
@@ -574,17 +631,10 @@ void Runtime::WorkerLoop(int index) {
         }
         break;
       }
-      case SwitchAction::kPark: {
-        // Publish "fully parked"; if an unpark raced in, requeue now.
-        auto& park = ExtraOf(prev)->park;
-        int old = park.exchange(kParkParked, std::memory_order_acq_rel);
-        if (old == kParkUnparkPending) {
-          park.store(kParkRunning, std::memory_order_release);
-          prev->state.store(UthreadState::kRunnable, std::memory_order_release);
-          worker->sched.Enqueue(prev, kEnqueueWakeup);
-        }
+      case SwitchAction::kPark:
+        next = worker->handoff;
+        worker->handoff = nullptr;
         break;
-      }
       case SwitchAction::kExit: {
         // Fused task_terminate + task_dequeue, then release the storage.
         next = static_cast<UThread*>(worker->sched.Retire(prev));
@@ -606,7 +656,18 @@ UThread* Runtime::FindWork(RuntimeWorker* worker) {
   return static_cast<UThread*>(worker->sched.Dequeue());
 }
 
-void Runtime::SwitchTo(RuntimeWorker* worker, UThread* next) {
+void Runtime::SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next) {
+  // A racing Unpark may have queued `next` here while its Park was still
+  // switching out on another worker; run it only once it has left its stack.
+  UThreadExtra* in = ExtraOf(next);
+  for (SpinBackoff backoff; in->on_cpu.load(std::memory_order_acquire);) {
+    backoff.Pause();
+  }
+  in->on_cpu.store(true, std::memory_order_relaxed);
+  // Whoever queued `next` woke it first: a parked uthread here means it was
+  // queued twice.
+  SKYLOFT_CHECK(in->park.load(std::memory_order_relaxed) != kParkParked)
+      << "switching into a parked uthread";
   next->state.store(UthreadState::kRunning, std::memory_order_relaxed);
   worker->current = next;
   // run_charge feeds sched_timer_tick; without the signal timer nothing
@@ -615,20 +676,30 @@ void Runtime::SwitchTo(RuntimeWorker* worker, UThread* next) {
     worker->run_charge = MonotonicNs();
   }
   if (tracer_ != nullptr) {
-    worker->trace_run_start = TraceClockNs();
-    tracer_->RecordEvent(worker->trace_run_start, TraceEventType::kAssign, worker->index, next->id,
-                         0);
+    const std::int64_t now = TraceClockNs();
+    if (prev != nullptr) {
+      // A direct handoff ends prev's segment here; segments that end on the
+      // scheduler stack are recorded there.
+      tracer_->RecordEvent(worker->trace_run_start, TraceEventType::kRun, worker->index, prev->id,
+                           0, now - worker->trace_run_start);
+    }
+    worker->trace_run_start = now;
+    tracer_->RecordEvent(now, TraceEventType::kAssign, worker->index, next->id, 0);
   }
+  // The departing context: `prev`, or this worker's scheduler stack.
+  void** save_sp = prev != nullptr ? &prev->sp : &worker->sched_sp;
+  std::atomic<bool>* out_on_cpu = prev != nullptr ? &ExtraOf(prev)->on_cpu : &worker->sched_on_cpu;
+  void** asan_save = prev != nullptr ? &ExtraOf(prev)->asan_fake_stack : &worker->asan_fake_stack;
   // Enable preemption for the duration of the uthread's execution. The
   // signal handler additionally verifies it is on the uthread's stack, so
   // the window between this store and the switch is safe.
   worker->preempt_disable.store(0, std::memory_order_release);
-  TsanSwitchTo(ExtraOf(next)->tsan_fiber);
-  AsanStartSwitch(&worker->asan_fake_stack, next->stack.get(), next->stack_size);
-  skyloft_ctx_switch(&worker->sched_sp, next->sp);
-  AsanFinishSwitch(worker->asan_fake_stack);
-  // Returned from the uthread (it yielded/parked/ticked/exited).
-  worker->preempt_disable.store(1, std::memory_order_release);
+  TsanSwitchTo(in->tsan_fiber);
+  AsanStartSwitch(asan_save, next->stack.get(), next->stack_size);
+  skyloft_ctx_switch(save_sp, next->sp, out_on_cpu);
+  // Back in the departing context. A uthread may have resumed on another
+  // worker: `worker` is stale here.
+  AsanFinishSwitch(*asan_save);
 }
 
 void Runtime::UthreadMain(void* arg) {
@@ -680,28 +751,23 @@ void Runtime::Schedule(UThread* thread, unsigned flags) {
 }
 
 // NOTE on the switch-out protocol (Yield / PreemptTick / Park / ExitCurrent):
-// the fetch_add on worker->preempt_disable closes the window between setting
-// `action` and reaching the scheduler stack — a signal landing there would
-// overwrite the action. There is deliberately NO matching fetch_sub after the
-// context switch returns: SwitchTo re-arms preemption with an absolute
-// store(0) before resuming any uthread, so the counter is scheduler-owned at
-// that point. (Touching tl_worker after skyloft_ctx_switch is also unsafe —
-// the uthread may have migrated, and the compiler may have cached the old
-// pthread's TLS slot address from before the switch.)
+// the PreemptDepthInc on worker->preempt_disable closes the window between
+// setting `action` and reaching the scheduler stack — a signal landing there
+// would overwrite the action. There is deliberately NO matching decrement
+// after the context switch returns: SwitchTo re-arms preemption with an
+// absolute store(0) before resuming any uthread, so the counter belongs to
+// whoever switches the uthread back in. (Touching tl_worker after
+// skyloft_ctx_switch is also unsafe — the uthread may have migrated, and the
+// compiler may have cached the old pthread's TLS slot address from before
+// the switch.)
 // skylint:allow(preempt-balance) -- switch-out protocol: SwitchTo re-arms with store(0), see NOTE
 void Runtime::Yield() {
   RuntimeWorker* worker = tl_worker;
   SKYLOFT_CHECK(worker != nullptr && worker->current != nullptr);
-  worker->preempt_disable.fetch_add(1, std::memory_order_acq_rel);
+  PreemptDepthInc(worker->preempt_disable);
   UThread* self = worker->current;
   self->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
-  worker->action = SwitchAction::kYield;
-  TsanSwitchTo(worker->tsan_fiber);
-  AsanStartSwitch(&ExtraOf(self)->asan_fake_stack, worker->asan_stack_bottom,
-                  worker->asan_stack_size);
-  skyloft_ctx_switch(&self->sp, worker->sched_sp);
-  // `worker` is stale here (the uthread may have migrated); `self` is not.
-  AsanFinishSwitch(ExtraOf(self)->asan_fake_stack);
+  SwitchToScheduler(worker, self, SwitchAction::kYield);
 }
 
 // Signal-timer entry: hand control to the scheduler stack so the policy tick
@@ -709,38 +775,55 @@ void Runtime::Yield() {
 // skylint:allow(preempt-balance) -- switch-out protocol: SwitchTo re-arms with store(0), see NOTE
 void Runtime::PreemptTick() {
   RuntimeWorker* worker = tl_worker;
-  worker->preempt_disable.fetch_add(1, std::memory_order_acq_rel);
-  UThread* self = worker->current;
-  worker->action = SwitchAction::kTick;
-  TsanSwitchTo(worker->tsan_fiber);
-  AsanStartSwitch(&ExtraOf(self)->asan_fake_stack, worker->asan_stack_bottom,
-                  worker->asan_stack_size);
-  skyloft_ctx_switch(&self->sp, worker->sched_sp);
-  AsanFinishSwitch(ExtraOf(self)->asan_fake_stack);
+  PreemptDepthInc(worker->preempt_disable);
+  SwitchToScheduler(worker, worker->current, SwitchAction::kTick);
 }
 
-// skylint:allow(preempt-balance) -- main path's +1 is re-armed by SwitchTo's store(0), see NOTE
+// Park publishes itself as parked before it switches out, then — when its
+// worker has another runnable uthread — switches straight to it instead of
+// going through the scheduler stack (DESIGN.md, "Switch protocol").
+// skylint:allow(preempt-balance) -- the switching paths' +1 is re-armed by SwitchTo's store(0), see NOTE
 void Runtime::Park() {
   RuntimeWorker* worker = tl_worker;
   SKYLOFT_CHECK(worker != nullptr && worker->current != nullptr);
-  worker->preempt_disable.fetch_add(1, std::memory_order_acq_rel);
+  PreemptDepthInc(worker->preempt_disable);
   UThread* self = worker->current;
   auto& park = ExtraOf(self)->park;
+  // Blocked before the CAS: once it publishes kParkParked, an Unpark may
+  // mark us runnable.
+  self->state.store(UthreadState::kBlocked, std::memory_order_relaxed);
   int expected = kParkRunning;
-  if (!park.compare_exchange_strong(expected, kParkParking, std::memory_order_acq_rel)) {
+  if (!park.compare_exchange_strong(expected, kParkParked, std::memory_order_acq_rel)) {
     // An unpark already arrived: consume it and keep running.
     SKYLOFT_CHECK(expected == kParkUnparkPending);
-    park.store(kParkRunning, std::memory_order_release);
-    worker->preempt_disable.fetch_sub(1, std::memory_order_acq_rel);
+    park.store(kParkRunning, std::memory_order_relaxed);
+    self->state.store(UthreadState::kRunning, std::memory_order_relaxed);
+    PreemptDepthDec(worker->preempt_disable);
     return;
   }
-  self->state.store(UthreadState::kBlocked, std::memory_order_relaxed);
-  worker->action = SwitchAction::kPark;
-  TsanSwitchTo(worker->tsan_fiber);
-  AsanStartSwitch(&ExtraOf(self)->asan_fake_stack, worker->asan_stack_bottom,
-                  worker->asan_stack_size);
-  skyloft_ctx_switch(&self->sp, worker->sched_sp);
-  AsanFinishSwitch(ExtraOf(self)->asan_fake_stack);
+  // Parked and published: an Unpark may now queue us on any worker, which
+  // then waits in SwitchTo until we have left this stack.
+  UThread* next = nullptr;
+  if (worker->handoffs_left > 0) {
+    next = static_cast<UThread*>(worker->sched.Dequeue());
+    if (next == self) {
+      // A racing Unpark queued us here: keep running.
+      self->state.store(UthreadState::kRunning, std::memory_order_relaxed);
+      PreemptDepthDec(worker->preempt_disable);
+      return;
+    }
+    if (next != nullptr && !ExtraOf(next)->on_cpu.load(std::memory_order_acquire)) {
+      worker->handoffs_left--;
+      worker->runtime->SwitchTo(worker, self, next);
+      // skylint:allow(preempt-balance) -- whoever switched us back in re-armed with store(0), see NOTE
+      return;
+    }
+  }
+  // Nothing runnable here, the handoff budget is spent, or `next` is still
+  // leaving another worker's CPU. The scheduler stack waits for it there: a
+  // uthread stack must not, or two parkers could each wait for the other.
+  worker->handoff = next;
+  SwitchToScheduler(worker, self, SwitchAction::kPark);
 }
 
 void Runtime::Unpark(UThread* thread) {
@@ -749,14 +832,14 @@ void Runtime::Unpark(UThread* thread) {
   auto& park = ExtraOf(thread)->park;
   const int old = park.exchange(kParkUnparkPending, std::memory_order_acq_rel);
   if (old == kParkParked) {
-    // Fully parked: we own the wakeup.
+    // Parked: we own the wakeup.
     park.store(kParkRunning, std::memory_order_release);
     thread->state.store(UthreadState::kRunnable, std::memory_order_release);
     PreemptGuard guard;
     rt->Schedule(thread, kEnqueueWakeup);
   }
-  // old == kParkRunning or kParkParking: the parker (or its scheduler
-  // completion) observes kParkUnparkPending and self-requeues.
+  // old == kParkRunning or kParkUnparkPending: the uthread's next Park
+  // consumes the pending token and returns without switching.
 }
 
 void Runtime::Join(UThread* thread) {
@@ -771,7 +854,14 @@ void Runtime::Join(UThread* thread) {
   // migrate us.
   UThread* self = Current();
   {
+    // Guarded: preempted while holding wait_lock_, this uthread would sit in
+    // a runqueue while an ExitCurrent on the same worker blocks the worker's
+    // pthread on the lock.
+    PreemptGuard guard;
     std::lock_guard<std::mutex> lock(rt->wait_lock_);
+    if (join_locked_hook_ != nullptr) {
+      join_locked_hook_();
+    }
     if (thread->state.load(std::memory_order_acquire) == UthreadState::kDone) {
       return;
     }
@@ -786,7 +876,7 @@ void Runtime::Join(UThread* thread) {
 void Runtime::ExitCurrent() {
   RuntimeWorker* worker = tl_worker;
   UThread* self = worker->current;
-  worker->preempt_disable.fetch_add(1, std::memory_order_acq_rel);
+  PreemptDepthInc(worker->preempt_disable);
   {
     // Scoped: this frame is abandoned at the switch below (ExitCurrent never
     // returns), so the vector's buffer must be released before it.
@@ -800,27 +890,25 @@ void Runtime::ExitCurrent() {
       Unpark(j);
     }
   }
-  worker->action = SwitchAction::kExit;
-  TsanSwitchTo(worker->tsan_fiber);
-  // Null save slot: this fiber is leaving for good, destroy its fake stack.
-  AsanStartSwitch(nullptr, worker->asan_stack_bottom, worker->asan_stack_size);
-  skyloft_ctx_switch(&self->sp, worker->sched_sp);
+  SwitchToScheduler(worker, self, SwitchAction::kExit);
   SKYLOFT_CHECK(false) << "resumed an exited uthread";
 }
 
+// skylint:allow(preempt-balance) -- RAII: the destructor makes the matching decrement
 Runtime::PreemptGuard::PreemptGuard() {
   RuntimeWorker* worker = tl_worker;
   if (worker != nullptr && worker->current != nullptr) {
     counter_ = &ExtraOf(worker->current)->preempt_count;
-    counter_->fetch_add(1, std::memory_order_acq_rel);
+    PreemptDepthInc(*counter_);
   }
   // Off-runtime threads never see the preemption signal; the scheduler stack
   // runs with worker->preempt_disable != 0. Neither needs the guard.
 }
 
+// skylint:allow(preempt-balance) -- RAII: matches the constructor's increment
 Runtime::PreemptGuard::~PreemptGuard() {
   if (counter_ != nullptr) {
-    counter_->fetch_sub(1, std::memory_order_acq_rel);
+    PreemptDepthDec(*counter_);
   }
 }
 
@@ -850,11 +938,12 @@ void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* uct
   }
   // Safe-point check (see TextRange above): defer rather than preempt inside
   // libc/ld/libstdc++, where per-pthread state (malloc tcache, stdio locks,
-  // the loader lock) may be mid-update. The next timer period retries.
+  // the loader lock) may be mid-update, or inside the switch primitive
+  // itself (see InContextSwitch). The next timer period retries.
 #if defined(__x86_64__)
   const auto* uc = static_cast<const ucontext_t*>(uctx);
   const auto pc = static_cast<std::uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
-  if (!PreemptSafePc(pc)) {
+  if (!PreemptSafePc(pc) || InContextSwitch(pc)) {
     worker->runtime->preempt_deferrals_->Inc();
     if (worker->runtime->tracer_ != nullptr) {
       worker->runtime->tracer_->RecordEvent(TraceClockNs(), TraceEventType::kDeferred,

@@ -170,6 +170,11 @@ class Runtime {
 
   int workers() const { return options_.workers; }
 
+  // Test hook: Join calls `hook` while it holds the runtime's wait lock
+  // (null, the default, calls nothing). Tests spin there to force a
+  // preemption tick into the critical section.
+  static void SetJoinLockedHookForTest(void (*hook)()) { join_locked_hook_ = hook; }
+
   // The I/O engine core owned by `worker` (null unless RuntimeOptions::
   // io_engine). Servers register SO_REUSEPORT listeners here, one per
   // worker, to shard connections at accept time.
@@ -191,7 +196,12 @@ class Runtime {
   // least-loaded worker. `flags` are SchedPolicy EnqueueFlags.
   SKYLOFT_NO_SWITCH void Schedule(UThread* thread, unsigned flags);
   SKYLOFT_NO_SWITCH UThread* FindWork(RuntimeWorker* worker);
-  SKYLOFT_MAY_SWITCH void SwitchTo(RuntimeWorker* worker, UThread* next);
+  // Switches from `prev` (null: the worker's scheduler stack) into `next`
+  // on `worker`. Every switch into a uthread goes through here — the
+  // scheduler's and Park's direct handoff — so the switch-in bookkeeping
+  // (on_cpu wait, state, run charge, trace spans, preemption re-arm,
+  // sanitizer fiber calls) has one copy.
+  SKYLOFT_MAY_SWITCH void SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next);
   static void UthreadMain(void* arg);
   SKYLOFT_MAY_SWITCH void ExitCurrent();    // terminate the running uthread
   // Signal-timer entry to the scheduler: runs on the interrupted uthread's
@@ -212,7 +222,7 @@ class Runtime {
   std::atomic<std::int64_t> live_uthreads_{0};
   std::atomic<bool> stopping_{false};
 
-  std::mutex wait_lock_;  // protects joiners lists and park/unpark races
+  std::mutex wait_lock_;  // protects joiners lists
 
   std::mutex sleep_lock_;
   std::multimap<std::chrono::steady_clock::time_point, UThread*> sleepers_;
@@ -239,6 +249,8 @@ class Runtime {
   IoEngineStats io_stats_{};
 
   SchedTracer* tracer_ = nullptr;  // from RuntimeOptions; not owned
+
+  static inline void (*join_locked_hook_)() = nullptr;
 };
 
 }  // namespace skyloft

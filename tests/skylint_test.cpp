@@ -10,6 +10,7 @@
 // Files without markers (the *_fixed / *_ok variants) must analyze clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -132,6 +133,15 @@ TEST(SkylintCorpus, Pr2RegressionsPresent) {
                            "regress_signal_malloc"}) {
     EXPECT_TRUE(names.count(std::string(base) + ".cpp")) << base;
     EXPECT_TRUE(names.count(std::string(base) + "_fixed.cpp")) << base;
+  }
+}
+
+// The runtime updates preempt-disable depths through PreemptDepthInc/Dec;
+// R2 must keep seeing an unbalanced pair of them.
+TEST(SkylintCorpus, PreemptDepthHelperPairPresent) {
+  const std::vector<std::string> names = FixtureNames();
+  for (const char* name : {"preempt_depth_helpers.cpp", "preempt_depth_helpers_fixed.cpp"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end()) << name;
   }
 }
 

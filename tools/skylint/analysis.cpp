@@ -8,7 +8,8 @@
 //                        handler.)
 // R2 preempt-balance     Every preempt_disable-style increment must be
 //                        matched on every exit path. (PR 2: preempt-guard
-//                        drift across migration.)
+//                        drift across migration.) PreemptDepthInc/Dec
+//                        calls count like the counters' fetch_add/sub.
 // R3 signal-unsafe-call  Functions transitively reachable from the
 //                        preemption signal handler (SKYLOFT_SIGNAL_SAFE
 //                        roots) must not allocate, lock, or touch stdio.
@@ -882,11 +883,18 @@ void Analyzer::CheckPreemptBalance() {
         if (!blocks.empty()) blocks.back().returned = true;
         continue;
       }
+      if (toks[static_cast<std::size_t>(p)].kind != Tok::kIdent) continue;
+      // The runtime's depth helpers: PreemptDepthInc( / PreemptDepthDec(.
+      const int helper = s == "PreemptDepthInc" ? 1 : s == "PreemptDepthDec" ? -1 : 0;
+      if (helper != 0 && p + 1 < fn.body_end && text(p + 1) == "(") {
+        balance += helper;
+        saw_counter = true;
+        continue;
+      }
       // <preempt_disable/preempt_count counter> (. | ->) fetch_add|fetch_sub (
       // The name filter is deliberately narrow: statistics counters such as
       // `preemptions_` or `preempt_deferrals_` are not disable depths.
-      if (toks[static_cast<std::size_t>(p)].kind == Tok::kIdent &&
-          (s.find("preempt_disable") != std::string::npos ||
+      if ((s.find("preempt_disable") != std::string::npos ||
            s.find("preempt_count") != std::string::npos) &&
           p + 3 < fn.body_end &&
           (text(p + 1) == "." || text(p + 1) == "->") && text(p + 3) == "(") {
