@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <iterator>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -117,6 +116,8 @@ void KvStripedStore::SpinUnlock(std::atomic_flag& flag) {
   flag.clear(std::memory_order_release);
 }
 
+void KvStripedStore::LockIndex() { SpinLock(index_.spin); }
+void KvStripedStore::UnlockIndex() { SpinUnlock(index_.spin); }
 void KvStripedStore::LockStripe(Stripe& s) { SpinLock(s.spin); }
 void KvStripedStore::UnlockStripe(Stripe& s) { SpinUnlock(s.spin); }
 void KvStripedStore::LockLane(LatencyLane& l) { SpinLock(l.spin); }
@@ -127,7 +128,9 @@ KvStripedStore::Stripe& KvStripedStore::StripeOf(const std::string& key) {
 }
 
 void KvStripedStore::Preload(const std::string& key, const std::string& value) {
-  StripeOf(key).store.Set(key, value);
+  if (StripeOf(key).store.Set(key, value)) {
+    index_.keys.insert(key);
+  }
 }
 
 std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane) {
@@ -157,8 +160,13 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
       Stripe& stripe = StripeOf(key);
       Runtime::PreemptGuard guard;
       LockStripe(stripe);
-      stripe.store.Set(key, request.substr(sp2 + 1));
+      const bool added = stripe.store.Set(key, request.substr(sp2 + 1));
       UnlockStripe(stripe);
+      if (added) {  // overwrites leave the index alone
+        LockIndex();
+        index_.keys.insert(key);
+        UnlockIndex();
+      }
       reply = "STORED";
     }
   } else if (op == "SCAN" && sp1 != std::string::npos) {
@@ -182,23 +190,28 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
       if (limit == 0) {
         kind = KvOpKind::kError;
       } else {
-        // One stripe at a time (never nested), so a heavy scan stalls at
-        // most one stripe's GET/SET traffic at a time. Each stripe yields
-        // its own first `limit` keys; merged and cut, they are the store's
-        // first `limit` keys, in one ascending run.
-        std::vector<std::pair<std::string, std::string>> pairs;
-        for (auto& stripe_ptr : stripes_) {
+        // Copy the first `limit` keys out of the index, then read each value
+        // under its stripe's lock, one lock at a time. Skip a vanished key.
+        std::vector<std::string> keys;
+        keys.reserve(limit);
+        {
           Runtime::PreemptGuard guard;
-          LockStripe(*stripe_ptr);
-          auto part = stripe_ptr->store.Scan(start, limit);
-          UnlockStripe(*stripe_ptr);
-          std::move(part.begin(), part.end(), std::back_inserter(pairs));
+          LockIndex();
+          for (auto it = index_.keys.lower_bound(start);
+               it != index_.keys.end() && keys.size() < limit; ++it) {
+            keys.push_back(*it);
+          }
+          UnlockIndex();
         }
-        const auto cut = pairs.begin() + static_cast<std::ptrdiff_t>(std::min(limit, pairs.size()));
-        std::partial_sort(pairs.begin(), cut, pairs.end(),
-                          [](const auto& a, const auto& b) { return a.first < b.first; });
-        for (auto it = pairs.begin(); it != cut; ++it) {
-          reply += it->first + "=" + it->second + ";";
+        for (const std::string& key : keys) {
+          Stripe& stripe = StripeOf(key);
+          Runtime::PreemptGuard guard;
+          LockStripe(stripe);
+          auto value = stripe.store.Get(key);
+          UnlockStripe(stripe);
+          if (value) {
+            reply += key + "=" + *value + ";";
+          }
         }
         if (reply.empty()) {
           reply = "EMPTY";

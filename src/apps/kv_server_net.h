@@ -27,16 +27,17 @@
 // stealing, while their fd's readiness keeps firing on the home engine —
 // exercising the remote-enqueue mailbox path of the lock-free runqueues.
 //
-// The store is striped: a spin-locked (SpinBackoff + PreemptGuard) lock
-// table sized from the worker count replaces the old example's 8 global
-// UthreadMutex shards, and per-op-kind service latencies land in the
-// metrics registry ("kv_server" group) instead of a hand-rolled histogram.
+// The store is a striped hash table plus one ordered key index, each behind
+// SpinBackoff + PreemptGuard spinlocks, replacing the old example's 8 global
+// UthreadMutex shards; per-op-kind service latencies land in the metrics
+// registry ("kv_server" group) instead of a hand-rolled histogram.
 #ifndef SRC_APPS_KV_SERVER_NET_H_
 #define SRC_APPS_KV_SERVER_NET_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,9 @@ enum class KvOpKind { kGet = 0, kSet = 1, kScan = 2, kError = 3 };
 // KvStore sharded across a striped spin-lock table. Stripes are cache-line
 // separated and sized from the worker count (4x workers, rounded up to a
 // power of two, min 8) so the GET fast path of co-scheduled workers rarely
-// collides — the contention hot spot the old fixed-8-shard example hid.
+// collides — the contention hot spot the old fixed-8-shard example hid. One
+// ordered index of every key serves SCAN; only a SET that adds a key writes
+// it, and its lock is never held together with a stripe or lane lock.
 // Critical sections are short and preemption-guarded, so a SpinBackoff
 // spinlock beats a parking mutex here.
 class KvStripedStore {
@@ -89,6 +92,11 @@ class KvStripedStore {
     std::atomic_flag spin = ATOMIC_FLAG_INIT;
     KvStore store;
   };
+  // Every key in the store, in order, on its own cache line.
+  struct alignas(kCacheLineSize) KeyIndex {
+    std::atomic_flag spin = ATOMIC_FLAG_INIT;
+    std::set<std::string> keys;
+  };
   // Latency recording lane: a short spinlock per lane keeps LatencyHistogram
   // (not internally thread-safe) consistent without a global bottleneck.
   struct alignas(kCacheLineSize) LatencyLane {
@@ -100,9 +108,10 @@ class KvStripedStore {
   SKYLOFT_NO_SWITCH static void SpinLock(std::atomic_flag& flag);
   SKYLOFT_NO_SWITCH static void SpinUnlock(std::atomic_flag& flag);
 
-  // Annotated wrappers over the raw flag spin: stripe and lane locks are
-  // distinct lock classes, so skylint's order graph can tell nesting of a
-  // data stripe inside a latency lane apart from stripe-vs-stripe.
+  // Annotated wrappers over the raw flag spin, one lock class each, so
+  // skylint's order graph shows any nesting of index, stripe and lane.
+  SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(kv_index) void LockIndex();
+  SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(kv_index) void UnlockIndex();
   SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(kv_stripe) static void LockStripe(Stripe& s);
   SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(kv_stripe) static void UnlockStripe(Stripe& s);
   SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(kv_lane) static void LockLane(LatencyLane& l);
@@ -110,6 +119,7 @@ class KvStripedStore {
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::vector<std::unique_ptr<LatencyLane>> lanes_;
+  KeyIndex index_;
   LatencyHistogram merged_[4];
 };
 

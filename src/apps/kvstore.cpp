@@ -87,7 +87,6 @@ bool KvStore::Set(const std::string& key, const std::string& value) {
   slot.key = key;
   slot.value = value;
   size_++;
-  ordered_keys_[key] = true;
   return true;
 }
 
@@ -112,21 +111,7 @@ bool KvStore::Delete(const std::string& key) {
   slot.value.clear();
   size_--;
   tombstones_++;
-  ordered_keys_.erase(key);
   return true;
-}
-
-std::vector<std::pair<std::string, std::string>> KvStore::Scan(const std::string& start,
-                                                               std::size_t limit) const {
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(limit);
-  for (auto it = ordered_keys_.lower_bound(start); it != ordered_keys_.end() && out.size() < limit;
-       ++it) {
-    auto value = Get(it->first);
-    SKYLOFT_DCHECK(value.has_value());
-    out.emplace_back(it->first, *value);
-  }
-  return out;
 }
 
 }  // namespace skyloft

@@ -1,15 +1,14 @@
-// A real in-memory key-value store with GET/SET/SCAN, in the spirit of the
+// A real in-memory key-value store with GET/SET/DELETE, in the spirit of the
 // Memcached / RocksDB servers of §5.3. Used by the host-runtime examples
 // (actual hash lookups on actual threads) and by the application tests.
 //
-// Open addressing with linear probing and an ordered index for SCAN. Not
-// thread-safe by itself; callers serialize through the runtime's mutex (as
-// the example server does) or shard per core.
+// Open addressing with linear probing; SCAN's ordered index lives in
+// KvStripedStore. Not thread-safe by itself; callers serialize through the
+// runtime's mutex (as the example server does) or shard per core.
 #ifndef SRC_APPS_KVSTORE_H_
 #define SRC_APPS_KVSTORE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,10 +25,6 @@ class KvStore {
   std::optional<std::string> Get(const std::string& key) const;
 
   bool Delete(const std::string& key);
-
-  // Ordered range scan: up to `limit` (key, value) pairs with key >= start.
-  std::vector<std::pair<std::string, std::string>> Scan(const std::string& start,
-                                                        std::size_t limit) const;
 
   std::size_t Size() const { return size_; }
 
@@ -50,9 +45,6 @@ class KvStore {
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   std::size_t tombstones_ = 0;
-  // Ordered view for SCAN (RocksDB-style range queries); values live in the
-  // hash table, the index maps key -> slot generation-checked lookup.
-  std::map<std::string, bool> ordered_keys_;
 };
 
 }  // namespace skyloft

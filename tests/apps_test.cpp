@@ -56,26 +56,35 @@ TEST(KvStoreTest, TombstoneReuse) {
   EXPECT_EQ(kv.Get("final"), "x");
 }
 
-TEST(KvStoreTest, ScanIsOrderedAndBounded) {
-  KvStore kv;
-  kv.Set("b", "2");
-  kv.Set("a", "1");
-  kv.Set("d", "4");
-  kv.Set("c", "3");
-  const auto result = kv.Scan("b", 2);
-  ASSERT_EQ(result.size(), 2u);
-  EXPECT_EQ(result[0].first, "b");
-  EXPECT_EQ(result[1].first, "c");
+// ---- KvStripedStore ----
+
+TEST(KvStripedStoreTest, ScanIsOrderedAndBounded) {
+  KvStripedStore store(/*workers=*/1);
+  store.Preload("b", "2");
+  store.Preload("a", "1");
+  store.Preload("d", "4");
+  store.Preload("c", "3");
+  EXPECT_EQ(store.Serve("SCAN b 2", 0), "b=2;c=3;");
+  EXPECT_EQ(store.Serve("SCAN bb 10", 0), "c=3;d=4;");
 }
 
-TEST(KvStoreTest, ScanSkipsDeleted) {
-  KvStore kv;
-  kv.Set("a", "1");
-  kv.Set("b", "2");
-  kv.Delete("a");
-  const auto result = kv.Scan("", 10);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].first, "b");
+TEST(KvStripedStoreTest, NewKeyShowsInNextScan) {
+  KvStripedStore store(/*workers=*/1);
+  store.Preload("a", "1");
+  store.Preload("c", "3");
+  EXPECT_EQ(store.Serve("SET b 2", 0), "STORED");
+  EXPECT_EQ(store.Serve("SCAN a 10", 0), "a=1;b=2;c=3;");
+  // An overwrite changes the value a SCAN reads, not the keys it lists.
+  EXPECT_EQ(store.Serve("SET b 22", 0), "STORED");
+  EXPECT_EQ(store.Serve("SCAN a 10", 0), "a=1;b=22;c=3;");
+}
+
+TEST(KvStripedStoreTest, ScanPastLastKeyRepliesEmpty) {
+  KvStripedStore store(/*workers=*/1);
+  store.Preload("a", "1");
+  store.Preload("b", "2");
+  EXPECT_EQ(store.Serve("SCAN c 8", 0), "EMPTY");
+  EXPECT_EQ(store.Serve("SCAN b 8", 0), "b=2;");
 }
 
 TEST(KvStripedStoreTest, ScanLimitIsGlobalAndAscending) {

@@ -6,6 +6,7 @@
 //   - a peer reset counted once in peer_resets
 //   - a UDP GET round trip
 //   - a malformed datagram counted in frame_errors and dropped
+//   - SETs of new keys racing SCANs on the store's ordered key index
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -14,9 +15,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -207,6 +210,90 @@ TEST(KvServerNetTest, MalformedDatagramIsCountedAndDropped) {
         EXPECT_EQ(server.frame_errors(), 1u);
         EXPECT_EQ(server.udp_requests(), 1u);
       });
+}
+
+// Splits a SCAN reply "k1=v1;k2=v2;" into (key, value) pairs; false if the
+// reply is not of that shape.
+bool ParseScan(const std::string& reply, std::vector<std::pair<std::string, std::string>>* pairs) {
+  pairs->clear();
+  std::size_t pos = 0;
+  while (pos < reply.size()) {
+    const std::size_t eq = reply.find('=', pos);
+    const std::size_t semi = reply.find(';', pos);
+    if (eq == std::string::npos || semi == std::string::npos || eq > semi) {
+      return false;
+    }
+    pairs->emplace_back(reply.substr(pos, eq - pos), reply.substr(eq + 1, semi - eq - 1));
+    pos = semi + 1;
+  }
+  return true;
+}
+
+TEST(KvStripedStoreRaceTest, NewKeySetsRacingScansStayOrdered) {
+  constexpr int kNewKeys = 1000;
+  constexpr int kWriters = 2;
+  constexpr int kScanners = 2;
+  constexpr std::size_t kLimit = 16;
+  auto new_key = [](int i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "new%05d", i);
+    return std::string(key);
+  };
+  Runtime rt(RuntimeOptions{.workers = 2});
+  KvStripedStore store(rt.workers());
+  for (int i = 0; i < 100; i++) {
+    const std::string key = "user" + std::to_string(i);
+    store.Preload(key, "val-" + key);
+  }
+  std::atomic<int> writers_left{kWriters};
+  rt.Run([&] {
+    std::vector<UThread*> children;
+    for (int w = 0; w < kWriters; w++) {
+      children.push_back(Runtime::Spawn([&, w] {
+        for (int i = w; i < kNewKeys; i += kWriters) {
+          const std::string key = new_key(i);
+          EXPECT_EQ(store.Serve("SET " + key + " val-" + key, static_cast<std::uint64_t>(w)),
+                    "STORED");
+          Runtime::Yield();
+        }
+        writers_left.fetch_sub(1);
+      }));
+    }
+    for (int s = 0; s < kScanners; s++) {
+      children.push_back(Runtime::Spawn([&, s] {
+        std::vector<std::pair<std::string, std::string>> pairs;
+        for (int round = 0; writers_left.load() > 0 || round < 100; round++) {
+          // Alternate the bare prefix with starts that walk the new keys.
+          // The 100 preloaded "user" keys sort after every new key, so each
+          // reply holds exactly kLimit pairs.
+          const std::string start = round % 2 == 0 ? "new" : new_key((round * 37) % kNewKeys);
+          const std::string reply =
+              store.Serve("SCAN " + start + " " + std::to_string(kLimit),
+                          static_cast<std::uint64_t>(kWriters + s));
+          bool ok = ParseScan(reply, &pairs) && pairs.size() == kLimit;
+          for (std::size_t i = 0; ok && i < pairs.size(); i++) {
+            ok = pairs[i].first >= start && pairs[i].second == "val-" + pairs[i].first &&
+                 (i == 0 || pairs[i - 1].first < pairs[i].first);
+          }
+          if (!ok) {
+            ADD_FAILURE() << "SCAN " << start << " returned \"" << reply << "\"";
+          }
+          Runtime::Yield();
+        }
+      }));
+    }
+    for (UThread* c : children) {
+      Runtime::Join(c);
+    }
+  });
+  // Every SET was acknowledged, so one SCAN lists every new key, then the
+  // preloaded ones.
+  std::vector<std::pair<std::string, std::string>> pairs;
+  ASSERT_TRUE(ParseScan(store.Serve("SCAN new 4096", 0), &pairs));
+  ASSERT_EQ(pairs.size(), static_cast<std::size_t>(kNewKeys + 100));
+  for (int i = 0; i < kNewKeys; i++) {
+    EXPECT_EQ(pairs[static_cast<std::size_t>(i)].first, new_key(i));
+  }
 }
 
 }  // namespace

@@ -168,28 +168,28 @@ TEST(RuntimeTest, MultiWorkerSpawnStorm) {
 TEST(RuntimeTest, WorkStealingSpreadsLoad) {
   Runtime rt(RuntimeOptions{.workers = 4});
   std::atomic<int> count{0};
-  int expected = 0;
-  // On a single-CPU host the sibling worker pthreads only run when the
-  // kernel timeslices them in; repeat batches until a steal is observed.
-  for (int round = 0; round < 50 && rt.steals() == 0; round++) {
-    expected += 200;
-    rt.Run([&] {
-      std::vector<UThread*> children;
-      for (int i = 0; i < 200; i++) {
-        children.push_back(Runtime::Spawn([&] {
-          // Enough yields that idle workers get a chance to steal.
-          for (int j = 0; j < 50; j++) {
-            Runtime::Yield();
+  std::atomic<bool> spinner_taken{false};
+  rt.Run([&] {
+    std::vector<UThread*> children;
+    for (int i = 0; i < 200; i++) {
+      children.push_back(Runtime::Spawn([&] {
+        // The first child to run holds its worker without yielding until a
+        // steal lands, so the children queued behind it on that worker can
+        // only run on a thief. The deadline turns a missing steal into a
+        // failed assertion instead of a hang.
+        if (!spinner_taken.exchange(true)) {
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (rt.steals() == 0 && std::chrono::steady_clock::now() < deadline) {
           }
-          count.fetch_add(1);
-        }));
-      }
-      for (UThread* c : children) {
-        Runtime::Join(c);
-      }
-    });
-  }
-  EXPECT_EQ(count.load(), expected);
+        }
+        count.fetch_add(1);
+      }));
+    }
+    for (UThread* c : children) {
+      Runtime::Join(c);
+    }
+  });
+  EXPECT_EQ(count.load(), 200);
   EXPECT_GT(rt.steals(), 0u) << "idle workers should have stolen work";
 }
 
