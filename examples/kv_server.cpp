@@ -1,13 +1,12 @@
 // A real networked KV server on the Skyloft host runtime.
 //
-// The serving path lives in src/apps/kv_server_net: per-worker I/O engine
-// cores (epoll, plus io_uring completions with SKYLOFT_IO_URING), SO_REUSEPORT
-// listener sharding, one handler uthread per TCP connection, frame-codec
-// requests answered with one send per pipelined batch. This main just
-// stands the server up on loopback, drives it with a few closed-loop client
-// threads over real TCP sockets (plus a UDP spot check), and dumps the metrics
-// registry — per-op-kind service latencies, preemption/steal counters —
-// as JSON. For the measured sweep, see bench/bench_kv_server.
+// The serving path lives in src/apps/kv_server_net: per-worker epoll engine
+// cores, SO_REUSEPORT listener sharding, one handler uthread per TCP
+// connection, frame-codec requests answered with one send per pipelined
+// batch. This main just stands the server up on loopback, drives it with a
+// few closed-loop client threads over real TCP sockets (plus a UDP spot
+// check), and dumps the metrics registry — per-op-kind service latencies,
+// preemption/steal counters — as JSON. For the measured sweep, see bench/bench_kv_server.
 //
 //   ./build/examples/kv_server [workers] [clients] [requests_per_client]
 #include <arpa/inet.h>

@@ -423,8 +423,8 @@ void KvServerNet::AcceptLoop(Listener* listener) {
 }
 
 // One connection: every wakeup pops all received bytes into the decoder,
-// serves every complete frame, and queues the batch's replies as one send —
-// one sendmsg on epoll, one async send on io_uring.
+// serves every complete frame, and queues the batch's replies as one send
+// (one sendmsg).
 void KvServerNet::ConnLoop(IoHandle* conn) {
   IoEngine* engine = conn->engine;
   const std::uint64_t lane = Runtime::Current()->id;
@@ -445,9 +445,6 @@ void KvServerNet::ConnLoop(IoHandle* conn) {
     IoRecvSlice slice;
     while (engine->PopRecv(conn, &slice)) {
       decoder.Feed(slice.data, slice.len);
-      // The frame bytes were copied into the decoder, so the buffer can go
-      // back to the HOME engine before we serve.
-      engine->RecycleBuffer(slice.buf_id);
     }
     std::string out;
     std::string payload;
@@ -537,7 +534,6 @@ void KvServerNet::UdpLoop(Listener* listener) {
       } else {
         frame_errors_->Inc();  // stray/truncated datagram: drop, never assert
       }
-      engine->RecycleBuffer(dgram.buf_id);
     }
     if (handled == kUdpBatch) {
       IoEngine::RelatchReadable(listener->udp);

@@ -16,12 +16,9 @@
 //   - a UDP uthread per worker serving one frame per datagram.
 //
 // There is one loop per socket kind. Every loop speaks the engine's
-// completion-shaped API (TakeAccepted, PopRecv/RecycleBuffer, SendEnqueue,
-// PopDatagram/SendDatagram), and the engine decides how to serve it: an
-// io_uring engine with multishot ops and provided buffers (~0 syscalls per
-// request in steady state), or an epoll engine making the syscalls a
-// readiness loop would, in the caller's context. The server never learns
-// which one is armed.
+// completion-shaped API (TakeAccepted, PopRecv, SendEnqueue,
+// PopDatagram/SendDatagram), and the engine makes the syscalls a readiness
+// loop would, in the caller's context.
 //
 // Handler uthreads are ordinary runtime uthreads: they migrate via work
 // stealing, while their fd's readiness keeps firing on the home engine —

@@ -5,10 +5,10 @@
 // concurrently. HostSched owns two interchangeable drivers behind one
 // per-worker operation surface:
 //
-//   - the shard-mutex driver: one-or-more locked shards, each owning a policy
-//     instance covering a contiguous worker range. Every policy call happens
-//     under the owning shard's mutex. This is the general path — any Table 2
-//     policy (CFS, EEVDF, RR, ...) runs here unchanged.
+//   - the shard-mutex driver: one locked shard owning a policy instance that
+//     covers every worker. Every policy call happens under the shard's
+//     mutex. This is the general path — any Table 2 policy (CFS, EEVDF, RR,
+//     ...) runs here unchanged.
 //   - the lock-free driver: a two-level runqueue per worker — an intrusive
 //     MPSC mailbox absorbing all submissions plus a Chase-Lev deque the owner
 //     drains it into — with steal-half batching when a worker runs dry
@@ -54,13 +54,9 @@ struct HostSchedOptions {
   // Slice/quantum override in microseconds; 0 keeps the policy default
   // (12.5 us RR slice, 5 us work-stealing quantum).
   std::int64_t time_slice_us = 0;
-  // Number of policy shards (shard-mutex driver only). Workers are split
-  // into contiguous ranges, one policy instance per range; balancing
-  // (stealing) stays within a shard.
-  int shards = 1;
   // Non-owning: schedule with this policy instance instead of constructing
-  // one from `policy`. Forces a single shard. The caller keeps the object
-  // alive for the lifetime of the Runtime.
+  // one from `policy`. The caller keeps the object alive for the lifetime of
+  // the Runtime.
   SchedPolicy* custom_policy = nullptr;
   // Pin the shard-mutex driver even when the policy supports the lock-free
   // one (benchmark baselines, driver-parity tests).
@@ -77,10 +73,9 @@ class HostSched {
   // depend on (lock-free driver); either way it must never reach a switch
   // primitive — hence the blanket SKYLOFT_NO_SWITCH.
 
-  // task_enqueue. `worker_hint` is a global worker index (or -1): a valid
-  // hint routes to that worker's runqueue/shard, no hint lets the driver
-  // place the task (lock-free: idle-first placement; shard-mutex:
-  // round-robin across shards with the policy placing within).
+  // task_enqueue. `worker_hint` is a worker index (or -1): a valid hint
+  // routes to that worker's runqueue, no hint lets the driver place the task
+  // (lock-free: idle-first placement; shard-mutex: the policy places it).
   SKYLOFT_NO_SWITCH void Enqueue(SchedItem* item, unsigned flags, int worker_hint);
 
   // task_init + task_enqueue fused: a new item is initialized by the same
@@ -134,8 +129,6 @@ class HostSched {
   struct Shard;     // shard-mutex driver state (one policy + mutex)
   struct LfWorker;  // lock-free driver state (mailbox + deque + rng)
 
-  Shard* ShardOf(int worker) const;
-
   // Lock-free driver internals (see host_sched.cpp).
   SKYLOFT_NO_SWITCH void LfEnqueue(SchedItem* item, int target);
   SKYLOFT_NO_SWITCH SchedItem* LfDequeue(int worker);
@@ -152,8 +145,7 @@ class HostSched {
   bool lock_free_ = false;
 
   // ---- shard-mutex driver ----
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<int> shard_of_;  // worker -> shard index
+  std::unique_ptr<Shard> shard_;
 
   // ---- lock-free driver ----
   std::vector<std::unique_ptr<LfWorker>> lf_;
@@ -178,7 +170,6 @@ class HostSched {
   ShardedCounter* steal_attempts_ = nullptr;   // Steal() calls (any outcome)
   ShardedCounter* steal_successes_ = nullptr;  // Steal() calls that won an item
   ShardedCounter* cas_retries_ = nullptr;      // mailbox-push CAS retries
-  mutable std::atomic<unsigned> rr_shard_{0};
 };
 
 // Per-worker view of HostSched: what the runtime's WorkerLoop holds.

@@ -131,6 +131,23 @@ bool PreemptSafePc(std::uintptr_t pc) {
   return false;
 }
 
+// Switch-out entry points (Runtime::Current, Yield, Park, ExitCurrent and
+// PreemptGuard's constructor) load tl_worker and then act on that worker:
+// read its current uthread, or raise a preempt depth. A tick landing
+// between the two steps could migrate the uthread, leaving it acting on the
+// old worker, or on whatever uthread that worker runs now. They live in one
+// text section, bounded by the linker's __start_/__stop_ symbols, and the
+// handler defers on any PC inside it, as it does inside the switch
+// primitive. noinline keeps their bodies out of callers' text.
+#define SKYLOFT_SWITCH_ENTRY __attribute__((noinline, section("skyloft_switch_entry")))
+extern "C" const char __start_skyloft_switch_entry[] __attribute__((visibility("hidden")));
+extern "C" const char __stop_skyloft_switch_entry[] __attribute__((visibility("hidden")));
+
+bool InSwitchEntry(std::uintptr_t pc) {
+  return pc >= reinterpret_cast<std::uintptr_t>(__start_skyloft_switch_entry) &&
+         pc < reinterpret_cast<std::uintptr_t>(__stop_skyloft_switch_entry);
+}
+
 void TsanSwitchTo(void* fiber) {
 #ifdef SKYLOFT_TSAN
   __tsan_switch_to_fiber(fiber, 0);
@@ -257,7 +274,8 @@ constexpr int kParkParked = 2;
 // load+store updates them: no other CPU races the write, and the handler
 // either runs before it or after it. The signal fences keep the compiler
 // from moving the guarded section across the update.
-SKYLOFT_SIGNAL_SAFE void PreemptDepthInc(std::atomic<int>& depth) {
+// Always inlined, so the increment sits inside a switch entry's own text.
+SKYLOFT_SIGNAL_SAFE [[gnu::always_inline]] inline void PreemptDepthInc(std::atomic<int>& depth) {
   depth.store(depth.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   std::atomic_signal_fence(std::memory_order_seq_cst);
 }
@@ -330,21 +348,14 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
     io_stats_.wakeups = io_metrics_.AddSharded("wakeups", options_.workers);
     io_stats_.registered = io_metrics_.AddSharded("registered", options_.workers);
     io_stats_.retired = io_metrics_.AddSharded("retired", options_.workers);
-    io_stats_.uring_fallbacks = io_metrics_.AddSharded("uring_fallbacks", options_.workers);
     // Data-path syscall accounting (the bench's syscalls/request family):
-    // engines count every io_uring_enter and every read/write/accept their
-    // completion-shaped API makes.
-    io_stats_.sys_enter = io_metrics_.AddSharded("sys_enter", options_.workers);
+    // engines count every read/write/accept their completion-shaped API
+    // makes.
     io_stats_.sys_read = io_metrics_.AddSharded("sys_read", options_.workers);
     io_stats_.sys_write = io_metrics_.AddSharded("sys_write", options_.workers);
     io_stats_.sys_accept = io_metrics_.AddSharded("sys_accept", options_.workers);
-    // Completion data-path traffic.
-    io_stats_.recv_segments = io_metrics_.AddSharded("recv_segments", options_.workers);
-    io_stats_.send_ops = io_metrics_.AddSharded("send_ops", options_.workers);
-    io_stats_.completion_accepts = io_metrics_.AddSharded("completion_accepts", options_.workers);
-    io_stats_.buf_exhaustions = io_metrics_.AddSharded("buf_exhaustions", options_.workers);
     for (int i = 0; i < options_.workers; i++) {
-      engines_.push_back(std::make_unique<IoEngine>(i, options_.io, io_stats_));
+      engines_.push_back(std::make_unique<IoEngine>(i, io_stats_));
     }
   }
 }
@@ -353,14 +364,8 @@ std::uint64_t Runtime::io_data_syscalls() const {
   if (engines_.empty()) {
     return 0;
   }
-  std::uint64_t total = 0;
-  for (const ShardedCounter* c : {io_stats_.sys_enter, io_stats_.sys_read, io_stats_.sys_write,
-                                  io_stats_.sys_accept}) {
-    if (c != nullptr) {
-      total += c->Value();
-    }
-  }
-  return total;
+  return io_stats_.sys_read->Value() + io_stats_.sys_write->Value() +
+         io_stats_.sys_accept->Value();
 }
 
 Runtime::~Runtime() {
@@ -581,12 +586,6 @@ void Runtime::WorkerLoop(int index) {
       next = FindWork(worker);
     }
     if (next == nullptr) {
-      // Out of runnable work: push any deferred io_uring submissions before
-      // the OS yield (which can cost a whole timeslice on a loaded box) so
-      // the kernel processes them while this worker is off-CPU.
-      if (engine != nullptr) {
-        engine->FlushSubmissions();
-      }
       worker->sched.SetIdle(true);
       std::this_thread::yield();
       continue;
@@ -710,7 +709,7 @@ void Runtime::UthreadMain(void* arg) {
   SKYLOFT_CHECK(false) << "resumed an exited uthread";
 }
 
-UThread* Runtime::Current() {
+SKYLOFT_SWITCH_ENTRY UThread* Runtime::Current() {
   SKYLOFT_CHECK(tl_worker != nullptr && tl_worker->current != nullptr)
       << "not inside a user thread";
   return tl_worker->current;
@@ -761,7 +760,7 @@ void Runtime::Schedule(UThread* thread, unsigned flags) {
 // compiler may have cached the old pthread's TLS slot address from before
 // the switch.)
 // skylint:allow(preempt-balance) -- switch-out protocol: SwitchTo re-arms with store(0), see NOTE
-void Runtime::Yield() {
+SKYLOFT_SWITCH_ENTRY void Runtime::Yield() {
   RuntimeWorker* worker = tl_worker;
   SKYLOFT_CHECK(worker != nullptr && worker->current != nullptr);
   PreemptDepthInc(worker->preempt_disable);
@@ -783,7 +782,7 @@ void Runtime::PreemptTick() {
 // worker has another runnable uthread — switches straight to it instead of
 // going through the scheduler stack (DESIGN.md, "Switch protocol").
 // skylint:allow(preempt-balance) -- the switching paths' +1 is re-armed by SwitchTo's store(0), see NOTE
-void Runtime::Park() {
+SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
   RuntimeWorker* worker = tl_worker;
   SKYLOFT_CHECK(worker != nullptr && worker->current != nullptr);
   PreemptDepthInc(worker->preempt_disable);
@@ -873,7 +872,7 @@ void Runtime::Join(UThread* thread) {
 }
 
 // skylint:allow(preempt-balance) -- the uthread never returns; SwitchTo re-arms with store(0)
-void Runtime::ExitCurrent() {
+SKYLOFT_SWITCH_ENTRY void Runtime::ExitCurrent() {
   RuntimeWorker* worker = tl_worker;
   UThread* self = worker->current;
   PreemptDepthInc(worker->preempt_disable);
@@ -895,7 +894,7 @@ void Runtime::ExitCurrent() {
 }
 
 // skylint:allow(preempt-balance) -- RAII: the destructor makes the matching decrement
-Runtime::PreemptGuard::PreemptGuard() {
+SKYLOFT_SWITCH_ENTRY Runtime::PreemptGuard::PreemptGuard() {
   RuntimeWorker* worker = tl_worker;
   if (worker != nullptr && worker->current != nullptr) {
     counter_ = &ExtraOf(worker->current)->preempt_count;
@@ -910,6 +909,10 @@ Runtime::PreemptGuard::~PreemptGuard() {
   if (counter_ != nullptr) {
     PreemptDepthDec(*counter_);
   }
+}
+
+bool Runtime::DefersPreemptionAt(std::uintptr_t pc) {
+  return !PreemptSafePc(pc) || InContextSwitch(pc) || InSwitchEntry(pc);
 }
 
 void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* uctx) {
@@ -938,12 +941,13 @@ void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* uct
   }
   // Safe-point check (see TextRange above): defer rather than preempt inside
   // libc/ld/libstdc++, where per-pthread state (malloc tcache, stdio locks,
-  // the loader lock) may be mid-update, or inside the switch primitive
-  // itself (see InContextSwitch). The next timer period retries.
+  // the loader lock) may be mid-update, inside the switch primitive itself
+  // (see InContextSwitch), or inside a switch-out entry point (see
+  // InSwitchEntry). The next timer period retries.
 #if defined(__x86_64__)
   const auto* uc = static_cast<const ucontext_t*>(uctx);
   const auto pc = static_cast<std::uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
-  if (!PreemptSafePc(pc) || InContextSwitch(pc)) {
+  if (DefersPreemptionAt(pc)) {
     worker->runtime->preempt_deferrals_->Inc();
     if (worker->runtime->tracer_ != nullptr) {
       worker->runtime->tracer_->RecordEvent(TraceClockNs(), TraceEventType::kDeferred,

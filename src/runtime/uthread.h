@@ -74,12 +74,11 @@ struct RuntimeOptions {
   std::int64_t preempt_period_us = 0;
   // Policy selection for the host scheduler (defaults to work stealing).
   HostSchedOptions sched{};
-  // Per-worker I/O engine cores (epoll/io_uring readiness feeding
+  // Per-worker I/O engine cores (epoll readiness feeding
   // WaitForReadable/Writable park-unpark wakeups; DESIGN.md section 10).
   // Off by default so non-network workloads pay nothing — the worker loop
   // only polls when an engine exists.
   bool io_engine = false;
-  IoEngineOptions io{};
   // Optional scheduling-event tracer (not owned; must outlive the Runtime).
   // Records assignments, occupancy spans, preemptions, and — from inside the
   // signal handler — preemption-signal delivery/deferral instants.
@@ -159,6 +158,12 @@ class Runtime {
   // executable's text (e.g. inside malloc) and were deferred to the next
   // period instead of preempting — the async-preemption safe-point check.
   std::uint64_t preempt_deferrals() const { return preempt_deferrals_->Value(); }
+  // The handler's safe-point test: true when a tick interrupting `pc` must
+  // be deferred — outside the executable's own text, inside the switch
+  // primitive, or inside a switch-out entry point that reads tl_worker and
+  // then acts on it (Current, Yield, Park, ExitCurrent, PreemptGuard's
+  // constructor).
+  SKYLOFT_SIGNAL_SAFE static bool DefersPreemptionAt(std::uintptr_t pc);
   std::uint64_t steals() const { return sched_->steals(); }
   // Off-runtime submissions (external Unpark, Run()'s main thread) placed
   // via idle-first/least-loaded selection.
@@ -183,9 +188,8 @@ class Runtime {
   }
 
   // Data-path syscall totals across all engines, and the numerator of the
-  // bench's syscalls/request column: io_uring_enter + read + write + accept,
-  // as counted by the engines themselves. Zero when the runtime has no I/O
-  // engines.
+  // bench's syscalls/request column: read + write + accept, as counted by
+  // the engines themselves. Zero when the runtime has no I/O engines.
   std::uint64_t io_data_syscalls() const;
 
  private:

@@ -8,13 +8,12 @@
 //   - Interrupt() waking a parked waiter for shutdown
 //   - Deregister with write interest still outstanding, then a late POLLOUT
 //   - every readiness edge reaching Poll, including past a full epoll batch
-//     (on io_uring builds the epoll set is polled behind the ring's multishot
-//     POLL_ADD, which only fires on new wakeups)
 //   - readiness and completion handles served side by side on one engine
 //   - a readiness handle deregistered from a worker other than its home
 //     engine's while a reader is parked on the same engine
-//   - the completion-shaped data path, on whichever backend the engine armed
-//     (io_uring completions, or epoll syscalls made by the engine)
+//   - the completion-shaped data path (syscalls made by the engine in the
+//     caller's context, sends continued on EPOLLOUT) and its syscall
+//     accounting
 // Runs under TSan/ASan in CI; every cross-thread handoff here is a real
 // data-race candidate.
 #include <arpa/inet.h>
@@ -475,11 +474,9 @@ TEST(IoEngineTest, EveryReadinessEdgeReachesPoll) {
   // A standalone engine (no runtime; Poll runs on this thread) with more
   // ready pipes than one Poll drains: the events left behind by a full batch
   // raise no new wakeup, so the engine itself must come back for them. Then
-  // a second edge on an already-drained pipe must surface too — on io_uring
-  // builds that is the multishot POLL_ADD on the epoll fd firing again.
+  // a second edge on an already-drained pipe must surface too.
   constexpr int kPipes = 300;  // > the engine's 256-event batch
-  IoEngine engine(0, IoEngineOptions{}, IoEngineStats{});
-  EXPECT_EQ(engine.completion(), engine.using_io_uring());
+  IoEngine engine(0, IoEngineStats{});
   std::vector<int> write_ends;
   std::vector<IoHandle*> handles;
   for (int i = 0; i < kPipes; i++) {
@@ -491,7 +488,6 @@ TEST(IoEngineTest, EveryReadinessEdgeReachesPoll) {
     handles.push_back(handle);
     write_ends.push_back(pipefd[1]);
   }
-  engine.FlushSubmissions();
   for (const int fd : write_ends) {
     ASSERT_EQ(write(fd, "a", 1), 1);
   }
@@ -553,7 +549,6 @@ TEST(IoEngineTest, DeregisterFromForeignWorkerWhileReaderParked) {
     IoHandle* write_ends[kEngines];
     for (int e = 0; e < kEngines; e++) {
       IoEngine* engine = rt.io_engine(e);
-      EXPECT_EQ(engine->completion(), engine->using_io_uring());
       read_ends[e] = engine->Register(pipes[e][0]);
       write_ends[e] = engine->Register(pipes[e][1]);
       ASSERT_NE(read_ends[e], nullptr);
@@ -591,11 +586,9 @@ TEST(IoEngineTest, DeregisterFromForeignWorkerWhileReaderParked) {
 }
 
 // ---------------------------------------------------------------------------
-// Completion-shaped data path (PopRecv/RecycleBuffer, TakeAccepted,
-// SendEnqueue, PopDatagram/SendDatagram). Every test runs on whichever
-// backend the engine armed: multishot RECV/ACCEPT, provided buffer rings and
-// async sends on an io_uring engine; caller-context syscalls and the EPOLLOUT
-// send continuation on epoll.
+// Completion-shaped data path (PopRecv, TakeAccepted, SendEnqueue,
+// PopDatagram/SendDatagram): caller-context syscalls and the EPOLLOUT send
+// continuation.
 // ---------------------------------------------------------------------------
 
 // Reads a runtime io counter by unqualified name from the global registry
@@ -611,7 +604,8 @@ std::int64_t IoCounterValue(const char* name) {
   return -1;
 }
 
-// Pops and recycles every queued segment, appending payload bytes to `sink`.
+// Pops every received segment until the read that hits EAGAIN, appending
+// payload bytes to `sink`.
 std::size_t DrainRecvInto(IoEngine* engine, IoHandle* handle, std::string* sink) {
   std::size_t total = 0;
   IoRecvSlice slice;
@@ -620,7 +614,6 @@ std::size_t DrainRecvInto(IoEngine* engine, IoHandle* handle, std::string* sink)
       sink->append(slice.data, slice.len);
     }
     total += slice.len;
-    engine->RecycleBuffer(slice.buf_id);
   }
   return total;
 }
@@ -635,11 +628,9 @@ std::string PatternBytes(std::size_t n, unsigned seed) {
 }
 
 TEST(IoEngineTest, ReadinessPipeAndCompletionStreamShareEngine) {
-  // A readiness pipe and a kStream socket on one engine. On an io_uring
-  // engine the pipe is served by the epoll set behind the ring's POLL_ADD
-  // and the socket by multishot RECV + async send, both out of one Poll; on
-  // epoll both live in the epoll set, the socket behind the engine's own
-  // read/sendmsg. Either way both must be served through one API.
+  // A readiness pipe and a kStream socket on one engine: both live in the
+  // epoll set, the socket behind the engine's own read/sendmsg, and both
+  // must be served out of one Poll.
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
   int pipefd[2];
   ASSERT_EQ(pipe(pipefd), 0);
@@ -664,7 +655,6 @@ TEST(IoEngineTest, ReadinessPipeAndCompletionStreamShareEngine) {
   std::atomic<int> done{0};
   rt.Run([&] {
     IoEngine* engine = rt.io_engine(0);
-    EXPECT_EQ(engine->completion(), engine->using_io_uring());
     IoHandle* pipe_handle = engine->Register(pipefd[0]);
     IoHandle* stream = engine->Register(pair.server, IoRegisterMode::kStream);
     ASSERT_NE(pipe_handle, nullptr);
@@ -745,7 +735,7 @@ TEST(IoEngineTest, CompletionStreamEchoRoundTrip) {
       }
       EXPECT_EQ(got, msg);
       EXPECT_GT(engine->SendEnqueue(handle, got), 0u);
-      // Flush before teardown: wait for the final send CQE's drain latch.
+      // Flush before teardown: wait for the send queue's drain latch.
       while (engine->SendQueuedBytes(handle) > 0) {
         const unsigned w = WaitForWritable(handle);
         ASSERT_EQ(w & kIoError, 0u);
@@ -761,14 +751,106 @@ TEST(IoEngineTest, CompletionStreamEchoRoundTrip) {
   client.join();
 }
 
+TEST(IoEngineTest, StreamEchoCountsDataPathSyscalls) {
+  // One connection taken through TakeAccepted, then N sequential one-frame
+  // round trips on its kStream handle. Each round the handler drains the
+  // socket (the read that returns the frame, then the read that hits EAGAIN
+  // and ends the drain) and replies with one inline sendmsg, so the engine
+  // counts exactly N writes and at least 2N reads over the round trips, and
+  // io_data_syscalls() is the sum of the three syscall lanes, all nonzero.
+  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+  const int lfd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(listen(lfd, 1), 0);
+  socklen_t alen = sizeof(addr);
+  ASSERT_EQ(getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+  constexpr int kRounds = 50;
+  constexpr std::size_t kFrame = 32;
+  std::thread client([&] {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    char buf[kFrame];
+    for (int r = 0; r < kRounds; r++) {
+      const std::string frame = PatternBytes(kFrame, static_cast<unsigned>(r));
+      ASSERT_EQ(write(fd, frame.data(), kFrame), static_cast<ssize_t>(kFrame));
+      std::size_t got = 0;
+      while (got < kFrame) {
+        const ssize_t n = read(fd, buf + got, kFrame - got);
+        ASSERT_GT(n, 0);
+        got += static_cast<std::size_t>(n);
+      }
+      ASSERT_EQ(std::string(buf, kFrame), frame);
+    }
+    close(fd);
+  });
+  std::int64_t reads = -1;
+  std::int64_t writes = -1;
+  std::int64_t accepts = -1;
+  std::uint64_t total = 0;
+  std::int64_t lanes = -1;
+  std::uint64_t data_syscalls = 0;
+  std::atomic<bool> done{false};
+  rt.Run([&] {
+    IoEngine* engine = rt.io_engine(0);
+    IoHandle* listener = engine->Register(lfd, IoRegisterMode::kListener);
+    ASSERT_NE(listener, nullptr);
+    Runtime::Spawn([&, listener] {
+      int fd;
+      while ((fd = engine->TakeAccepted(listener)) < 0) {
+        WaitForReadable(listener);
+      }
+      IoHandle* handle = engine->Register(fd, IoRegisterMode::kStream);
+      ASSERT_NE(handle, nullptr);
+      const std::int64_t reads0 = IoCounterValue("sys_read");
+      const std::int64_t writes0 = IoCounterValue("sys_write");
+      const std::int64_t accepts0 = IoCounterValue("sys_accept");
+      const std::uint64_t total0 = rt.io_data_syscalls();
+      for (int r = 0; r < kRounds; r++) {
+        std::string frame;
+        while (frame.size() < kFrame) {
+          const unsigned ready = WaitForReadable(handle);
+          ASSERT_EQ(ready & (kIoHup | kIoError), 0u);
+          DrainRecvInto(engine, handle, &frame);
+        }
+        ASSERT_EQ(frame.size(), kFrame);
+        ASSERT_GT(engine->SendEnqueue(handle, std::move(frame)), 0u);
+        ASSERT_EQ(engine->SendQueuedBytes(handle), 0u) << "a one-frame reply must leave inline";
+      }
+      reads = IoCounterValue("sys_read") - reads0;
+      writes = IoCounterValue("sys_write") - writes0;
+      accepts = IoCounterValue("sys_accept") - accepts0;
+      total = rt.io_data_syscalls() - total0;
+      lanes = IoCounterValue("sys_read") + IoCounterValue("sys_write") +
+              IoCounterValue("sys_accept");
+      data_syscalls = rt.io_data_syscalls();
+      EXPECT_GT(IoCounterValue("sys_accept"), 0);
+      engine->Deregister(handle);
+      engine->Deregister(listener);
+      done.store(true, std::memory_order_release);
+    });
+    AwaitFlag(done);
+  });
+  client.join();
+  EXPECT_EQ(writes, kRounds);
+  EXPECT_GE(reads, 2 * kRounds);
+  EXPECT_EQ(accepts, 0);
+  EXPECT_EQ(total, static_cast<std::uint64_t>(reads + writes + accepts));
+  EXPECT_EQ(data_syscalls, static_cast<std::uint64_t>(lanes))
+      << "io_data_syscalls() is not sys_read + sys_write + sys_accept";
+}
+
 TEST(IoEngineTest, CompletionShortSendContinuation) {
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
   TcpPair pair = MakeTcpPair();
   // Tiny send buffer + a slow reader that starts only once the payload is
   // queued: 1 MiB cannot fit the send buffer plus the reader's receive
   // window, so the send must go out short, and the engine must continue the
-  // remainder (repeatedly) until drained — from the send CQE on io_uring,
-  // from EPOLLOUT edges on epoll.
+  // remainder (repeatedly) from EPOLLOUT edges until drained.
   const int sndbuf = 4096;
   ASSERT_EQ(setsockopt(pair.server, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
   constexpr std::size_t kPayload = 1 << 20;
@@ -818,16 +900,10 @@ TEST(IoEngineTest, CompletionShortSendContinuation) {
   client.join();
 }
 
-TEST(IoEngineTest, CompletionBufferRingExhaustionRearms) {
-  // An 8-slot x 256-byte provided ring against a 64 KiB flood: on io_uring
-  // the multishot recv MUST hit -ENOBUFS, park on the stall list, and re-arm
-  // as the consumer recycles; on epoll the flood is read through the
-  // handle's buffer. Either way all bytes arrive, in order.
-  RuntimeOptions ropts{.workers = 1, .io_engine = true};
-  ropts.io.buf_ring_entries = 8;
-  ropts.io.buf_size = 256;
-  Runtime rt(ropts);
-  const std::int64_t exhaustions_before = IoCounterValue("buf_exhaustions");
+TEST(IoEngineTest, CompletionFloodArrivesInOrder) {
+  // A 64 KiB flood, many times the handle's read buffer, queued in the
+  // socket before the consumer starts: every byte arrives, in order.
+  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
   TcpPair pair = MakeTcpPair();
   constexpr std::size_t kTotal = 64 * 1024;
   const std::string payload = PatternBytes(kTotal, 3);
@@ -847,7 +923,7 @@ TEST(IoEngineTest, CompletionBufferRingExhaustionRearms) {
     ASSERT_NE(handle, nullptr);
     ASSERT_NE(handle->cs, nullptr);
     Runtime::Spawn([&, handle] {
-      // Let the flood drain the 2 KiB ring dry before consuming anything.
+      // Let the flood queue up before consuming anything.
       Runtime::SleepFor(50'000);
       std::string got;
       while (got.size() < kTotal) {
@@ -860,17 +936,15 @@ TEST(IoEngineTest, CompletionBufferRingExhaustionRearms) {
       done.store(true, std::memory_order_release);
     });
     AwaitFlag(done);
-    if (engine->using_io_uring()) {
-      EXPECT_GT(IoCounterValue("buf_exhaustions"), exhaustions_before);
-    }
   });
   client.join();
 }
 
 TEST(IoEngineTest, CompletionEchoUnderStealChurn) {
   // Multi-worker echo: handler uthreads migrate via work stealing while
-  // their fds' completions keep landing on the HOME engine, so PopRecv/
-  // RecycleBuffer/SendEnqueue all cross workers. TSan is the real assertion.
+  // their fds' events keep landing on the HOME engine, so PopRecv/
+  // SendEnqueue and the EPOLLOUT continuation all cross workers. TSan is the
+  // real assertion.
   Runtime rt(RuntimeOptions{.workers = 2, .io_engine = true});
   constexpr int kConns = 4;
   constexpr int kRounds = 200;
@@ -943,9 +1017,9 @@ TEST(IoEngineTest, CompletionEchoUnderStealChurn) {
 }
 
 TEST(IoEngineTest, CompletionPeerResetMidSend) {
-  // RST lands while an async send is in flight and the multishot recv is
-  // armed: the error must latch kIoError (waking the handler), the send
-  // queue must drop, and teardown must not leak ops or buffers (ASan).
+  // RST lands while the send queue waits for EPOLLOUT: the error must latch
+  // kIoError (waking the handler), the send queue must drop, and teardown
+  // must not leak the queue or the read buffer (ASan).
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
   TcpPair pair = MakeTcpPair();
   const int sndbuf = 4096;
@@ -975,8 +1049,8 @@ TEST(IoEngineTest, CompletionPeerResetMidSend) {
         ready = WaitForReadable(handle);
         DrainRecvInto(engine, handle, nullptr);
       }
-      // The failed send CQE dropped the queue so teardown cannot wait on
-      // bytes that can never leave.
+      // The failed continuation dropped the queue so teardown cannot wait
+      // on bytes that can never leave.
       while (engine->SendQueuedBytes(handle) > 0) {
         Runtime::SleepFor(500);
       }
@@ -989,7 +1063,7 @@ TEST(IoEngineTest, CompletionPeerResetMidSend) {
 }
 
 TEST(IoEngineTest, CompletionEofDeliveredAfterData) {
-  // Graceful FIN: every data CQE precedes the zero-byte EOF CQE, so a
+  // Graceful FIN: every data byte precedes the zero-byte EOF read, so a
   // handler that wakes on kIoHup still finds (and must drain) all bytes.
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
   TcpPair pair = MakeTcpPair();
@@ -1028,7 +1102,7 @@ TEST(IoEngineTest, CompletionEofDeliveredAfterData) {
   client.join();
 }
 
-TEST(IoEngineTest, CompletionMultishotAcceptQueuesFds) {
+TEST(IoEngineTest, CompletionAcceptServesEveryClient) {
   Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
   const int lfd = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
@@ -1097,9 +1171,7 @@ TEST(IoEngineTest, CompletionMultishotAcceptQueuesFds) {
       done.store(true, std::memory_order_release);
     });
     AwaitFlag(done);
-    // io_uring counts the fds its multishot ACCEPT queued; epoll its accept4 calls.
-    EXPECT_GE(IoCounterValue(engine->using_io_uring() ? "completion_accepts" : "sys_accept"),
-              kClients);
+    EXPECT_GE(IoCounterValue("sys_accept"), kClients);
   });
   for (std::thread& t : clients) {
     t.join();
@@ -1157,7 +1229,6 @@ TEST(IoEngineTest, CompletionDatagramRoundTrip) {
           ASSERT_GT(dgram.len, 0u);
           ASSERT_TRUE(engine->SendDatagram(handle, dgram.peer,
                                            std::string(dgram.data, dgram.len)));
-          engine->RecycleBuffer(dgram.buf_id);
           echoed++;
         }
       }

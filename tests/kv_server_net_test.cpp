@@ -1,6 +1,5 @@
 // Tests for the networked KV server (src/apps/kv_server_net) over real
-// loopback sockets, on whichever backend the build's engines armed (epoll,
-// or io_uring completions):
+// loopback sockets:
 //   - pipelined GET/SET/SCAN frames in one TCP write, replies in order
 //   - a half-close after a pipelined batch: every reply precedes the FIN
 //   - a peer reset counted once in peer_resets

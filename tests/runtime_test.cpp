@@ -683,6 +683,19 @@ TEST(RuntimePreemptTest, JoinSectionIsNotPreempted) {
   Runtime::SetJoinLockedHookForTest(nullptr);
 }
 
+// Current, Yield and Park (like ExitCurrent and PreemptGuard's constructor)
+// load tl_worker and then act on that worker. A tick between the two steps
+// could migrate the uthread, so the handler must defer anywhere inside them;
+// ordinary uthread code stays preemptible.
+TEST(RuntimePreemptTest, SwitchEntriesDeferPreemption) {
+  const auto pc = [](auto* fn) { return reinterpret_cast<std::uintptr_t>(fn); };
+  EXPECT_TRUE(Runtime::DefersPreemptionAt(pc(&Runtime::Yield)));
+  EXPECT_TRUE(Runtime::DefersPreemptionAt(pc(&Runtime::Park)));
+  EXPECT_TRUE(Runtime::DefersPreemptionAt(pc(&Runtime::Current)));
+  EXPECT_FALSE(Runtime::DefersPreemptionAt(pc(&SpinAboutOneMs)));
+  EXPECT_FALSE(Runtime::DefersPreemptionAt(pc(&Runtime::Unpark)));
+}
+
 // Allocator-heavy uthreads under an aggressive preemption timer. glibc's
 // malloc keeps lockless per-pthread state (the tcache); preempting a uthread
 // mid-allocation and running another uthread on the same pthread corrupts it
