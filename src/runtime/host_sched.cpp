@@ -458,25 +458,6 @@ void HostSched::SetIdle(int worker, bool idle) {
   }
 }
 
-std::size_t HostSched::Queued() const {
-  if (lock_free_) {
-    // Deque depths plus one per undrained mailbox backlog — an undercount
-    // while submissions sit in mailboxes, exact once every worker has
-    // drained (the only states observable without being each queue's owner).
-    std::size_t total = 0;
-    for (int w = 0; w < workers_; w++) {
-      const LfWorker& lw = *lf_[static_cast<std::size_t>(w)];
-      total += static_cast<std::size_t>(lw.deque.SizeApprox());
-      if (!lw.mailbox.EmptyApprox()) {
-        total += 1;
-      }
-    }
-    return total;
-  }
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  return shard_->policy->QueuedTasks();
-}
-
 void HostSched::SetQuantum(DurationNs quantum_ns, int worker) {
   if (lock_free_) {
     // Normalize to the lock-free driver's convention: 0 disables tick

@@ -118,7 +118,6 @@ class HostSched {
 
   SKYLOFT_NO_SWITCH void SetIdle(int worker, bool idle);
 
-  std::size_t Queued() const;  // approximate under the lock-free driver
   std::uint64_t steals() const { return steals_->Value(); }
   const char* PolicyName() const;
   int workers() const { return workers_; }

@@ -22,11 +22,12 @@
 // hold. One wasted probe per regime change is the price of never misreading
 // the cause.
 //
-// Everything here runs on a slow path (a housekeeping thread on the host, a
-// periodic event in the sim) — never on a worker, never in a signal handler.
-// The fast-path knobs it drives are lock-free to read: HostSched's per-worker
-// atomic quantum, Runtime's atomic timer period, the sim policies' plain
-// fields mutated from the single event loop.
+// Everything here runs on a slow path (a periodic event in the sim, or a
+// caller's own thread on the host) — never on a worker, never in a signal
+// handler. The fast-path knobs it drives are lock-free to read: HostSched's
+// per-worker atomic quantum and the sim policies' plain fields mutated from
+// the single event loop. The host runtime's timer period is fixed per
+// Runtime, so on the host the controller can only move the quantum.
 #ifndef SRC_RUNTIME_QUANTUM_CONTROLLER_H_
 #define SRC_RUNTIME_QUANTUM_CONTROLLER_H_
 

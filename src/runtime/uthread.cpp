@@ -3,6 +3,7 @@
 #include <link.h>
 #include <pthread.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -13,7 +14,6 @@
 
 #include "src/base/logging.h"
 #include "src/runtime/context.h"
-#include "src/runtime/quantum_controller.h"
 
 // ThreadSanitizer cannot follow hand-rolled stack switches on its own: every
 // uthread stack is announced as a TSan "fiber" and each skyloft_ctx_switch
@@ -139,6 +139,13 @@ bool PreemptSafePc(std::uintptr_t pc) {
 // text section, bounded by the linker's __start_/__stop_ symbols, and the
 // handler defers on any PC inside it, as it does inside the switch
 // primitive. noinline keeps their bodies out of callers' text.
+//
+// The preemption handler, PreemptTick and CurrentErrnoLocation live there
+// too. The kernel blocks the signal while the handler runs, but a preempted
+// uthread resumes inside its handler with the signal unblocked. A tick that
+// then preempted it again, before the handler returned, would stack one
+// more signal frame; at periods the worker cannot keep up with, every
+// resume did so until the uthread stack overflowed.
 #define SKYLOFT_SWITCH_ENTRY __attribute__((noinline, section("skyloft_switch_entry")))
 extern "C" const char __start_skyloft_switch_entry[] __attribute__((visibility("hidden")));
 extern "C" const char __stop_skyloft_switch_entry[] __attribute__((visibility("hidden")));
@@ -205,7 +212,7 @@ SKYLOFT_SIGNAL_SAFE std::int64_t TraceClockNs() {
 // context switch that migrates the uthread to another pthread, where the
 // cached pointer names the WRONG thread's errno. This helper re-derives the
 // location on every call; the asm clobber stops const/pure inference.
-SKYLOFT_RETURNS_TLS SKYLOFT_SIGNAL_SAFE __attribute__((noinline)) int* CurrentErrnoLocation() {
+SKYLOFT_RETURNS_TLS SKYLOFT_SIGNAL_SAFE SKYLOFT_SWITCH_ENTRY int* CurrentErrnoLocation() {
   asm volatile("" ::: "memory");
   return &errno;
 }
@@ -252,9 +259,6 @@ struct RuntimeWorker {
   const void* asan_stack_bottom = nullptr;
   std::size_t asan_stack_size = 0;
   void* asan_fake_stack = nullptr;
-
-  pthread_t pthread_handle{};
-  std::atomic<bool> handle_valid{false};
 };
 
 namespace {
@@ -327,8 +331,10 @@ SKYLOFT_SIGNAL_SAFE void SwitchToScheduler(RuntimeWorker* worker, UThread* self,
 Runtime::Runtime(RuntimeOptions options) : options_(options) {
   SKYLOFT_CHECK(options_.workers >= 1);
   SKYLOFT_CHECK(options_.stack_size >= 4096);
-  preempt_period_us_.store(options_.preempt_period_us > 0 ? options_.preempt_period_us : 0,
-                           std::memory_order_relaxed);
+  SKYLOFT_CHECK(options_.preempt_period_us <= 0 ||
+                options_.preempt_period_us >= kMinPreemptPeriodUs)
+      << "preempt_period_us " << options_.preempt_period_us << " is below the "
+      << kMinPreemptPeriodUs << " us floor: a worker cannot keep up with shorter ticks";
   sched_ = std::make_unique<HostSched>(options_.workers, options_.sched);
   preemptions_ = metrics_.AddCounter("preemptions");
   preempt_deferrals_ = metrics_.AddCounter("preempt_deferrals");
@@ -446,7 +452,12 @@ void Runtime::Run(std::function<void()> main_fn) {
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
     sa.sa_sigaction = &Runtime::PreemptSignalHandler;
-    sa.sa_flags = SA_NODEFER | SA_RESTART | SA_SIGINFO;
+    // No SA_NODEFER: the kernel blocks the signal while the handler runs.
+    // With it, a 10 us timer on Linux 6.18 sometimes delivered ticks back
+    // to back (some under 256 ns apart), each on the previous handler's
+    // first instruction, and the signal frames nested until the stack
+    // overflowed. A handler that only counted ticks crashed the same way.
+    sa.sa_flags = SA_RESTART | SA_SIGINFO;
     sigemptyset(&sa.sa_mask);
     SKYLOFT_CHECK(sigaction(kPreemptSignal, &sa, nullptr) == 0);
   }
@@ -459,67 +470,22 @@ void Runtime::Run(std::function<void()> main_fn) {
     worker_threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 
-  // Housekeeping thread: wakes expired sleepers and (when enabled) delivers
-  // the preemption signal to every worker each period — the host stand-in
-  // for per-core user timer interrupts. The signal only enters the
-  // scheduler; the policy's sched_timer_tick decides whether to preempt.
-  //
-  // The loop tracks an ABSOLUTE deadline, not a relative sleep: the signal
-  // fan-out plus sleeper wakeups cost a variable amount per round, and a
-  // relative sleep_for would add that cost to every period — the delivered
-  // tick rate used to drift well below the configured one. The period is
-  // reread each round so SetPreemptPeriodUs retunes the running timer.
-  std::thread timer_thread([this] {
-    auto next = std::chrono::steady_clock::now();
-    auto next_controller_poll = next;
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      const std::int64_t period_us = preempt_period_us_.load(std::memory_order_relaxed);
-      // The handler is only installed when the runtime started with
-      // preemption on; a live period of 0 pauses delivery.
-      if (options_.preempt_period_us > 0 && period_us > 0) {
-        for (auto& worker : workers_) {
-          if (worker->handle_valid.load(std::memory_order_acquire)) {
-            pthread_kill(worker->pthread_handle, kPreemptSignal);
-          }
-        }
-      }
-      // Wake sleepers whose deadline passed.
-      const auto now = std::chrono::steady_clock::now();
-      std::vector<UThread*> due;
-      {
-        std::lock_guard<std::mutex> lock(sleep_lock_);
-        auto it = sleepers_.begin();
-        while (it != sleepers_.end() && it->first <= now) {
-          due.push_back(it->second);
-          it = sleepers_.erase(it);
-        }
-      }
-      for (UThread* t : due) {
-        Unpark(t);
-      }
-      // Slow-path quantum-controller poll: runs on this housekeeping thread
-      // (never a worker, never a signal handler), so allocation is fine.
-      if (options_.quantum_controller != nullptr && now >= next_controller_poll) {
-        options_.quantum_controller->Poll(MonotonicNs());
-        next_controller_poll =
-            now + std::chrono::microseconds(
-                      options_.quantum_poll_us > 0 ? options_.quantum_poll_us : 5000);
-      }
-      next += std::chrono::microseconds(period_us > 0 ? period_us : 100);
-      const auto after = std::chrono::steady_clock::now();
-      if (next <= after) {
-        // Overran the period (heavy fan-out round, scheduler hiccup, or the
-        // period was just shortened): re-base to now rather than burst-firing
-        // a catch-up train of signals.
-        next = after + std::chrono::microseconds(period_us > 0 ? period_us : 100);
-      }
-      // skylint:allow(blocking-call-on-worker) -- timer lambda runs on its own dedicated std::thread, not a runtime worker; sleeping is its job
-      std::this_thread::sleep_until(next);
-    }
-  });
-
-  // Wait for every user thread to finish.
+  // Wait for every user thread to finish, waking expired sleepers on the
+  // way: SleepFor's granularity is this loop's 100 us cadence.
   while (live_uthreads_.load(std::memory_order_acquire) > 0) {
+    const auto now = std::chrono::steady_clock::now();
+    std::vector<UThread*> due;
+    {
+      std::lock_guard<std::mutex> lock(sleep_lock_);
+      auto it = sleepers_.begin();
+      while (it != sleepers_.end() && it->first <= now) {
+        due.push_back(it->second);
+        it = sleepers_.erase(it);
+      }
+    }
+    for (UThread* t : due) {
+      Unpark(t);
+    }
     // skylint:allow(blocking-call-on-worker) -- Run() executes on the caller's launch thread (not a worker), parked while the worker pthreads run
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
@@ -528,7 +494,6 @@ void Runtime::Run(std::function<void()> main_fn) {
     t.join();
   }
   worker_threads_.clear();
-  timer_thread.join();
   g_runtime = nullptr;
 }
 
@@ -548,7 +513,6 @@ void Runtime::SleepFor(std::int64_t duration_us) {
 void Runtime::WorkerLoop(int index) {
   RuntimeWorker* worker = workers_[static_cast<std::size_t>(index)].get();
   tl_worker = worker;
-  worker->pthread_handle = pthread_self();
 #ifdef SKYLOFT_TSAN
   worker->tsan_fiber = __tsan_get_current_fiber();
 #endif
@@ -566,7 +530,27 @@ void Runtime::WorkerLoop(int index) {
     worker->asan_stack_size = stack_size;
   }
 #endif
-  worker->handle_valid.store(true, std::memory_order_release);
+
+  // This worker's preemption timer: a CLOCK_MONOTONIC POSIX timer whose
+  // SIGURG the kernel delivers to this thread alone, every period — the host
+  // stand-in for the paper's per-core user timer interrupt. The signal only
+  // enters the scheduler; the policy's sched_timer_tick decides whether to
+  // preempt.
+  timer_t timer{};
+  const std::int64_t period_us = options_.preempt_period_us;
+  if (period_us > 0) {
+    struct sigevent sev;
+    std::memset(&sev, 0, sizeof(sev));
+    sev.sigev_notify = SIGEV_THREAD_ID;
+    sev.sigev_signo = kPreemptSignal;
+    sev._sigev_un._tid = gettid();  // glibc < 2.37 lacks sigev_notify_thread_id
+    SKYLOFT_CHECK(timer_create(CLOCK_MONOTONIC, &sev, &timer) == 0);
+    struct itimerspec spec;
+    spec.it_interval.tv_sec = static_cast<time_t>(period_us / 1000000);
+    spec.it_interval.tv_nsec = static_cast<long>(period_us % 1000000 * 1000);
+    spec.it_value = spec.it_interval;
+    SKYLOFT_CHECK(timer_settime(timer, 0, &spec, nullptr) == 0);
+  }
 
   IoEngine* engine = io_engine(index);
 
@@ -625,6 +609,14 @@ void Runtime::WorkerLoop(int index) {
           }
           prev->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
           next = static_cast<UThread*>(worker->sched.Requeue(prev, kEnqueuePreempted));
+          // The tick's handler switched away without returning, so the
+          // kernel's block on the signal still holds on this pthread: lift it
+          // before another uthread runs here. `prev` gets its own mask back
+          // from its signal frame when it resumes and the handler returns.
+          sigset_t tick_signal;
+          sigemptyset(&tick_signal);
+          sigaddset(&tick_signal, kPreemptSignal);
+          SKYLOFT_CHECK(pthread_sigmask(SIG_UNBLOCK, &tick_signal, nullptr) == 0);
         } else {
           next = prev;  // resume without touching the runqueues
         }
@@ -645,7 +637,9 @@ void Runtime::WorkerLoop(int index) {
         SKYLOFT_CHECK(false) << "uthread switched out without an action";
     }
   }
-  worker->handle_valid.store(false, std::memory_order_release);
+  if (period_us > 0) {
+    SKYLOFT_CHECK(timer_delete(timer) == 0);
+  }
   tl_worker = nullptr;
 }
 
@@ -772,7 +766,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Yield() {
 // Signal-timer entry: hand control to the scheduler stack so the policy tick
 // (which takes the shard lock — unsafe in signal context) runs there.
 // skylint:allow(preempt-balance) -- switch-out protocol: SwitchTo re-arms with store(0), see NOTE
-void Runtime::PreemptTick() {
+SKYLOFT_SWITCH_ENTRY void Runtime::PreemptTick() {
   RuntimeWorker* worker = tl_worker;
   PreemptDepthInc(worker->preempt_disable);
   SwitchToScheduler(worker, worker->current, SwitchAction::kTick);
@@ -915,7 +909,8 @@ bool Runtime::DefersPreemptionAt(std::uintptr_t pc) {
   return !PreemptSafePc(pc) || InContextSwitch(pc) || InSwitchEntry(pc);
 }
 
-void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* uctx) {
+SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t* /*info*/,
+                                                       void* uctx) {
   RuntimeWorker* worker = tl_worker;
   if (worker == nullptr || worker->runtime == nullptr) {
     return;
