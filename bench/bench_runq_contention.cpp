@@ -2,11 +2,11 @@
 // of the host scheduler's two drivers as worker count grows.
 //
 // Drives HostSched directly (no uthreads, no timers) with one OS thread per
-// worker in a closed loop, under the work-stealing policy on both drivers:
-//   - mutex: the shard-mutex driver (force_locked), every operation through
-//     one policy instance behind a lock — the pre-lock-free behavior
-//   - lockfree: the two-level runqueue (MPSC mailbox -> Chase-Lev deque,
-//     DESIGN.md section 9)
+// worker in a closed loop. The policy selects the driver:
+//   - mutex: round robin, which runs on the shard-mutex driver — every
+//     operation through one policy instance behind a lock
+//   - lockfree: work stealing, which runs on the two-level runqueue (MPSC
+//     mailbox -> Chase-Lev deque, DESIGN.md section 9)
 // Scenarios:
 //   - local:  each worker cycles one item through its own queue (the yield
 //     fast path — mailbox self-push + drain, zero cross-worker traffic when
@@ -29,6 +29,7 @@
 
 #include "bench/bench_util.h"
 #include "src/base/compiler.h"
+#include "src/base/logging.h"
 #include "src/runtime/host_sched.h"
 
 namespace skyloft {
@@ -43,6 +44,7 @@ struct alignas(kCacheLineSize) BenchItem {
 struct ScenarioResult {
   std::uint64_t ops = 0;  // enqueues + dequeues completed
   double mops_per_s = 0;
+  const char* policy = "";  // the policy that selected the driver
 };
 
 // Closed loop: every worker starts with `stock` items in its own queue and
@@ -51,9 +53,9 @@ struct ScenarioResult {
 ScenarioResult RunScenario(bool lock_free, bool remote, int workers, int stock,
                            DurationNs measure_ns) {
   HostSchedOptions opts;
-  opts.policy = RuntimePolicy::kWorkStealing;
-  opts.force_locked = !lock_free;
+  opts.policy = lock_free ? RuntimePolicy::kWorkStealing : RuntimePolicy::kRoundRobin;
   HostSched sched(workers, opts);
+  SKYLOFT_CHECK(sched.lock_free() == lock_free);
 
   std::vector<BenchItem> items(static_cast<std::size_t>(workers * stock));
   for (int i = 0; i < workers * stock; i++) {
@@ -107,6 +109,7 @@ ScenarioResult RunScenario(bool lock_free, bool remote, int workers, int stock,
     result.ops += ops[static_cast<std::size_t>(w)];
   }
   result.mops_per_s = static_cast<double>(result.ops) / elapsed_s / 1e6;
+  result.policy = sched.PolicyName();
   return result;
 }
 
@@ -125,7 +128,6 @@ int main(int argc, char** argv) {
   std::vector<int> worker_counts = smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
 
   BenchReporter reporter("runq_contention");
-  reporter.MetaStr("policy", "skyloft-ws");
   reporter.MetaNum("measure_ms", static_cast<double>(measure) / 1e6);
   reporter.MetaBool("smoke", smoke);
   reporter.MetaNum("hw_threads", std::thread::hardware_concurrency());
@@ -153,6 +155,8 @@ int main(int argc, char** argv) {
       reporter.AddRow()
           .Str("scenario", scenario)
           .Int("workers", workers)
+          .Str("mutex_policy", mutex_r.policy)
+          .Str("lockfree_policy", lf_r.policy)
           .Num("mutex_mops", mutex_r.mops_per_s)
           .Num("lockfree_mops", lf_r.mops_per_s)
           .Num("speedup", speedup);

@@ -6,7 +6,8 @@
 // batch. This main just stands the server up on loopback, drives it with a
 // few closed-loop client threads over real TCP sockets (plus a UDP spot
 // check), and dumps the metrics registry — per-op-kind service latencies,
-// preemption/steal counters — as JSON. For the measured sweep, see bench/bench_kv_server.
+// preemption/steal counters — as JSON. The measured workloads are
+// perfbench's kv-get-closed and kv-mix-open (perfbench/README.md).
 //
 //   ./build/examples/kv_server [workers] [clients] [requests_per_client]
 #include <arpa/inet.h>

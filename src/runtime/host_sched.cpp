@@ -1,7 +1,9 @@
 #include "src/runtime/host_sched.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <mutex>
 
 #include "src/base/logging.h"
 #include "src/base/mpsc_queue.h"
@@ -83,6 +85,20 @@ struct HostSched::Shard : EngineView {
   int NumWorkers() const override { return parent->workers_; }
   int WorkerCore(int index) const override { return index; }
   bool IsWorkerIdle(int index) const override { return parent->idle_map_.Test(index); }
+
+  // task_dequeue, falling back to sched_balance and one retry (the paper's
+  // idle path); a rescue counts as a steal. Caller holds `mu`.
+  SchedItem* DequeueLocked(int worker) {
+    SchedItem* item = policy->TaskDequeue(worker);
+    if (item == nullptr) {
+      policy->SchedBalance(worker);
+      item = policy->TaskDequeue(worker);
+      if (item != nullptr) {
+        parent->steals_->Inc(worker);
+      }
+    }
+    return item;
+  }
 };
 
 // Lock-free driver state for one worker: the two-level runqueue (DESIGN.md
@@ -111,8 +127,6 @@ HostSched::HostSched(int workers, const HostSchedOptions& options)
   steal_successes_ = metrics_.AddSharded("steal_successes", workers_);
   cas_retries_ = metrics_.AddSharded("mailbox_cas_retries", workers_);
 
-  approx_len_ = std::make_unique<HotLine[]>(static_cast<std::size_t>(workers_));
-
   // Build (or adopt) one policy instance first: it decides the driver.
   SchedPolicy* selected = options.custom_policy;
   std::unique_ptr<SchedPolicy> owned;
@@ -121,7 +135,7 @@ HostSched::HostSched(int workers, const HostSchedOptions& options)
     selected = owned.get();
   }
 
-  if (selected->SupportsLockFree() && !options.force_locked) {
+  if (selected->SupportsLockFree()) {
     lock_free_ = true;
     lf_policy_ = selected;
     lf_owned_ = std::move(owned);
@@ -253,11 +267,6 @@ void HostSched::Enqueue(SchedItem* item, unsigned flags, int worker_hint) {
     return;
   }
   const bool hinted = worker_hint >= 0 && worker_hint < workers_;
-  // Length accounting only informs cross-worker placement; skip the atomic
-  // on a single-worker runtime.
-  if (hinted && workers_ > 1) {
-    approx_len_[worker_hint].len.fetch_add(1, std::memory_order_relaxed);
-  }
   std::lock_guard<std::mutex> lock(shard_->mu);
   shard_->policy->TaskEnqueue(item, flags, hinted ? worker_hint : -1);
 }
@@ -273,9 +282,6 @@ void HostSched::EnqueueNew(SchedItem* item, unsigned flags, int worker_hint) {
     return;
   }
   const bool hinted = worker_hint >= 0 && worker_hint < workers_;
-  if (hinted && workers_ > 1) {
-    approx_len_[worker_hint].len.fetch_add(1, std::memory_order_relaxed);
-  }
   std::lock_guard<std::mutex> lock(shard_->mu);
   shard_->policy->TaskInit(item);
   shard_->policy->TaskEnqueue(item, flags, hinted ? worker_hint : -1);
@@ -288,55 +294,17 @@ SchedItem* HostSched::Retire(SchedItem* dead, int worker) {
     (void)dead;
     return LfDequeue(worker);
   }
-  SchedItem* next;
-  {
-    std::lock_guard<std::mutex> lock(shard_->mu);
-    shard_->policy->TaskTerminate(dead);
-    next = shard_->policy->TaskDequeue(worker);
-    if (next == nullptr) {
-      shard_->policy->SchedBalance(worker);
-      next = shard_->policy->TaskDequeue(worker);
-      if (next != nullptr) {
-        steals_->Inc(worker);
-      }
-    }
-  }
-  if (next != nullptr && workers_ > 1) {
-    int len = approx_len_[worker].len.load(std::memory_order_relaxed);
-    while (len > 0 &&
-           !approx_len_[worker].len.compare_exchange_weak(len, len - 1,
-                                                          std::memory_order_relaxed)) {
-    }
-  }
-  return next;
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  shard_->policy->TaskTerminate(dead);
+  return shard_->DequeueLocked(worker);
 }
 
 SchedItem* HostSched::Dequeue(int worker) {
   if (lock_free_) {
     return LfDequeue(worker);
   }
-  SchedItem* item;
-  {
-    std::lock_guard<std::mutex> lock(shard_->mu);
-    item = shard_->policy->TaskDequeue(worker);
-    if (item == nullptr) {
-      shard_->policy->SchedBalance(worker);
-      item = shard_->policy->TaskDequeue(worker);
-      if (item != nullptr) {
-        steals_->Inc(worker);
-      }
-    }
-  }
-  if (item != nullptr && workers_ > 1) {
-    // Approximate: the item may have migrated from another worker's queue,
-    // in which case that worker's counter stays high until it drains.
-    int len = approx_len_[worker].len.load(std::memory_order_relaxed);
-    while (len > 0 &&
-           !approx_len_[worker].len.compare_exchange_weak(len, len - 1,
-                                                          std::memory_order_relaxed)) {
-    }
-  }
-  return item;
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  return shard_->DequeueLocked(worker);
 }
 
 SchedItem* HostSched::Requeue(SchedItem* item, unsigned flags, int worker) {
@@ -354,26 +322,9 @@ SchedItem* HostSched::Requeue(SchedItem* item, unsigned flags, int worker) {
   // immediately needs the next one, and paying two lock round-trips there
   // dominates the cost of a Yield. Policy call order is identical to
   // Enqueue(worker) followed by Dequeue(worker).
-  SchedItem* next;
-  {
-    std::lock_guard<std::mutex> lock(shard_->mu);
-    shard_->policy->TaskEnqueue(item, flags, worker);
-    next = shard_->policy->TaskDequeue(worker);
-    if (next == nullptr) {
-      shard_->policy->SchedBalance(worker);
-      next = shard_->policy->TaskDequeue(worker);
-      if (next != nullptr) {
-        steals_->Inc(worker);
-      }
-    }
-  }
-  // Net queue-length change for `worker` is zero when the dequeue succeeded;
-  // only the (policy placed the item elsewhere and found nothing) corner
-  // needs the enqueue side of the accounting.
-  if (next == nullptr && workers_ > 1) {
-    approx_len_[worker].len.fetch_add(1, std::memory_order_relaxed);
-  }
-  return next;
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  shard_->policy->TaskEnqueue(item, flags, worker);
+  return shard_->DequeueLocked(worker);
 }
 
 bool HostSched::Tick(int worker, SchedItem* current, DurationNs ran_ns) {
@@ -434,16 +385,7 @@ int HostSched::ExternalTarget() const {
     }
     return best;
   }
-  int best = 0;
-  int best_len = approx_len_[0].len.load(std::memory_order_relaxed);
-  for (int w = 1; w < workers_; w++) {
-    const int len = approx_len_[w].len.load(std::memory_order_relaxed);
-    if (len < best_len) {
-      best_len = len;
-      best = w;
-    }
-  }
-  return best;
+  return -1;  // shard-mutex: the policy places hintless tasks
 }
 
 void HostSched::SetIdle(int worker, bool idle) {

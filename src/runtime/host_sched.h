@@ -21,15 +21,13 @@
 // Runtime::PreemptGuard (a preemption signal landing while a shard lock is
 // held would deadlock the worker). The runtime's scheduler stack always runs
 // with preemption disabled, so WorkerLoop-side calls are safe by
-// construction. The lock-free driver has no locks to deadlock on, but the
-// same guard discipline applies so the two drivers stay swappable.
+// construction. The lock-free driver has no locks to deadlock on; callers
+// keep the same guard discipline whichever driver the policy selected.
 #ifndef SRC_RUNTIME_HOST_SCHED_H_
 #define SRC_RUNTIME_HOST_SCHED_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/base/bitmap.h"
@@ -58,9 +56,6 @@ struct HostSchedOptions {
   // one from `policy`. The caller keeps the object alive for the lifetime of
   // the Runtime.
   SchedPolicy* custom_policy = nullptr;
-  // Pin the shard-mutex driver even when the policy supports the lock-free
-  // one (benchmark baselines, driver-parity tests).
-  bool force_locked = false;
 };
 
 class HostSched {
@@ -113,7 +108,8 @@ class HostSched {
 
   // Placement target for submissions that originate off-runtime (external
   // Unpark, Run()'s main thread): first idle worker (one bitmap word scan),
-  // else the worker with the (approximately) shortest queue.
+  // else — lock-free — the worker with the shortest queue, or — shard-mutex —
+  // -1, which leaves placement to the policy.
   SKYLOFT_NO_SWITCH int ExternalTarget() const;
 
   SKYLOFT_NO_SWITCH void SetIdle(int worker, bool idle);
@@ -133,13 +129,6 @@ class HostSched {
   SKYLOFT_NO_SWITCH SchedItem* LfDequeue(int worker);
   SKYLOFT_NO_SWITCH SchedItem* LfStealHalf(int worker);
 
-  // Per-worker approximate queue length, one cache line per worker (same
-  // treatment as ShardedCounter lanes) so enqueue accounting on neighbor
-  // workers never false-shares.
-  struct alignas(kCacheLineSize) HotLine {
-    std::atomic<int> len{0};
-  };
-
   int workers_;
   bool lock_free_ = false;
 
@@ -154,12 +143,8 @@ class HostSched {
   // reread on every Tick) so SetQuantum takes effect mid-run.
 
   // Worker state the policies read through EngineView and ExternalTarget
-  // reads for placement. approx_len_ tracks per-worker enqueue/dequeue
-  // deltas under the shard-mutex driver only (migrations make it
-  // approximate); the lock-free driver reads its queues' own state instead
-  // and never touches the ledger.
+  // reads for placement.
   AtomicBitmap idle_map_;
-  std::unique_ptr<HotLine[]> approx_len_;
 
   MetricGroup metrics_{"host_sched"};
   // All owned by metrics_; one cache-line lane per worker so hot-path
@@ -169,35 +154,6 @@ class HostSched {
   ShardedCounter* steal_attempts_ = nullptr;   // Steal() calls (any outcome)
   ShardedCounter* steal_successes_ = nullptr;  // Steal() calls that won an item
   ShardedCounter* cas_retries_ = nullptr;      // mailbox-push CAS retries
-};
-
-// Per-worker view of HostSched: what the runtime's WorkerLoop holds.
-class HostSchedCore {
- public:
-  void Bind(HostSched* sched, int worker) {
-    sched_ = sched;
-    worker_ = worker;
-  }
-  SKYLOFT_NO_SWITCH SchedItem* Dequeue() { return sched_->Dequeue(worker_); }
-  SKYLOFT_NO_SWITCH void Enqueue(SchedItem* item, unsigned flags) {
-    sched_->Enqueue(item, flags, worker_);
-  }
-  SKYLOFT_NO_SWITCH void EnqueueNew(SchedItem* item, unsigned flags) {
-    sched_->EnqueueNew(item, flags, worker_);
-  }
-  SKYLOFT_NO_SWITCH SchedItem* Requeue(SchedItem* item, unsigned flags) {
-    return sched_->Requeue(item, flags, worker_);
-  }
-  SKYLOFT_NO_SWITCH SchedItem* Retire(SchedItem* dead) { return sched_->Retire(dead, worker_); }
-  SKYLOFT_NO_SWITCH bool Tick(SchedItem* current, DurationNs ran_ns) {
-    // skylint:allow(switch-in-noswitch) -- HostSched::Tick is shard-locked; name collides with the sim engines' Tick
-    return sched_->Tick(worker_, current, ran_ns);
-  }
-  SKYLOFT_NO_SWITCH void SetIdle(bool idle) { sched_->SetIdle(worker_, idle); }
-
- private:
-  HostSched* sched_ = nullptr;
-  int worker_ = 0;
 };
 
 }  // namespace skyloft

@@ -223,8 +223,8 @@ struct RuntimeWorker {
   Runtime* runtime = nullptr;
   int index = 0;
 
-  // Per-worker handle into the policy layer (Table 2 ops under shard locks).
-  HostSchedCore sched;
+  // The policy layer; every Table 2 op this worker makes passes `index`.
+  HostSched* sched = nullptr;
 
   void* sched_sp = nullptr;
   UThread* current = nullptr;
@@ -345,7 +345,7 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
     auto worker = std::make_unique<RuntimeWorker>();
     worker->runtime = this;
     worker->index = i;
-    worker->sched.Bind(sched_.get(), i);
+    worker->sched = sched_.get();
     workers_.push_back(std::move(worker));
   }
   if (options_.io_engine) {
@@ -567,14 +567,15 @@ void Runtime::WorkerLoop(int index) {
     }
     worker->handoffs_left = kDirectHandoffBudget;
     if (next == nullptr) {
-      next = FindWork(worker);
+      // task_dequeue, with sched_balance / steal-half as the idle fallback.
+      next = static_cast<UThread*>(worker->sched->Dequeue(index));
     }
     if (next == nullptr) {
-      worker->sched.SetIdle(true);
+      worker->sched->SetIdle(index, true);
       std::this_thread::yield();
       continue;
     }
-    worker->sched.SetIdle(false);
+    worker->sched->SetIdle(index, false);
     SwitchTo(worker, nullptr, next);
     next = nullptr;
 
@@ -596,19 +597,19 @@ void Runtime::WorkerLoop(int index) {
     switch (action) {
       case SwitchAction::kYield:
         // Fused enqueue+dequeue: one shard-lock round trip on the hot path.
-        next = static_cast<UThread*>(worker->sched.Requeue(prev, kEnqueueYield));
+        next = static_cast<UThread*>(worker->sched->Requeue(prev, kEnqueueYield, index));
         break;
       case SwitchAction::kTick: {
         // sched_timer_tick with the wall time the uthread ran since it was
         // switched in (or last ticked); the policy decides preemption.
         const std::int64_t ran_ns = MonotonicNs() - worker->run_charge;
-        if (worker->sched.Tick(prev, ran_ns)) {
+        if (worker->sched->Tick(index, prev, ran_ns)) {
           preemptions_->Inc();
           if (tracer_ != nullptr) {
             tracer_->RecordEvent(TraceClockNs(), TraceEventType::kPreempt, index, prev->id, 0);
           }
           prev->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
-          next = static_cast<UThread*>(worker->sched.Requeue(prev, kEnqueuePreempted));
+          next = static_cast<UThread*>(worker->sched->Requeue(prev, kEnqueuePreempted, index));
           // The tick's handler switched away without returning, so the
           // kernel's block on the signal still holds on this pthread: lift it
           // before another uthread runs here. `prev` gets its own mask back
@@ -628,7 +629,7 @@ void Runtime::WorkerLoop(int index) {
         break;
       case SwitchAction::kExit: {
         // Fused task_terminate + task_dequeue, then release the storage.
-        next = static_cast<UThread*>(worker->sched.Retire(prev));
+        next = static_cast<UThread*>(worker->sched->Retire(prev, index));
         FreeUthread(prev);
         live_uthreads_.fetch_sub(1, std::memory_order_acq_rel);
         break;
@@ -641,12 +642,6 @@ void Runtime::WorkerLoop(int index) {
     SKYLOFT_CHECK(timer_delete(timer) == 0);
   }
   tl_worker = nullptr;
-}
-
-UThread* Runtime::FindWork(RuntimeWorker* worker) {
-  // task_dequeue, with the policy's sched_balance as the idle fallback
-  // (work stealing's steal-half lives behind it).
-  return static_cast<UThread*>(worker->sched.Dequeue());
 }
 
 void Runtime::SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next) {
@@ -725,15 +720,15 @@ void Runtime::Schedule(UThread* thread, unsigned flags) {
   RuntimeWorker* worker = tl_worker;
   if (worker != nullptr) {
     if (flags & kEnqueueNew) {
-      worker->sched.EnqueueNew(thread, flags);  // fused task_init + enqueue
+      worker->sched->EnqueueNew(thread, flags, worker->index);  // fused task_init + enqueue
     } else {
-      worker->sched.Enqueue(thread, flags);
+      worker->sched->Enqueue(thread, flags, worker->index);
     }
     return;
   }
   // Off-runtime submission (external Unpark, Run()'s main thread): place on
-  // the first idle worker, falling back to the least-loaded queue, instead
-  // of unconditionally piling onto worker 0.
+  // the first idle worker, else on the least-loaded queue (lock-free) or
+  // wherever the policy puts a hintless task (shard-mutex).
   external_placements_->Inc();
   const int target = sched_->ExternalTarget();
   if (flags & kEnqueueNew) {
@@ -798,7 +793,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
   // then waits in SwitchTo until we have left this stack.
   UThread* next = nullptr;
   if (worker->handoffs_left > 0) {
-    next = static_cast<UThread*>(worker->sched.Dequeue());
+    next = static_cast<UThread*>(worker->sched->Dequeue(worker->index));
     if (next == self) {
       // A racing Unpark queued us here: keep running.
       self->state.store(UthreadState::kRunning, std::memory_order_relaxed);
@@ -905,6 +900,14 @@ Runtime::PreemptGuard::~PreemptGuard() {
   }
 }
 
+void Runtime::DeferTick(RuntimeWorker* worker, UThread* current) {
+  preempt_deferrals_->Inc();
+  if (tracer_ != nullptr) {
+    tracer_->RecordEvent(TraceClockNs(), TraceEventType::kDeferred, worker->index,
+                         current != nullptr ? current->id : 0, 0);
+  }
+}
+
 bool Runtime::DefersPreemptionAt(std::uintptr_t pc) {
   return !PreemptSafePc(pc) || InContextSwitch(pc) || InSwitchEntry(pc);
 }
@@ -915,15 +918,16 @@ SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t
   if (worker == nullptr || worker->runtime == nullptr) {
     return;
   }
-  if (worker->preempt_disable.load(std::memory_order_acquire) != 0) {
-    return;  // scheduler or a sync primitive is mid-flight
-  }
+  // Every tick this worker declines to act on is counted and traced as
+  // deferred, so kSignal + kDeferred accounts for every tick delivered here.
+  // Declined first: the scheduler or a sync primitive is mid-flight, no
+  // uthread is running, or the uthread holds a PreemptGuard (possibly taken
+  // on another worker).
   UThread* current = worker->current;
-  if (current == nullptr) {
+  if (worker->preempt_disable.load(std::memory_order_acquire) != 0 || current == nullptr ||
+      ExtraOf(current)->preempt_count.load(std::memory_order_acquire) != 0) {
+    worker->runtime->DeferTick(worker, current);
     return;
-  }
-  if (ExtraOf(current)->preempt_count.load(std::memory_order_acquire) != 0) {
-    return;  // the uthread holds a PreemptGuard (possibly taken on another worker)
   }
   // Only switch if we interrupted code running on the uthread's own stack;
   // anything else means we're in a transition window.
@@ -932,6 +936,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t
   const auto lo = reinterpret_cast<std::uintptr_t>(current->stack.get());
   const auto hi = lo + current->stack_size;
   if (sp < lo || sp >= hi) {
+    worker->runtime->DeferTick(worker, current);
     return;
   }
   // Safe-point check (see TextRange above): defer rather than preempt inside
@@ -943,11 +948,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t
   const auto* uc = static_cast<const ucontext_t*>(uctx);
   const auto pc = static_cast<std::uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
   if (DefersPreemptionAt(pc)) {
-    worker->runtime->preempt_deferrals_->Inc();
-    if (worker->runtime->tracer_ != nullptr) {
-      worker->runtime->tracer_->RecordEvent(TraceClockNs(), TraceEventType::kDeferred,
-                                            worker->index, current->id, 0);
-    }
+    worker->runtime->DeferTick(worker, current);
     return;
   }
 #else

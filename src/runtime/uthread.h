@@ -148,9 +148,12 @@ class Runtime {
   }
 
   std::uint64_t preemptions() const { return preemptions_->Value(); }
-  // Timer signals that landed while the interrupted PC was outside the main
-  // executable's text (e.g. inside malloc) and were deferred to the next
-  // period instead of preempting — the async-preemption safe-point check.
+  // Timer ticks a worker received but did not turn into a scheduler entry:
+  // its scheduler stack or a sync primitive was running, no uthread was
+  // running, the uthread held a PreemptGuard, the signal landed off the
+  // uthread's stack, or the interrupted PC failed the safe-point check
+  // (outside the executable's text, e.g. inside malloc). Each such tick is
+  // also traced as kDeferred; the next period retries.
   std::uint64_t preempt_deferrals() const { return preempt_deferrals_->Value(); }
   // The handler's safe-point test: true when a tick interrupting `pc` must
   // be deferred — outside the executable's own text, inside the switch
@@ -159,8 +162,8 @@ class Runtime {
   // constructor).
   SKYLOFT_SIGNAL_SAFE static bool DefersPreemptionAt(std::uintptr_t pc);
   std::uint64_t steals() const { return sched_->steals(); }
-  // Off-runtime submissions (external Unpark, Run()'s main thread) placed
-  // via idle-first/least-loaded selection.
+  // Off-runtime submissions (external Unpark, Run()'s main thread), placed
+  // by HostSched::ExternalTarget.
   std::uint64_t external_placements() const { return external_placements_->Value(); }
   const char* policy_name() const { return sched_->PolicyName(); }
   // True when the host scheduler selected the lock-free two-level-runqueue
@@ -190,10 +193,9 @@ class Runtime {
   friend struct RuntimeWorker;
 
   void WorkerLoop(int index);
-  // Enqueues on the calling worker, or — off-runtime — on the first idle /
-  // least-loaded worker. `flags` are SchedPolicy EnqueueFlags.
+  // Enqueues on the calling worker, or — off-runtime — where
+  // HostSched::ExternalTarget places it. `flags` are SchedPolicy EnqueueFlags.
   SKYLOFT_NO_SWITCH void Schedule(UThread* thread, unsigned flags);
-  SKYLOFT_NO_SWITCH UThread* FindWork(RuntimeWorker* worker);
   // Switches from `prev` (null: the worker's scheduler stack) into `next`
   // on `worker`. Every switch into a uthread goes through here — the
   // scheduler's and Park's direct handoff — so the switch-in bookkeeping
@@ -208,6 +210,8 @@ class Runtime {
   SKYLOFT_NO_SWITCH UThread* AllocUthread(std::function<void()> fn);
   SKYLOFT_NO_SWITCH void FreeUthread(UThread* thread);
   SKYLOFT_SIGNAL_SAFE static void PreemptSignalHandler(int signo, siginfo_t* info, void* uctx);
+  // Counts a tick the handler declines and traces it as kDeferred.
+  SKYLOFT_SIGNAL_SAFE void DeferTick(RuntimeWorker* worker, UThread* current);
 
   RuntimeOptions options_;
   std::unique_ptr<HostSched> sched_;

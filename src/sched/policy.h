@@ -6,7 +6,7 @@
 //     interrupts, or centralized with a dispatcher), scheduling simulated
 //     Tasks, and
 //   - the host runtime (src/runtime), scheduling real user-level threads
-//     through the HostSchedCore adapter.
+//     through the HostSched adapter.
 // This header deliberately depends only on src/base: the same policy
 // translation units compile into both substrates. That is the paper's
 // central claim of generality — RR, CFS, EEVDF, Shinjuku,

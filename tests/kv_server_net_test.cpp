@@ -6,12 +6,17 @@
 //   - a UDP GET round trip
 //   - a malformed datagram counted in frame_errors and dropped
 //   - SETs of new keys racing SCANs on the store's ordered key index
+//   - 10,000 concurrent connections, each with its own parked handler
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +30,8 @@
 
 #include "src/apps/kv_server_net.h"
 #include "src/net/frame.h"
+#include "src/runtime/io_engine.h"
+#include "src/runtime/sync.h"
 #include "src/runtime/uthread.h"
 
 namespace skyloft {
@@ -209,6 +216,154 @@ TEST(KvServerNetTest, MalformedDatagramIsCountedAndDropped) {
         EXPECT_EQ(server.frame_errors(), 1u);
         EXPECT_EQ(server.udp_requests(), 1u);
       });
+}
+
+// What the forked client reports back to the test.
+struct ManyConnReport {
+  int connected = 0;  // connect() succeeded
+  int replied = 0;    // the GET's exact reply frame came back
+};
+
+// Reads `len` bytes from `fd` into `out` through the runtime's I/O engine,
+// parking the uthread until they arrive; returns how many came before end
+// of stream.
+SKYLOFT_MAY_SWITCH std::size_t ReadParked(IoHandle* handle, int fd, void* out, std::size_t len) {
+  auto* bytes = static_cast<unsigned char*>(out);
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = read(fd, bytes + got, len - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      break;
+    } else {
+      WaitForReadable(handle);
+    }
+  }
+  return got;
+}
+
+// The client half of ServesTenThousandConnections, run in a forked child.
+// It makes only syscalls, on buffers the parent filled before fork(): it
+// waits for the server's port, opens `fds.size()` connections, sends one GET
+// on each, reads every reply, reports, and holds the connections open until
+// the parent closes `port_fd`.
+[[noreturn]] void ManyConnClient(int port_fd, int report_fd, std::vector<int>& fds,
+                                 const std::string& request, const std::string& reply,
+                                 std::string& buf) {
+  ManyConnReport report;
+  std::uint16_t port = 0;
+  if (read(port_fd, &port, sizeof(port)) != sizeof(port)) {
+    _exit(1);
+  }
+  const sockaddr_in addr = Loopback(port);
+  const timeval timeout{10, 0};  // a lost reply fails the count, not the run
+  for (int& fd : fds) {
+    fd = socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0 || connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+      break;
+    }
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    report.connected++;
+  }
+  for (int i = 0; i < report.connected; i++) {
+    if (write(fds[i], request.data(), request.size()) != static_cast<ssize_t>(request.size())) {
+      break;
+    }
+  }
+  for (int i = 0; i < report.connected; i++) {
+    std::size_t got = 0;
+    ssize_t n = 1;
+    while (got < reply.size() && (n = read(fds[i], buf.data() + got, reply.size() - got)) > 0) {
+      got += static_cast<std::size_t>(n);
+    }
+    if (got == reply.size() && buf.compare(0, got, reply) == 0) {
+      report.replied++;
+    }
+  }
+  const bool sent = write(report_fd, &report, sizeof(report)) == sizeof(report);
+  char byte;
+  while (read(port_fd, &byte, 1) > 0) {
+  }
+  _exit(sent ? 0 : 1);
+}
+
+// The server holds 10,000 connections at once, one parked handler uthread
+// each, on 2 workers with 16 KB stacks. The client runs in a child process
+// because the fd limit is per process and each connection costs an fd on
+// both sides. The child is forked before the runtime starts any thread.
+TEST(KvServerNetTest, ServesTenThousandConnections) {
+#ifdef __SANITIZE_THREAD__
+  // TSan registers every uthread stack as a fiber in its thread registry,
+  // which dies past 8,128 threads and fibers.
+  constexpr int kConns = 4'000;
+#else
+  constexpr int kConns = 10'000;
+#endif
+  // Each side holds one fd per connection, plus listeners, pipes and epoll.
+  constexpr rlim_t kFdsNeeded = kConns + 1024;
+  rlimit fd_limit{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &fd_limit), 0);
+  if (fd_limit.rlim_cur < kFdsNeeded && fd_limit.rlim_max >= kFdsNeeded) {
+    fd_limit.rlim_cur = kFdsNeeded;
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &fd_limit), 0);
+  }
+  ASSERT_GE(fd_limit.rlim_cur, kFdsNeeded) << "the fd limit is too low for this test";
+  const std::string request = EncodeFrame("GET user1");
+  const std::string reply = EncodeFrame("VALUE profile-1");
+  std::vector<int> client_fds(kConns, -1);
+  std::string client_buf(reply.size(), '\0');
+  int to_child[2];
+  int from_child[2];
+  ASSERT_EQ(pipe(to_child), 0);
+  ASSERT_EQ(pipe(from_child), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    close(to_child[1]);
+    close(from_child[0]);
+    ManyConnClient(to_child[0], from_child[1], client_fds, request, reply, client_buf);
+  }
+  close(to_child[0]);
+  close(from_child[1]);
+
+  ManyConnReport report;
+  std::size_t report_bytes = 0;
+  std::int64_t open_while_held = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t frame_errors = 0;
+  Runtime rt(RuntimeOptions{.workers = 2, .stack_size = 16 * 1024, .io_engine = true});
+  rt.Run([&] {
+    KvServerNetOptions options;
+    options.udp = false;
+    options.preload_keys = 100;
+    KvServerNet server(&rt, options);
+    server.Start();
+    const std::uint16_t port = server.tcp_port();
+    IoHandle* from = rt.io_engine(0)->Register(from_child[0]);
+    if (write(to_child[1], &port, sizeof(port)) == sizeof(port)) {
+      report_bytes = ReadParked(from, from_child[0], &report, sizeof(report));
+    }
+    // Every reply is in, so every connection's handler has served its GET
+    // and parked on the next read.
+    open_while_held = server.open_connections();
+    close(to_child[1]);  // releases the child, which closes every connection
+    char byte;
+    ReadParked(from, from_child[0], &byte, 1);  // end of stream: the child exited
+    rt.io_engine(0)->Deregister(from);          // closes from_child[0]
+    accepted = server.tcp_connections();
+    frame_errors = server.frame_errors();
+    server.Stop();
+  });
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  ASSERT_EQ(report_bytes, sizeof(report));
+  EXPECT_EQ(report.connected, kConns);
+  EXPECT_EQ(report.replied, kConns);
+  EXPECT_EQ(open_while_held, kConns);
+  EXPECT_EQ(accepted, static_cast<std::uint64_t>(kConns));
+  EXPECT_EQ(frame_errors, 0u);
 }
 
 // Splits a SCAN reply "k1=v1;k2=v2;" into (key, value) pairs; false if the

@@ -280,10 +280,9 @@ TEST(RuntimeParkTest, DoubleUnparkWhileParkingLockFree) {
   DoubleUnparkWhileParking(HostSchedOptions{});
 }
 
+// FIFO rides the shard-mutex driver.
 TEST(RuntimeParkTest, DoubleUnparkWhileParkingLocked) {
-  HostSchedOptions sched;
-  sched.force_locked = true;
-  DoubleUnparkWhileParking(sched);
+  DoubleUnparkWhileParking(HostSchedOptions{.policy = RuntimePolicy::kFifo});
 }
 
 // Cross-worker Park/Unpark chains: tokens circulate around a ring of
@@ -760,6 +759,37 @@ TEST(RuntimePreemptTest, DeliversConfiguredPeriod) {
   // later, at the uthread's next instrumented atomic, between two signal
   // mask syscalls. That reached about 70% of a 20 us period.
   EXPECT_GE(delivered_hz, 0.9 * configured_hz);
+#endif
+}
+
+// A uthread spinning inside a PreemptGuard receives its worker's ticks but
+// is never preempted; each of those ticks still counts as a deferral, so
+// preemptions plus deferrals account for the ticks a worker received.
+TEST(RuntimePreemptTest, GuardedSpinCountsDeferredTicks) {
+  constexpr std::int64_t kPeriodUs = 100;
+  Runtime rt(RuntimeOptions{.workers = 1, .preempt_period_us = kPeriodUs});
+  std::uint64_t deferrals = 0;
+  std::int64_t cpu_ns = 0;
+  WithWatchdog(std::chrono::seconds(60), "a guarded spin under a 100 us tick", [&] {
+    rt.Run([&] {
+      Runtime::PreemptGuard guard;
+      const std::uint64_t before = rt.preempt_deferrals();
+      // One worker: this uthread's thread CPU clock is the worker's.
+      const std::int64_t cpu_start = ClockNs(CLOCK_THREAD_CPUTIME_ID);
+      SpinUntilNs(SteadyNs() + 50'000'000);
+      cpu_ns = ClockNs(CLOCK_THREAD_CPUTIME_ID) - cpu_start;
+      deferrals = rt.preempt_deferrals() - before;
+    });
+  });
+  const double implied_ticks = static_cast<double>(cpu_ns) / (kPeriodUs * 1000.0);
+  std::printf("%llu deferrals for %.0f ticks of worker CPU time\n",
+              static_cast<unsigned long long>(deferrals), implied_ticks);
+  EXPECT_EQ(rt.preemptions(), 0u);
+  EXPECT_GT(deferrals, 0u);
+#ifndef __SANITIZE_THREAD__
+  // Not under TSan, which delays a signal to the uthread's next
+  // instrumented atomic (see DeliversConfiguredPeriod).
+  EXPECT_GE(static_cast<double>(deferrals), 0.5 * implied_ticks);
 #endif
 }
 

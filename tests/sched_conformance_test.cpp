@@ -311,7 +311,7 @@ TEST(HostPolicySemanticsTest, RoundRobinPreemptsCpuHog) {
 // the policy declares its discipline is FIFO + steal-half, or the shard-mutex
 // driver otherwise. The conformance suites above already exercise both (the
 // registry's "ws" entry rides lock-free, everything else rides the mutex);
-// these tests pin the selection logic itself and the force_locked escape.
+// these tests pin the selection logic itself.
 
 TEST(HostDriverSelectionTest, WorkStealingSelectsLockFreeDriver) {
   Runtime rt(RuntimeOptions{.workers = 2});  // default policy: work stealing
@@ -326,38 +326,6 @@ TEST(HostDriverSelectionTest, OrderingPoliciesKeepShardMutexDriver) {
     opts.sched.policy = p;
     Runtime rt(opts);
     EXPECT_FALSE(rt.lock_free_sched());
-  }
-}
-
-TEST(HostDriverSelectionTest, ForceLockedPinsMutexDriverAndStillConforms) {
-  // force_locked runs work stealing through the policy's own Table 2 methods
-  // under the shard mutex (the benchmark baseline path); the lifecycle
-  // workload must behave identically to the lock-free driver.
-  RuntimeOptions opts{.workers = 2};
-  opts.sched.force_locked = true;
-  Runtime rt(opts);
-  EXPECT_FALSE(rt.lock_free_sched());
-  EXPECT_EQ(std::string(rt.policy_name()), "skyloft-ws");
-  constexpr int kThreads = 300;
-  auto slots = std::make_unique<std::atomic<int>[]>(kThreads);
-  for (int i = 0; i < kThreads; i++) {
-    slots[i].store(0);
-  }
-  rt.Run([&] {
-    std::vector<UThread*> children;
-    for (int i = 0; i < kThreads; i++) {
-      children.push_back(Runtime::Spawn([&slots, i] {
-        slots[i].fetch_add(1);
-        Runtime::Yield();
-        slots[i].fetch_add(1);
-      }));
-    }
-    for (UThread* c : children) {
-      Runtime::Join(c);
-    }
-  });
-  for (int i = 0; i < kThreads; i++) {
-    EXPECT_EQ(slots[i].load(), 2) << "uthread " << i << " lost or run twice";
   }
 }
 
@@ -386,11 +354,11 @@ TEST(HostQuantumPlumbingTest, TimeSliceOverrideReachesEveryBuiltinPolicy) {
 // quantum is long and without dropped ones once it is short. Runs under the
 // TSan CI job: the controller thread writes the quantum while workers and
 // the signal path read it.
-void MidRunSetQuantumTakesEffect(bool force_locked) {
+void MidRunSetQuantumTakesEffect(RuntimePolicy policy) {
   SchedTracer tracer(1 << 16);
   RuntimeOptions opts{.workers = 1, .preempt_period_us = 500};
-  opts.sched.force_locked = force_locked;        // ws policy on both drivers
-  opts.sched.time_slice_us = 1'000'000;          // phase A: 1 s quantum
+  opts.sched.policy = policy;
+  opts.sched.time_slice_us = 1'000'000;  // phase A: 1 s quantum
   opts.tracer = &tracer;
   Runtime rt(opts);
   const auto spin_for = [](std::int64_t us) {
@@ -443,11 +411,12 @@ void MidRunSetQuantumTakesEffect(bool force_locked) {
 }
 
 TEST(HostQuantumPlumbingTest, SetQuantumMidRunLockFreeDriver) {
-  MidRunSetQuantumTakesEffect(/*force_locked=*/false);
+  MidRunSetQuantumTakesEffect(RuntimePolicy::kWorkStealing);
 }
 
+// Round robin rides the shard-mutex driver.
 TEST(HostQuantumPlumbingTest, SetQuantumMidRunShardMutexDriver) {
-  MidRunSetQuantumTakesEffect(/*force_locked=*/true);
+  MidRunSetQuantumTakesEffect(RuntimePolicy::kRoundRobin);
 }
 
 // Pin for the ISSUE 9 run-charging audit: LfRunData::ran is charged exactly
