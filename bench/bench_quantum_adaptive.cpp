@@ -223,8 +223,8 @@ void Main(bool smoke) {
       QuantumController::Hooks hooks;
       SchedPolicy* policy = setup.policy.get();
       KernelSim* kernel = setup.kernel.get();
-      hooks.apply_quantum = [policy](DurationNs quantum_ns, int) {
-        policy->SetQuantum(quantum_ns, SchedPolicy::kAllWorkers);
+      hooks.apply_quantum = [policy](DurationNs quantum_ns) {
+        policy->SetQuantum(quantum_ns);
       };
       hooks.apply_timer_period = [kernel](DurationNs period_ns) {
         for (int core = 0; core < kWorkers; core++) {

@@ -60,7 +60,7 @@ ScenarioResult RunScenario(bool lock_free, bool remote, int workers, int stock,
   std::vector<BenchItem> items(static_cast<std::size_t>(workers * stock));
   for (int i = 0; i < workers * stock; i++) {
     items[static_cast<std::size_t>(i)].item.id = static_cast<std::uint64_t>(i + 1);
-    sched.EnqueueNew(&items[static_cast<std::size_t>(i)].item, kEnqueueNew, i % workers);
+    sched.Enqueue(&items[static_cast<std::size_t>(i)].item, kEnqueueNew, i % workers);
   }
 
   std::atomic<bool> stop{false};

@@ -8,11 +8,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/base/time.h"
 #include "src/net/frame.h"
 #include "src/runtime/io_engine.h"
 #include "src/runtime/sync.h"
@@ -20,12 +20,6 @@
 namespace skyloft {
 
 namespace {
-
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 unsigned RoundUpPow2(unsigned v) {
   unsigned p = 1;
@@ -134,7 +128,7 @@ void KvStripedStore::Preload(const std::string& key, const std::string& value) {
 }
 
 std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane) {
-  const std::int64_t t0 = NowNs();
+  const std::int64_t t0 = HostNowNs();
   KvOpKind kind = KvOpKind::kError;
   std::string reply;
 
@@ -223,7 +217,7 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
     reply = "ERROR";
   }
 
-  const std::int64_t t1 = NowNs();
+  const std::int64_t t1 = HostNowNs();
   LatencyLane& lat = *lanes_[lane & (lanes_.size() - 1)];
   {
     Runtime::PreemptGuard guard;

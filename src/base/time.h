@@ -6,7 +6,11 @@
 #ifndef SRC_BASE_TIME_H_
 #define SRC_BASE_TIME_H_
 
+#include <time.h>
+
 #include <cstdint>
+
+#include "src/base/compiler.h"
 
 namespace skyloft {
 
@@ -35,6 +39,15 @@ constexpr DurationNs Millis(std::int64_t ms) { return ms * kMillisecond; }
 
 // Converts a timer frequency in Hz to the tick period in ns.
 constexpr DurationNs HzToPeriodNs(std::int64_t hz) { return kSecond / hz; }
+
+// The host's clock: CLOCK_MONOTONIC in ns, the clock std::chrono::steady_clock
+// reads on glibc. clock_gettime is async-signal-safe, so the preemption
+// handler may call this.
+SKYLOFT_SIGNAL_SAFE inline TimeNs HostNowNs() {
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<TimeNs>(ts.tv_sec) * kSecond + ts.tv_nsec;
+}
 
 }  // namespace skyloft
 

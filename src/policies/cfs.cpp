@@ -22,9 +22,9 @@ void CfsPolicy::SchedInit(EngineView* view) {
 
 void CfsPolicy::TaskInit(SchedItem* task) { *task->PolicyData<CfsData>() = CfsData{}; }
 
-DurationNs CfsPolicy::SliceFor(int worker, const Runqueue& queue) const {
-  if (quantum_.IsExplicit(worker)) {
-    return quantum_.For(worker);
+DurationNs CfsPolicy::SliceFor(const Runqueue& queue) const {
+  if (quantum_explicit_) {
+    return quantum_;
   }
   const auto nr = static_cast<DurationNs>(queue.tree.size()) + 1;  // + current
   return std::max(params_.min_granularity, params_.sched_latency / nr);
@@ -84,7 +84,7 @@ bool CfsPolicy::SchedTimerTick(int worker, SchedItem* current, DurationNs ran_ns
   if (queue.tree.empty()) {
     return false;
   }
-  if (data->slice_used < SliceFor(worker, queue)) {
+  if (data->slice_used < SliceFor(queue)) {
     return false;
   }
   // Preempt only if someone has a smaller vruntime (fairness deficit).

@@ -27,7 +27,7 @@ struct CfsParams {
 class CfsPolicy : public SchedPolicy {
  public:
   explicit CfsPolicy(CfsParams params)
-      : params_(params), quantum_(params.min_granularity, INT64_MAX) {}
+      : params_(params), quantum_(NormalizeQuantum(params.min_granularity, INT64_MAX)) {}
 
   SKYLOFT_NO_SWITCH void SchedInit(EngineView* view) override;
   SKYLOFT_NO_SWITCH void TaskInit(SchedItem* task) override;
@@ -38,16 +38,15 @@ class CfsPolicy : public SchedPolicy {
   SKYLOFT_NO_SWITCH std::size_t QueuedTasks() const override { return queued_; }
   const char* Name() const override { return "skyloft-cfs"; }
 
-  // An explicit SetQuantum pins the slice for that worker, bypassing the
-  // sched_latency / nr_runnable formula (the controller wants a direct knob,
-  // not one diluted by queue depth); before any SetQuantum the quantum
-  // reported is the min_granularity floor and the formula governs.
-  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns, int worker) override {
-    quantum_.Set(quantum_ns, worker);
+  // An explicit SetQuantum pins the slice, bypassing the sched_latency /
+  // nr_runnable formula (the controller wants a direct knob, not one diluted
+  // by queue depth); before any SetQuantum the quantum reported is the
+  // min_granularity floor and the formula governs.
+  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns) override {
+    quantum_ = NormalizeQuantum(quantum_ns, INT64_MAX);
+    quantum_explicit_ = true;
   }
-  SKYLOFT_NO_SWITCH DurationNs QuantumFor(int worker) const override {
-    return quantum_.For(worker);
-  }
+  SKYLOFT_NO_SWITCH DurationNs QuantumFor() const override { return quantum_; }
 
  private:
   struct CfsData {
@@ -65,10 +64,11 @@ class CfsPolicy : public SchedPolicy {
   };
 
   Runqueue& rq(int worker) { return queues_[static_cast<std::size_t>(worker)]; }
-  DurationNs SliceFor(int worker, const Runqueue& queue) const;
+  DurationNs SliceFor(const Runqueue& queue) const;
 
   CfsParams params_;
-  QuantumTable quantum_;
+  DurationNs quantum_;
+  bool quantum_explicit_ = false;  // SetQuantum was called
   std::vector<Runqueue> queues_;
   std::size_t queued_ = 0;
   int next_queue_ = 0;

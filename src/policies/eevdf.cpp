@@ -24,7 +24,7 @@ void EevdfPolicy::TaskEnqueue(SchedItem* task, unsigned flags, int worker_hint) 
   if (flags & (kEnqueueNew | kEnqueueWakeup)) {
     // Join with zero lag: vruntime = V, deadline one base_slice out.
     data->vruntime = queue.vtime;
-    data->deadline = data->vruntime + slice_.For(target);
+    data->deadline = data->vruntime + slice_;
   }
   // Preempted tasks keep their vruntime/deadline (lag is preserved).
   queue.tasks.push_back(task);
@@ -86,7 +86,7 @@ bool EevdfPolicy::SchedTimerTick(int worker, SchedItem* current, DurationNs ran_
   }
   // Slice exhausted: push the deadline and preempt if a waiting task has an
   // earlier deadline and is eligible.
-  data->deadline = data->vruntime + slice_.For(worker);
+  data->deadline = data->vruntime + slice_;
   for (SchedItem* waiting : queue.tasks) {
     const auto* wd = waiting->PolicyData<EevdfData>();
     if (wd->vruntime <= queue.vtime && wd->deadline < data->deadline) {
@@ -120,7 +120,7 @@ void EevdfPolicy::SchedBalance(int worker) {
   EevdfData* data = task->PolicyData<EevdfData>();
   const DurationNs lag = from.vtime - data->vruntime;
   data->vruntime = to.vtime - lag;
-  data->deadline = data->vruntime + slice_.For(worker);
+  data->deadline = data->vruntime + slice_;
   to.tasks.push_back(task);
 }
 

@@ -32,7 +32,7 @@ class EevdfPolicy : public SchedPolicy {
   static constexpr DurationNs kInfiniteSliceEevdf = DurationNs{1} << 50;
 
   explicit EevdfPolicy(EevdfParams params)
-      : params_(params), slice_(params.base_slice, kInfiniteSliceEevdf) {}
+      : params_(params), slice_(NormalizeQuantum(params.base_slice, kInfiniteSliceEevdf)) {}
 
   SKYLOFT_NO_SWITCH void SchedInit(EngineView* view) override;
   SKYLOFT_NO_SWITCH void TaskInit(SchedItem* task) override;
@@ -48,12 +48,10 @@ class EevdfPolicy : public SchedPolicy {
 
   // Live base-slice control: affects future deadlines (join, slice refresh,
   // migration); deadlines already granted are honored at their old length.
-  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns, int worker) override {
-    slice_.Set(quantum_ns, worker);
+  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns) override {
+    slice_ = NormalizeQuantum(quantum_ns, kInfiniteSliceEevdf);
   }
-  SKYLOFT_NO_SWITCH DurationNs QuantumFor(int worker) const override {
-    return slice_.For(worker);
-  }
+  SKYLOFT_NO_SWITCH DurationNs QuantumFor() const override { return slice_; }
 
  private:
   struct EevdfData {
@@ -69,7 +67,7 @@ class EevdfPolicy : public SchedPolicy {
   Runqueue& rq(int worker) { return queues_[static_cast<std::size_t>(worker)]; }
 
   EevdfParams params_;
-  QuantumTable slice_;
+  DurationNs slice_;
   std::vector<Runqueue> queues_;
   std::size_t queued_ = 0;
   int next_queue_ = 0;

@@ -34,13 +34,12 @@ SchedItem* RoundRobinPolicy::TaskDequeue(int worker) {
 }
 
 bool RoundRobinPolicy::SchedTimerTick(int worker, SchedItem* current, DurationNs ran_ns) {
-  const DurationNs slice = time_slice_.For(worker);
-  if (current == nullptr || slice == kInfiniteSlice) {
+  if (current == nullptr || time_slice_ == kInfiniteSlice) {
     return false;
   }
   RrData* data = current->PolicyData<RrData>();
   data->slice_used += ran_ns;
-  if (data->slice_used < slice) {
+  if (data->slice_used < time_slice_) {
     return false;
   }
   // Only round-robin when someone is actually waiting on this queue.

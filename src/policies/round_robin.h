@@ -20,7 +20,7 @@ class RoundRobinPolicy : public SchedPolicy {
  public:
   // `time_slice` of kInfiniteSlice disables slice-based preemption (FIFO).
   explicit RoundRobinPolicy(DurationNs time_slice)
-      : time_slice_(time_slice, kInfiniteSlice) {}
+      : time_slice_(NormalizeQuantum(time_slice, kInfiniteSlice)) {}
 
   SKYLOFT_NO_SWITCH void SchedInit(EngineView* view) override;
   SKYLOFT_NO_SWITCH void TaskInit(SchedItem* task) override;
@@ -31,19 +31,17 @@ class RoundRobinPolicy : public SchedPolicy {
   SKYLOFT_NO_SWITCH std::size_t QueuedTasks() const override { return queued_; }
   const char* Name() const override { return "skyloft-rr"; }
 
-  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns, int worker) override {
-    time_slice_.Set(quantum_ns, worker);
+  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns) override {
+    time_slice_ = NormalizeQuantum(quantum_ns, kInfiniteSlice);
   }
-  SKYLOFT_NO_SWITCH DurationNs QuantumFor(int worker) const override {
-    return time_slice_.For(worker);
-  }
+  SKYLOFT_NO_SWITCH DurationNs QuantumFor() const override { return time_slice_; }
 
  private:
   struct RrData {
     DurationNs slice_used = 0;
   };
 
-  QuantumTable time_slice_;
+  DurationNs time_slice_;
   std::vector<IntrusiveList<SchedItem>> queues_;
   std::size_t queued_ = 0;
   int next_queue_ = 0;  // round-robin placement for hintless tasks

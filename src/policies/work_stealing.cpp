@@ -34,13 +34,12 @@ SchedItem* WorkStealingPolicy::TaskDequeue(int worker) {
 }
 
 bool WorkStealingPolicy::SchedTimerTick(int worker, SchedItem* current, DurationNs ran_ns) {
-  const DurationNs quantum = quantum_.For(worker);
-  if (current == nullptr || quantum == kInfiniteSliceWs) {
+  if (current == nullptr || quantum_ == kInfiniteSliceWs) {
     return false;
   }
   WsData* data = current->PolicyData<WsData>();
   data->ran += ran_ns;
-  if (data->ran < quantum) {
+  if (data->ran < quantum_) {
     return false;
   }
   // Preempt only when runnable work is waiting somewhere: preempting onto an

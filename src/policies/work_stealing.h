@@ -33,7 +33,7 @@ class WorkStealingPolicy : public SchedPolicy {
   explicit WorkStealingPolicy(WorkStealingParams params)
       : params_(params),
         rng_(params.steal_seed),
-        quantum_(params.quantum, kInfiniteSliceWs) {}
+        quantum_(NormalizeQuantum(params.quantum, kInfiniteSliceWs)) {}
 
   SKYLOFT_NO_SWITCH void SchedInit(EngineView* view) override;
   SKYLOFT_NO_SWITCH void TaskInit(SchedItem* task) override;
@@ -48,19 +48,13 @@ class WorkStealingPolicy : public SchedPolicy {
   // so the host runtime runs this policy without ever entering the methods
   // above (the sim engines still drive them).
   SKYLOFT_NO_SWITCH bool SupportsLockFree() const override { return true; }
-  SKYLOFT_NO_SWITCH DurationNs LockFreeQuantumNs() const override {
-    const DurationNs q = quantum_.For(kAllWorkers);
-    return q == kInfiniteSliceWs ? 0 : q;
-  }
 
-  // Live quantum control (sim engines and the shard-mutex host driver; under
-  // the lock-free driver HostSched holds the authoritative per-worker copy).
-  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns, int worker) override {
-    quantum_.Set(quantum_ns, worker);
+  // Live quantum control (sim engines; under the host's lock-free driver
+  // HostSched reads this once and then holds the authoritative copy).
+  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns) override {
+    quantum_ = NormalizeQuantum(quantum_ns, kInfiniteSliceWs);
   }
-  SKYLOFT_NO_SWITCH DurationNs QuantumFor(int worker) const override {
-    return quantum_.For(worker);
-  }
+  SKYLOFT_NO_SWITCH DurationNs QuantumFor() const override { return quantum_; }
 
   std::uint64_t steals() const { return steals_; }
 
@@ -71,7 +65,7 @@ class WorkStealingPolicy : public SchedPolicy {
 
   WorkStealingParams params_;
   Rng rng_;
-  QuantumTable quantum_;
+  DurationNs quantum_;
   std::vector<IntrusiveList<SchedItem>> queues_;
   std::size_t queued_ = 0;
   std::uint64_t steals_ = 0;

@@ -1,9 +1,6 @@
 #include "src/runtime/host_sched.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
 
 #include "src/base/logging.h"
 #include "src/base/mpsc_queue.h"
@@ -17,12 +14,6 @@
 namespace skyloft {
 
 namespace {
-
-TimeNs HostNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::unique_ptr<SchedPolicy> MakeHostPolicy(RuntimePolicy policy, std::int64_t time_slice_us) {
   switch (policy) {
@@ -59,6 +50,12 @@ std::unique_ptr<SchedPolicy> MakeHostPolicy(RuntimePolicy policy, std::int64_t t
   return std::make_unique<WorkStealingPolicy>(params);
 }
 
+// The lock-free driver's quantum convention: 0 disables tick preemption, as
+// do "<= 0" and the policies' INT64_MAX-style infinite sentinel.
+DurationNs LockFreeQuantum(DurationNs quantum_ns) {
+  return quantum_ns <= 0 || quantum_ns == INT64_MAX ? 0 : quantum_ns;
+}
+
 // Per-task state of the lock-free driver, stored in SchedItem::policy_data
 // (the driver plays the policy's role, so it owns the policy-defined field).
 struct LfRunData {
@@ -73,49 +70,16 @@ constexpr int kStealRetries = 2;
 
 }  // namespace
 
-// One policy instance plus the EngineView it schedules through. The policy
-// sees the runtime's worker indices unchanged.
-struct HostSched::Shard : EngineView {
-  HostSched* parent = nullptr;
-  std::mutex mu;
-  std::unique_ptr<SchedPolicy> owned;
-  SchedPolicy* policy = nullptr;
-
-  TimeNs Now() const override { return HostNowNs(); }
-  int NumWorkers() const override { return parent->workers_; }
-  int WorkerCore(int index) const override { return index; }
-  bool IsWorkerIdle(int index) const override { return parent->idle_map_.Test(index); }
-
-  // task_dequeue, falling back to sched_balance and one retry (the paper's
-  // idle path); a rescue counts as a steal. Caller holds `mu`.
-  SchedItem* DequeueLocked(int worker) {
-    SchedItem* item = policy->TaskDequeue(worker);
-    if (item == nullptr) {
-      policy->SchedBalance(worker);
-      item = policy->TaskDequeue(worker);
-      if (item != nullptr) {
-        parent->steals_->Inc(worker);
-      }
-    }
-    return item;
-  }
-};
-
 // Lock-free driver state for one worker: the two-level runqueue (DESIGN.md
 // section 9). All submissions land in the mailbox (one CAS); only the owner
 // touches the deque's bottom (drain, pop, steal-surplus push); thieves CAS
 // the deque's top. Cache-line aligned so neighbor workers' queues never
 // share a line.
 struct alignas(kCacheLineSize) HostSched::LfWorker {
-  explicit LfWorker(std::uint64_t seed, DurationNs quantum_ns) : rng(seed), quantum(quantum_ns) {}
+  explicit LfWorker(std::uint64_t seed) : rng(seed) {}
   WsDeque<SchedItem> deque;
   MpscQueue<SchedItem> mailbox;
   Rng rng;  // victim-probe start, owner-only
-  // Preemption quantum the lock-free Tick path enforces for this worker;
-  // 0 disables tick preemption. Written by SetQuantum (any thread), reread
-  // relaxed on every tick — a tick racing an update sees either quantum,
-  // both of which were valid moments ago.
-  std::atomic<DurationNs> quantum;
 };
 
 HostSched::HostSched(int workers, const HostSchedOptions& options)
@@ -127,32 +91,24 @@ HostSched::HostSched(int workers, const HostSchedOptions& options)
   steal_successes_ = metrics_.AddSharded("steal_successes", workers_);
   cas_retries_ = metrics_.AddSharded("mailbox_cas_retries", workers_);
 
-  // Build (or adopt) one policy instance first: it decides the driver.
-  SchedPolicy* selected = options.custom_policy;
-  std::unique_ptr<SchedPolicy> owned;
-  if (selected == nullptr) {
-    owned = MakeHostPolicy(options.policy, options.time_slice_us);
-    selected = owned.get();
+  // Build (or adopt) the policy first: it decides the driver.
+  policy_ = options.custom_policy;
+  if (policy_ == nullptr) {
+    owned_ = MakeHostPolicy(options.policy, options.time_slice_us);
+    policy_ = owned_.get();
   }
 
-  if (selected->SupportsLockFree()) {
+  if (policy_->SupportsLockFree()) {
     lock_free_ = true;
-    lf_policy_ = selected;
-    lf_owned_ = std::move(owned);
-    const DurationNs quantum = selected->LockFreeQuantumNs();
+    lf_quantum_.store(LockFreeQuantum(policy_->QuantumFor()), std::memory_order_relaxed);
     lf_.reserve(static_cast<std::size_t>(workers_));
     for (int w = 0; w < workers_; w++) {
-      lf_.push_back(std::make_unique<LfWorker>(
-          0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(w + 1) + 1, quantum));
+      lf_.push_back(
+          std::make_unique<LfWorker>(0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(w + 1) + 1));
     }
     return;
   }
-
-  shard_ = std::make_unique<Shard>();
-  shard_->parent = this;
-  shard_->owned = std::move(owned);  // null when adopting custom_policy
-  shard_->policy = selected;
-  shard_->policy->SchedInit(shard_.get());
+  policy_->SchedInit(this);
 }
 
 HostSched::~HostSched() = default;
@@ -257,34 +213,33 @@ SchedItem* HostSched::LfStealHalf(int worker) {
 
 // ---- public surface (dispatches per driver) ---------------------------------
 
-void HostSched::Enqueue(SchedItem* item, unsigned flags, int worker_hint) {
-  if (lock_free_) {
-    // The lock-free discipline is pure FIFO + steal-half: enqueue flags only
-    // matter to policies with ordering state, so they are dropped here.
-    const int target =
-        (worker_hint >= 0 && worker_hint < workers_) ? worker_hint : ExternalTarget();
-    LfEnqueue(item, target);
-    return;
+SchedItem* HostSched::DequeueLocked(int worker) {
+  SchedItem* item = policy_->TaskDequeue(worker);
+  if (item == nullptr) {
+    policy_->SchedBalance(worker);
+    item = policy_->TaskDequeue(worker);
+    if (item != nullptr) {
+      steals_->Inc(worker);
+    }
   }
-  const bool hinted = worker_hint >= 0 && worker_hint < workers_;
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  shard_->policy->TaskEnqueue(item, flags, hinted ? worker_hint : -1);
+  return item;
 }
 
-void HostSched::EnqueueNew(SchedItem* item, unsigned flags, int worker_hint) {
+void HostSched::Enqueue(SchedItem* item, unsigned flags, int worker_hint) {
+  const bool hinted = worker_hint >= 0 && worker_hint < workers_;
   if (lock_free_) {
-    // TaskInit is policy state the lock-free driver replaces: LfRunData is
-    // zero-initialized with the SchedItem itself, so a new item needs no
-    // extra init step and the spawn path is exactly one mailbox CAS.
-    const int target =
-        (worker_hint >= 0 && worker_hint < workers_) ? worker_hint : ExternalTarget();
-    LfEnqueue(item, target);
+    // The lock-free discipline is pure FIFO + steal-half: enqueue flags only
+    // matter to policies with ordering state, so they are dropped here. So
+    // is TaskInit: LfRunData is zero-initialized with the SchedItem itself,
+    // so the spawn path is exactly one mailbox CAS.
+    LfEnqueue(item, hinted ? worker_hint : ExternalTarget());
     return;
   }
-  const bool hinted = worker_hint >= 0 && worker_hint < workers_;
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  shard_->policy->TaskInit(item);
-  shard_->policy->TaskEnqueue(item, flags, hinted ? worker_hint : -1);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (flags & kEnqueueNew) {
+    policy_->TaskInit(item);
+  }
+  policy_->TaskEnqueue(item, flags, hinted ? worker_hint : -1);
 }
 
 SchedItem* HostSched::Retire(SchedItem* dead, int worker) {
@@ -294,17 +249,17 @@ SchedItem* HostSched::Retire(SchedItem* dead, int worker) {
     (void)dead;
     return LfDequeue(worker);
   }
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  shard_->policy->TaskTerminate(dead);
-  return shard_->DequeueLocked(worker);
+  std::lock_guard<std::mutex> lock(mu_);
+  policy_->TaskTerminate(dead);
+  return DequeueLocked(worker);
 }
 
 SchedItem* HostSched::Dequeue(int worker) {
   if (lock_free_) {
     return LfDequeue(worker);
   }
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  return shard_->DequeueLocked(worker);
+  std::lock_guard<std::mutex> lock(mu_);
+  return DequeueLocked(worker);
 }
 
 SchedItem* HostSched::Requeue(SchedItem* item, unsigned flags, int worker) {
@@ -322,9 +277,9 @@ SchedItem* HostSched::Requeue(SchedItem* item, unsigned flags, int worker) {
   // immediately needs the next one, and paying two lock round-trips there
   // dominates the cost of a Yield. Policy call order is identical to
   // Enqueue(worker) followed by Dequeue(worker).
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  shard_->policy->TaskEnqueue(item, flags, worker);
-  return shard_->DequeueLocked(worker);
+  std::lock_guard<std::mutex> lock(mu_);
+  policy_->TaskEnqueue(item, flags, worker);
+  return DequeueLocked(worker);
 }
 
 bool HostSched::Tick(int worker, SchedItem* current, DurationNs ran_ns) {
@@ -337,7 +292,7 @@ bool HostSched::Tick(int worker, SchedItem* current, DurationNs ran_ns) {
     const LfWorker& me = *lf_[static_cast<std::size_t>(worker)];
     // Reread per tick, not latched at driver selection: the quantum
     // controller retunes it live.
-    const DurationNs quantum = me.quantum.load(std::memory_order_relaxed);
+    const DurationNs quantum = lf_quantum_.load(std::memory_order_relaxed);
     if (current == nullptr || quantum == 0) {
       return false;
     }
@@ -360,8 +315,8 @@ bool HostSched::Tick(int worker, SchedItem* current, DurationNs ran_ns) {
     }
     return false;
   }
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  return shard_->policy->SchedTimerTick(worker, current, ran_ns);
+  std::lock_guard<std::mutex> lock(mu_);
+  return policy_->SchedTimerTick(worker, current, ran_ns);
 }
 
 int HostSched::ExternalTarget() const {
@@ -400,45 +355,21 @@ void HostSched::SetIdle(int worker, bool idle) {
   }
 }
 
-void HostSched::SetQuantum(DurationNs quantum_ns, int worker) {
+void HostSched::SetQuantum(DurationNs quantum_ns) {
   if (lock_free_) {
-    // Normalize to the lock-free driver's convention: 0 disables tick
-    // preemption (both "<= 0" and the policies' INT64_MAX-style infinite
-    // sentinel mean "never preempt on a tick").
-    DurationNs q = quantum_ns;
-    if (q <= 0 || q == INT64_MAX) {
-      q = 0;
-    }
-    if (worker >= 0 && worker < workers_) {
-      lf_[static_cast<std::size_t>(worker)]->quantum.store(q, std::memory_order_relaxed);
-    } else {
-      for (int w = 0; w < workers_; w++) {
-        lf_[static_cast<std::size_t>(w)]->quantum.store(q, std::memory_order_relaxed);
-      }
-    }
+    lf_quantum_.store(LockFreeQuantum(quantum_ns), std::memory_order_relaxed);
     return;
   }
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  shard_->policy->SetQuantum(quantum_ns,
-                             worker >= 0 && worker < workers_ ? worker : SchedPolicy::kAllWorkers);
+  std::lock_guard<std::mutex> lock(mu_);
+  policy_->SetQuantum(quantum_ns);
 }
 
-DurationNs HostSched::QuantumFor(int worker) const {
-  if (worker < 0 || worker >= workers_) {
-    worker = 0;
-  }
+DurationNs HostSched::QuantumFor() const {
   if (lock_free_) {
-    return lf_[static_cast<std::size_t>(worker)]->quantum.load(std::memory_order_relaxed);
+    return lf_quantum_.load(std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lock(shard_->mu);
-  return shard_->policy->QuantumFor(worker);
-}
-
-const char* HostSched::PolicyName() const {
-  if (lock_free_) {
-    return lf_policy_->Name();
-  }
-  return shard_->policy->Name();
+  std::lock_guard<std::mutex> lock(mu_);
+  return policy_->QuantumFor();
 }
 
 }  // namespace skyloft

@@ -2,37 +2,40 @@
 //
 // The sim engines (src/libos) drive a SchedPolicy from a single event loop;
 // the host runtime has N real worker pthreads, so the policy must be driven
-// concurrently. HostSched owns two interchangeable drivers behind one
-// per-worker operation surface:
+// concurrently. HostSched owns one policy instance and two interchangeable
+// drivers behind one per-worker operation surface:
 //
-//   - the shard-mutex driver: one locked shard owning a policy instance that
-//     covers every worker. Every policy call happens under the shard's
-//     mutex. This is the general path — any Table 2 policy (CFS, EEVDF, RR,
-//     ...) runs here unchanged.
+//   - the shard-mutex driver: the policy covers every worker and every
+//     policy call happens under HostSched's mutex. This is the general path
+//     — any Table 2 policy (CFS, EEVDF, RR, ...) runs here unchanged.
 //   - the lock-free driver: a two-level runqueue per worker — an intrusive
 //     MPSC mailbox absorbing all submissions plus a Chase-Lev deque the owner
 //     drains it into — with steal-half batching when a worker runs dry
 //     (DESIGN.md section 9). No mutex anywhere on the task path. Selected
 //     when the policy declares SchedPolicy::SupportsLockFree() (the
 //     work-stealing default does); the policy object then only supplies its
-//     name and preemption quantum.
+//     name and initial preemption quantum.
 //
 // Locking model (shard-mutex driver): callers on a uthread stack must hold a
-// Runtime::PreemptGuard (a preemption signal landing while a shard lock is
-// held would deadlock the worker). The runtime's scheduler stack always runs
-// with preemption disabled, so WorkerLoop-side calls are safe by
-// construction. The lock-free driver has no locks to deadlock on; callers
-// keep the same guard discipline whichever driver the policy selected.
+// Runtime::PreemptGuard (a preemption signal landing while the mutex is held
+// would deadlock the worker). The runtime's scheduler stack never takes a
+// preemption (its worker runs no uthread, or one whose preempt depth is
+// raised), so WorkerLoop-side calls are safe by construction. The lock-free
+// driver has no locks to deadlock on; callers keep the same guard discipline
+// whichever driver the policy selected.
 #ifndef SRC_RUNTIME_HOST_SCHED_H_
 #define SRC_RUNTIME_HOST_SCHED_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/base/bitmap.h"
 #include "src/base/compiler.h"
 #include "src/base/metrics.h"
+#include "src/base/time.h"
 #include "src/sched/policy.h"
 
 namespace skyloft {
@@ -58,12 +61,14 @@ struct HostSchedOptions {
   SchedPolicy* custom_policy = nullptr;
 };
 
-class HostSched {
+// HostSched is also the EngineView its policy schedules through: the policy
+// sees the runtime's worker indices unchanged.
+class HostSched : public EngineView {
  public:
   HostSched(int workers, const HostSchedOptions& options);
-  ~HostSched();  // out of line: Shard/LfWorker are incomplete types here
+  ~HostSched() override;  // out of line: LfWorker is an incomplete type here
 
-  // Every operation below runs policy code under a shard mutex (shard-mutex
+  // Every operation below runs policy code under the mutex (shard-mutex
   // driver) or manipulates lock-free queues whose progress other workers
   // depend on (lock-free driver); either way it must never reach a switch
   // primitive — hence the blanket SKYLOFT_NO_SWITCH.
@@ -71,13 +76,10 @@ class HostSched {
   // task_enqueue. `worker_hint` is a worker index (or -1): a valid hint
   // routes to that worker's runqueue, no hint lets the driver place the task
   // (lock-free: idle-first placement; shard-mutex: the policy places it).
+  // With kEnqueueNew in `flags`, task_init runs first under the same lock,
+  // so the spawn path pays one lock round trip (lock-free: TaskInit is
+  // policy-free, this is a plain mailbox push).
   SKYLOFT_NO_SWITCH void Enqueue(SchedItem* item, unsigned flags, int worker_hint);
-
-  // task_init + task_enqueue fused: a new item is initialized by the same
-  // policy instance that first queues it, and the spawn path pays one lock
-  // round trip instead of two (lock-free: TaskInit is policy-free, this is
-  // a plain mailbox push).
-  SKYLOFT_NO_SWITCH void EnqueueNew(SchedItem* item, unsigned flags, int worker_hint);
 
   // task_terminate + task_dequeue fused: retire a finished item and fetch
   // the worker's next task in one acquisition (the exit fast path).
@@ -96,15 +98,15 @@ class HostSched {
   // sched_timer_tick for `worker`; true => preempt `current`.
   SKYLOFT_NO_SWITCH bool Tick(int worker, SchedItem* current, DurationNs ran_ns);
 
-  // Live quantum control (the adaptive controller's fast knob). Callable from
-  // any thread: the lock-free driver stores per-worker atomics that Tick
-  // rereads every invocation; the shard-mutex driver forwards to the policy
-  // under the owning shard's lock. `worker` < 0 targets all workers;
-  // `quantum_ns` <= 0 (or INT64_MAX) disables tick preemption.
-  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns, int worker);
-  // The quantum in force for `worker` (lock-free driver: 0 == disabled;
-  // shard-mutex driver: the policy's own reporting convention).
-  SKYLOFT_NO_SWITCH DurationNs QuantumFor(int worker) const;
+  // Live quantum control (the adaptive controller's knob): one quantum for
+  // every worker. Callable from any thread: the lock-free driver stores one
+  // atomic that Tick rereads every invocation; the shard-mutex driver
+  // forwards to the policy under the mutex. `quantum_ns` <= 0 (or INT64_MAX)
+  // disables tick preemption.
+  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns);
+  // The quantum in force (lock-free driver: 0 == disabled; shard-mutex
+  // driver: the policy's own reporting convention).
+  SKYLOFT_NO_SWITCH DurationNs QuantumFor() const;
 
   // Placement target for submissions that originate off-runtime (external
   // Unpark, Run()'s main thread): first idle worker (one bitmap word scan),
@@ -115,14 +117,23 @@ class HostSched {
   SKYLOFT_NO_SWITCH void SetIdle(int worker, bool idle);
 
   std::uint64_t steals() const { return steals_->Value(); }
-  const char* PolicyName() const;
+  const char* PolicyName() const { return policy_->Name(); }
   int workers() const { return workers_; }
   // True when this instance runs the lock-free two-level-runqueue driver.
   bool lock_free() const { return lock_free_; }
 
+  // EngineView, for the policy.
+  TimeNs Now() const override { return HostNowNs(); }
+  int NumWorkers() const override { return workers_; }
+  int WorkerCore(int index) const override { return index; }
+  bool IsWorkerIdle(int index) const override { return idle_map_.Test(index); }
+
  private:
-  struct Shard;     // shard-mutex driver state (one policy + mutex)
   struct LfWorker;  // lock-free driver state (mailbox + deque + rng)
+
+  // task_dequeue, falling back to sched_balance and one retry (the paper's
+  // idle path); a rescue counts as a steal. Caller holds `mu_`.
+  SKYLOFT_NO_SWITCH SchedItem* DequeueLocked(int worker);
 
   // Lock-free driver internals (see host_sched.cpp).
   SKYLOFT_NO_SWITCH void LfEnqueue(SchedItem* item, int target);
@@ -132,15 +143,19 @@ class HostSched {
   int workers_;
   bool lock_free_ = false;
 
-  // ---- shard-mutex driver ----
-  std::unique_ptr<Shard> shard_;
+  // The policy: owned_ unless adopted from HostSchedOptions::custom_policy.
+  // The shard-mutex driver calls it under mu_; the lock-free driver reads
+  // only its name and, at construction, its quantum.
+  std::unique_ptr<SchedPolicy> owned_;
+  SchedPolicy* policy_ = nullptr;
+  mutable std::mutex mu_;
 
   // ---- lock-free driver ----
   std::vector<std::unique_ptr<LfWorker>> lf_;
-  SchedPolicy* lf_policy_ = nullptr;  // name + quantum only; Table 2 unused
-  std::unique_ptr<SchedPolicy> lf_owned_;
-  // The per-worker lock-free quantum lives in LfWorker::quantum (atomic,
-  // reread on every Tick) so SetQuantum takes effect mid-run.
+  // The quantum the lock-free Tick enforces; 0 disables tick preemption.
+  // Written by SetQuantum (any thread), reread relaxed on every tick — a
+  // tick racing an update sees either quantum, both valid moments ago.
+  std::atomic<DurationNs> lf_quantum_{0};
 
   // Worker state the policies read through EngineView and ExternalTarget
   // reads for placement.

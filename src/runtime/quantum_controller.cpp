@@ -138,7 +138,7 @@ void QuantumController::WatchPreempts(std::function<std::uint64_t()> reader) {
 }
 
 void QuantumController::Apply(TimeNs now, DurationNs quantum_ns) {
-  hooks_.apply_quantum(quantum_ns, /*worker=*/-1);
+  hooks_.apply_quantum(quantum_ns);
   if (hooks_.apply_timer_period != nullptr) {
     const auto scaled = static_cast<DurationNs>(static_cast<double>(quantum_ns) *
                                                 config_.timer_period_frac);

@@ -1,4 +1,4 @@
-// Adaptive per-core preemption-quantum controller (ROADMAP item 2, the
+// Adaptive preemption-quantum controller (ROADMAP item 2, the
 // LibPreemptible direction; DESIGN.md section 13).
 //
 // Fig. 8b shows the fixed-quantum tradeoff: smaller quanta strictly help
@@ -24,9 +24,9 @@
 //
 // Everything here runs on a slow path (a periodic event in the sim, or a
 // caller's own thread on the host) — never on a worker, never in a signal
-// handler. The fast-path knobs it drives are lock-free to read: HostSched's
-// per-worker atomic quantum and the sim policies' plain fields mutated from
-// the single event loop. The host runtime's timer period is fixed per
+// handler. The fast-path knob it drives is lock-free to read: HostSched's
+// one atomic quantum, or a sim policy's plain field mutated from the single
+// event loop. The host runtime's timer period is fixed per
 // Runtime, so on the host the controller can only move the quantum.
 #ifndef SRC_RUNTIME_QUANTUM_CONTROLLER_H_
 #define SRC_RUNTIME_QUANTUM_CONTROLLER_H_
@@ -138,10 +138,10 @@ class QuantumControlLaw {
 class QuantumController {
  public:
   struct Hooks {
-    // Required: apply `quantum_ns` to `worker` (SchedPolicy::kAllWorkers for
-    // every worker). E.g. Runtime::SetQuantum or policy->SetQuantum + sim
-    // timer reprogramming.
-    std::function<void(DurationNs quantum_ns, int worker)> apply_quantum;
+    // Required: apply `quantum_ns`, the one quantum every worker enforces.
+    // E.g. Runtime::SetQuantum or policy->SetQuantum + sim timer
+    // reprogramming.
+    std::function<void(DurationNs quantum_ns)> apply_quantum;
     // Optional: retune the preemption-timer period.
     std::function<void(DurationNs period_ns)> apply_timer_period;
   };
@@ -176,7 +176,7 @@ class QuantumController {
   // event, so quantum-vs-time plots straight from the Perfetto JSON.
   void SetTracer(SchedTracer* tracer) { tracer_ = tracer; }
 
-  // One control step at time `now` (sim time or host MonotonicNs — any
+  // One control step at time `now` (sim time or host HostNowNs — any
   // monotonic ns clock, used for rates and history stamps). The first call
   // only primes baselines. Call from a slow path; not signal-safe.
   void Poll(TimeNs now);

@@ -191,22 +191,6 @@ void AsanUnpoisonStack(const void* stack, std::size_t size) {
 #endif
 }
 
-std::int64_t MonotonicNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Trace timestamps for the runtime, including from inside the signal
-// handler: clock_gettime(CLOCK_MONOTONIC) is async-signal-safe, unlike the
-// std::chrono machinery behind MonotonicNs. Same epoch as MonotonicNs on
-// glibc (steady_clock is CLOCK_MONOTONIC), so spans and ticks line up.
-SKYLOFT_SIGNAL_SAFE std::int64_t TraceClockNs() {
-  struct timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-}
-
 // glibc marks __errno_location() __attribute__((const)), so the compiler
 // reuses one pointer for every `errno` in a frame — including across a
 // context switch that migrates the uthread to another pthread, where the
@@ -236,11 +220,6 @@ struct RuntimeWorker {
   // occupancy span the scheduler emits when the uthread switches back out.
   // Separate from run_charge, which is conditional on the signal timer.
   std::int64_t trace_run_start = 0;
-
-  // 0 => the preemption signal handler may switch; anything else defers.
-  // Written with PreemptDepthInc/Dec and absolute stores, only by this
-  // worker's pthread; read only by its own signal handler.
-  std::atomic<int> preempt_disable{1};
 
   // The scheduler stack's on_cpu flag for skyloft_ctx_switch; nothing waits
   // on it (the scheduler stack is never switched into by another worker).
@@ -272,12 +251,12 @@ constexpr int kParkRunning = 0;
 constexpr int kParkUnparkPending = 1;
 constexpr int kParkParked = 2;
 
-// Preempt-disable depths (RuntimeWorker::preempt_disable and
-// UThreadExtra::preempt_count) are written only by the pthread running the
-// uthread and read only by that pthread's own signal handler, so a plain
-// load+store updates them: no other CPU races the write, and the handler
-// either runs before it or after it. The signal fences keep the compiler
-// from moving the guarded section across the update.
+// A uthread's preempt-disable depth (UThreadExtra::preempt_count) is written
+// only by the pthread running the uthread and read only by that pthread's
+// own signal handler, so a plain load+store updates it: no other CPU races
+// the write, and the handler either runs before it or after it. The signal
+// fences keep the compiler from moving the guarded section across the
+// update.
 // Always inlined, so the increment sits inside a switch entry's own text.
 SKYLOFT_SIGNAL_SAFE [[gnu::always_inline]] inline void PreemptDepthInc(std::atomic<int>& depth) {
   depth.store(depth.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
@@ -299,10 +278,15 @@ struct UThreadExtra {
   // switch out has left its stack (skyloft_ctx_switch clears it). SwitchTo
   // waits for it before switching in.
   std::atomic<bool> on_cpu{false};
-  // PreemptGuard depth for this uthread; checked by the signal handler in
-  // addition to the worker's own preempt_disable. Per-uthread because a
-  // guard can span a Park() that resumes on a different worker.
-  std::atomic<int> preempt_count{0};
+  // Preempt-disable depth: 0 => the signal handler may preempt this uthread.
+  // PreemptGuard raises it, and so does every switch-out (Yield, PreemptTick,
+  // Park, ExitCurrent) until the uthread is back and has finished landing.
+  // A fresh uthread starts at 1, lowered by UthreadMain. So a uthread that
+  // is not running always has a raised depth, and a tick on the scheduler
+  // stack, which sees one of those as its worker's `current`, defers.
+  // Per-uthread because a guard can span a Park() that resumes on a
+  // different worker.
+  std::atomic<int> preempt_count{1};
   void* tsan_fiber = nullptr;
   // This uthread's ASan fake-stack handle, saved while it is switched out.
   // Null on first entry and after an exit (ExitCurrent destroys it).
@@ -417,9 +401,8 @@ UThread* Runtime::AllocUthread(std::function<void()> fn) {
   t->fn = std::move(fn);
   t->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
   t->joiners.clear();
-  t->detached = false;
   ExtraOf(t)->park.store(kParkRunning, std::memory_order_relaxed);
-  ExtraOf(t)->preempt_count.store(0, std::memory_order_relaxed);
+  ExtraOf(t)->preempt_count.store(1, std::memory_order_relaxed);  // UthreadMain lowers it
   ExtraOf(t)->asan_fake_stack = nullptr;  // a recycled uthread is a fresh fiber
   // A recycled stack still carries ASan poison from the frames its previous
   // incarnation abandoned at its final context switch (ExitCurrent never
@@ -580,15 +563,14 @@ void Runtime::WorkerLoop(int index) {
     next = nullptr;
 
     // Back on the scheduler stack (the last uthread of the segment chain
-    // switched out): complete whatever it asked.
-    worker->preempt_disable.store(1, std::memory_order_release);
+    // switched out, its preempt depth raised): complete whatever it asked.
     UThread* prev = worker->current;
     worker->current = nullptr;
     if (tracer_ != nullptr) {
       // Occupancy span for the segment that just ended ("ph":"X" in the
       // chrome-trace output). Recorded here, not in the uthread, so exits
       // and preemption entries are covered too.
-      const std::int64_t span_end = TraceClockNs();
+      const std::int64_t span_end = HostNowNs();
       tracer_->RecordEvent(worker->trace_run_start, TraceEventType::kRun, index, prev->id, 0,
                            span_end - worker->trace_run_start);
     }
@@ -602,11 +584,11 @@ void Runtime::WorkerLoop(int index) {
       case SwitchAction::kTick: {
         // sched_timer_tick with the wall time the uthread ran since it was
         // switched in (or last ticked); the policy decides preemption.
-        const std::int64_t ran_ns = MonotonicNs() - worker->run_charge;
+        const std::int64_t ran_ns = HostNowNs() - worker->run_charge;
         if (worker->sched->Tick(index, prev, ran_ns)) {
           preemptions_->Inc();
           if (tracer_ != nullptr) {
-            tracer_->RecordEvent(TraceClockNs(), TraceEventType::kPreempt, index, prev->id, 0);
+            tracer_->RecordEvent(HostNowNs(), TraceEventType::kPreempt, index, prev->id, 0);
           }
           prev->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
           next = static_cast<UThread*>(worker->sched->Requeue(prev, kEnqueuePreempted, index));
@@ -661,10 +643,10 @@ void Runtime::SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next) {
   // run_charge feeds sched_timer_tick; without the signal timer nothing
   // reads it, and the clock call would tax every switch (~30 ns here).
   if (options_.preempt_period_us > 0) {
-    worker->run_charge = MonotonicNs();
+    worker->run_charge = HostNowNs();
   }
   if (tracer_ != nullptr) {
-    const std::int64_t now = TraceClockNs();
+    const std::int64_t now = HostNowNs();
     if (prev != nullptr) {
       // A direct handoff ends prev's segment here; segments that end on the
       // scheduler stack are recorded there.
@@ -678,10 +660,6 @@ void Runtime::SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next) {
   void** save_sp = prev != nullptr ? &prev->sp : &worker->sched_sp;
   std::atomic<bool>* out_on_cpu = prev != nullptr ? &ExtraOf(prev)->on_cpu : &worker->sched_on_cpu;
   void** asan_save = prev != nullptr ? &ExtraOf(prev)->asan_fake_stack : &worker->asan_fake_stack;
-  // Enable preemption for the duration of the uthread's execution. The
-  // signal handler additionally verifies it is on the uthread's stack, so
-  // the window between this store and the switch is safe.
-  worker->preempt_disable.store(0, std::memory_order_release);
   TsanSwitchTo(in->tsan_fiber);
   AsanStartSwitch(asan_save, next->stack.get(), next->stack_size);
   skyloft_ctx_switch(save_sp, next->sp, out_on_cpu);
@@ -690,9 +668,12 @@ void Runtime::SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next) {
   AsanFinishSwitch(*asan_save);
 }
 
+// skylint:allow(preempt-balance) -- lowers the depth AllocUthread started at 1; never returns
 void Runtime::UthreadMain(void* arg) {
   AsanFinishSwitch(nullptr);  // first entry on this stack: nothing to restore
   auto* self = static_cast<UThread*>(arg);
+  // Landed: from here a tick may preempt this uthread.
+  PreemptDepthDec(ExtraOf(self)->preempt_count);
   self->fn();
   g_runtime->ExitCurrent();
   SKYLOFT_CHECK(false) << "resumed an exited uthread";
@@ -718,64 +699,60 @@ UThread* Runtime::Spawn(std::function<void()> fn) {
 // Unpark do) — the shard lock must not be interrupted by the signal timer.
 void Runtime::Schedule(UThread* thread, unsigned flags) {
   RuntimeWorker* worker = tl_worker;
+  int target = 0;
   if (worker != nullptr) {
-    if (flags & kEnqueueNew) {
-      worker->sched->EnqueueNew(thread, flags, worker->index);  // fused task_init + enqueue
-    } else {
-      worker->sched->Enqueue(thread, flags, worker->index);
-    }
-    return;
-  }
-  // Off-runtime submission (external Unpark, Run()'s main thread): place on
-  // the first idle worker, else on the least-loaded queue (lock-free) or
-  // wherever the policy puts a hintless task (shard-mutex).
-  external_placements_->Inc();
-  const int target = sched_->ExternalTarget();
-  if (flags & kEnqueueNew) {
-    sched_->EnqueueNew(thread, flags, target);
+    target = worker->index;
   } else {
-    sched_->Enqueue(thread, flags, target);
+    // Off-runtime submission (external Unpark, Run()'s main thread): place
+    // on the first idle worker, else on the least-loaded queue (lock-free)
+    // or wherever the policy puts a hintless task (shard-mutex).
+    external_placements_->Inc();
+    target = sched_->ExternalTarget();
   }
+  sched_->Enqueue(thread, flags, target);
 }
 
-// NOTE on the switch-out protocol (Yield / PreemptTick / Park / ExitCurrent):
-// the PreemptDepthInc on worker->preempt_disable closes the window between
-// setting `action` and reaching the scheduler stack — a signal landing there
-// would overwrite the action. There is deliberately NO matching decrement
-// after the context switch returns: SwitchTo re-arms preemption with an
-// absolute store(0) before resuming any uthread, so the counter belongs to
-// whoever switches the uthread back in. (Touching tl_worker after
-// skyloft_ctx_switch is also unsafe — the uthread may have migrated, and the
-// compiler may have cached the old pthread's TLS slot address from before
-// the switch.)
-// skylint:allow(preempt-balance) -- switch-out protocol: SwitchTo re-arms with store(0), see NOTE
+// Switch-out protocol (Yield / PreemptTick / Park): raise the uthread's own
+// preempt depth before setting anything the scheduler acts on, and lower it
+// after the switch returns. The raise closes the window between setting
+// `action` and reaching the scheduler stack — a tick landing there would
+// overwrite the action — and keeps every tick on the scheduler stack
+// deferred while this uthread is its worker's `current`. The lowering comes
+// after the sanitizer's finish-switch call, so the resumed uthread closes
+// its own window, on whichever worker it resumed. `self` is a local: nothing
+// after the switch touches tl_worker or `worker`, which may be stale (the
+// uthread may have migrated, and the compiler may have cached the old
+// pthread's TLS slot address from before the switch).
 SKYLOFT_SWITCH_ENTRY void Runtime::Yield() {
   RuntimeWorker* worker = tl_worker;
   SKYLOFT_CHECK(worker != nullptr && worker->current != nullptr);
-  PreemptDepthInc(worker->preempt_disable);
   UThread* self = worker->current;
+  PreemptDepthInc(ExtraOf(self)->preempt_count);
   self->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
   SwitchToScheduler(worker, self, SwitchAction::kYield);
+  PreemptDepthDec(ExtraOf(self)->preempt_count);
 }
 
 // Signal-timer entry: hand control to the scheduler stack so the policy tick
 // (which takes the shard lock — unsafe in signal context) runs there.
-// skylint:allow(preempt-balance) -- switch-out protocol: SwitchTo re-arms with store(0), see NOTE
 SKYLOFT_SWITCH_ENTRY void Runtime::PreemptTick() {
   RuntimeWorker* worker = tl_worker;
-  PreemptDepthInc(worker->preempt_disable);
-  SwitchToScheduler(worker, worker->current, SwitchAction::kTick);
+  UThread* self = worker->current;
+  PreemptDepthInc(ExtraOf(self)->preempt_count);
+  SwitchToScheduler(worker, self, SwitchAction::kTick);
+  PreemptDepthDec(ExtraOf(self)->preempt_count);
 }
 
 // Park publishes itself as parked before it switches out, then — when its
 // worker has another runnable uthread — switches straight to it instead of
-// going through the scheduler stack (DESIGN.md, "Switch protocol").
-// skylint:allow(preempt-balance) -- the switching paths' +1 is re-armed by SwitchTo's store(0), see NOTE
+// going through the scheduler stack (DESIGN.md, "Switch protocol"). A
+// PreemptGuard held across Park stacks on the same depth.
 SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
   RuntimeWorker* worker = tl_worker;
   SKYLOFT_CHECK(worker != nullptr && worker->current != nullptr);
-  PreemptDepthInc(worker->preempt_disable);
   UThread* self = worker->current;
+  std::atomic<int>& depth = ExtraOf(self)->preempt_count;
+  PreemptDepthInc(depth);
   auto& park = ExtraOf(self)->park;
   // Blocked before the CAS: once it publishes kParkParked, an Unpark may
   // mark us runnable.
@@ -786,7 +763,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
     SKYLOFT_CHECK(expected == kParkUnparkPending);
     park.store(kParkRunning, std::memory_order_relaxed);
     self->state.store(UthreadState::kRunning, std::memory_order_relaxed);
-    PreemptDepthDec(worker->preempt_disable);
+    PreemptDepthDec(depth);
     return;
   }
   // Parked and published: an Unpark may now queue us on any worker, which
@@ -797,13 +774,13 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
     if (next == self) {
       // A racing Unpark queued us here: keep running.
       self->state.store(UthreadState::kRunning, std::memory_order_relaxed);
-      PreemptDepthDec(worker->preempt_disable);
+      PreemptDepthDec(depth);
       return;
     }
     if (next != nullptr && !ExtraOf(next)->on_cpu.load(std::memory_order_acquire)) {
       worker->handoffs_left--;
       worker->runtime->SwitchTo(worker, self, next);
-      // skylint:allow(preempt-balance) -- whoever switched us back in re-armed with store(0), see NOTE
+      PreemptDepthDec(depth);
       return;
     }
   }
@@ -812,6 +789,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
   // uthread stack must not, or two parkers could each wait for the other.
   worker->handoff = next;
   SwitchToScheduler(worker, self, SwitchAction::kPark);
+  PreemptDepthDec(depth);
 }
 
 void Runtime::Unpark(UThread* thread) {
@@ -860,11 +838,11 @@ void Runtime::Join(UThread* thread) {
   }
 }
 
-// skylint:allow(preempt-balance) -- the uthread never returns; SwitchTo re-arms with store(0)
+// skylint:allow(preempt-balance) -- the uthread never returns, so nothing lowers its depth
 SKYLOFT_SWITCH_ENTRY void Runtime::ExitCurrent() {
   RuntimeWorker* worker = tl_worker;
   UThread* self = worker->current;
-  PreemptDepthInc(worker->preempt_disable);
+  PreemptDepthInc(ExtraOf(self)->preempt_count);
   {
     // Scoped: this frame is abandoned at the switch below (ExitCurrent never
     // returns), so the vector's buffer must be released before it.
@@ -889,8 +867,8 @@ SKYLOFT_SWITCH_ENTRY Runtime::PreemptGuard::PreemptGuard() {
     counter_ = &ExtraOf(worker->current)->preempt_count;
     PreemptDepthInc(*counter_);
   }
-  // Off-runtime threads never see the preemption signal; the scheduler stack
-  // runs with worker->preempt_disable != 0. Neither needs the guard.
+  // Off-runtime threads and a worker's scheduler stack without a current
+  // uthread never take a preemption; neither needs the guard.
 }
 
 // skylint:allow(preempt-balance) -- RAII: matches the constructor's increment
@@ -903,7 +881,7 @@ Runtime::PreemptGuard::~PreemptGuard() {
 void Runtime::DeferTick(RuntimeWorker* worker, UThread* current) {
   preempt_deferrals_->Inc();
   if (tracer_ != nullptr) {
-    tracer_->RecordEvent(TraceClockNs(), TraceEventType::kDeferred, worker->index,
+    tracer_->RecordEvent(HostNowNs(), TraceEventType::kDeferred, worker->index,
                          current != nullptr ? current->id : 0, 0);
   }
 }
@@ -920,12 +898,11 @@ SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t
   }
   // Every tick this worker declines to act on is counted and traced as
   // deferred, so kSignal + kDeferred accounts for every tick delivered here.
-  // Declined first: the scheduler or a sync primitive is mid-flight, no
-  // uthread is running, or the uthread holds a PreemptGuard (possibly taken
-  // on another worker).
+  // Declined first: no uthread is running, or its preempt depth is raised —
+  // it holds a PreemptGuard (possibly taken on another worker), or it is
+  // switching in or out, which covers every tick on the scheduler stack.
   UThread* current = worker->current;
-  if (worker->preempt_disable.load(std::memory_order_acquire) != 0 || current == nullptr ||
-      ExtraOf(current)->preempt_count.load(std::memory_order_acquire) != 0) {
+  if (current == nullptr || ExtraOf(current)->preempt_count.load(std::memory_order_acquire) != 0) {
     worker->runtime->DeferTick(worker, current);
     return;
   }
@@ -961,9 +938,9 @@ SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t
   // into the errno of whichever pthread it resumed on, hence the re-derived
   // location (see CurrentErrnoLocation).
   // Trace the accepted signal delivery before entering the scheduler. Both
-  // RecordEvent and TraceClockNs are allocation-free and signal-safe.
+  // RecordEvent and HostNowNs are allocation-free and signal-safe.
   if (worker->runtime->tracer_ != nullptr) {
-    worker->runtime->tracer_->RecordEvent(TraceClockNs(), TraceEventType::kSignal, worker->index,
+    worker->runtime->tracer_->RecordEvent(HostNowNs(), TraceEventType::kSignal, worker->index,
                                           current->id, 0);
   }
   const int saved_errno = *CurrentErrnoLocation();

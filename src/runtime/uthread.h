@@ -62,7 +62,6 @@ struct UThread : SchedItem {
   std::atomic<UthreadState> state{UthreadState::kRunnable};
   // Threads waiting in Join(); protected by the runtime's wait lock.
   std::vector<UThread*> joiners;
-  bool detached = false;
 };
 
 struct RuntimeOptions {
@@ -122,10 +121,10 @@ class Runtime {
   SKYLOFT_MAY_SWITCH static void SleepFor(std::int64_t duration_us);
 
   // Scope guard that delays signal-timer preemption (scheduler and sync
-  // primitives hold it around non-reentrant sections). The counter lives on
-  // the current uthread, not the worker: a guard may span a Park() that
-  // resumes on a different worker, and the disable depth must travel with
-  // the uthread.
+  // primitives hold it around non-reentrant sections). It raises the
+  // uthread's one preempt-disable depth, the same counter the switch-out
+  // paths raise: the depth lives on the uthread, not the worker, because a
+  // guard may span a Park() that resumes on a different worker.
   class PreemptGuard {
    public:
     PreemptGuard();
@@ -137,20 +136,15 @@ class Runtime {
 
   // ---- Live preemption tuning (any thread; the quantum controller's knobs) ----
 
-  // Forwards to HostSched::SetQuantum: per-worker (or all-worker) preemption
-  // quantum, effective from the next tick that consults it.
-  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns,
-                                    int worker = SchedPolicy::kAllWorkers) {
-    sched_->SetQuantum(quantum_ns, worker);
-  }
-  SKYLOFT_NO_SWITCH DurationNs QuantumFor(int worker) const {
-    return sched_->QuantumFor(worker);
-  }
+  // Forwards to HostSched::SetQuantum: the one preemption quantum every
+  // worker enforces, effective from the next tick that consults it.
+  SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns) { sched_->SetQuantum(quantum_ns); }
+  SKYLOFT_NO_SWITCH DurationNs QuantumFor() const { return sched_->QuantumFor(); }
 
   std::uint64_t preemptions() const { return preemptions_->Value(); }
   // Timer ticks a worker received but did not turn into a scheduler entry:
-  // its scheduler stack or a sync primitive was running, no uthread was
-  // running, the uthread held a PreemptGuard, the signal landed off the
+  // no uthread was running, the uthread's preempt depth was raised (it held
+  // a PreemptGuard, or was switching in or out), the signal landed off the
   // uthread's stack, or the interrupted PC failed the safe-point check
   // (outside the executable's text, e.g. inside malloc). Each such tick is
   // also traced as kDeferred; the next period retries.
@@ -199,8 +193,10 @@ class Runtime {
   // Switches from `prev` (null: the worker's scheduler stack) into `next`
   // on `worker`. Every switch into a uthread goes through here — the
   // scheduler's and Park's direct handoff — so the switch-in bookkeeping
-  // (on_cpu wait, state, run charge, trace spans, preemption re-arm,
-  // sanitizer fiber calls) has one copy.
+  // (on_cpu wait, state, run charge, trace spans, sanitizer fiber calls)
+  // has one copy. `next` arrives with its preempt depth raised; it lowers
+  // the depth itself once it has landed (Yield, PreemptTick, Park,
+  // UthreadMain).
   SKYLOFT_MAY_SWITCH void SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next);
   static void UthreadMain(void* arg);
   SKYLOFT_MAY_SWITCH void ExitCurrent();    // terminate the running uthread

@@ -16,7 +16,6 @@
 #define SRC_SCHED_POLICY_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "src/base/compiler.h"
 #include "src/base/time.h"
@@ -26,7 +25,7 @@ namespace skyloft {
 
 // Read-only view of engine state offered to policies (e.g. for stealing
 // decisions and congestion detection). Implemented by the simulated Engine
-// and by the host runtime's per-shard view.
+// and by the host runtime's HostSched.
 class EngineView {
  public:
   virtual ~EngineView() = default;
@@ -81,35 +80,27 @@ class SchedPolicy {
   // then bypass the policy's Table 2 methods entirely and run the task flow
   // on its lock-free two-level runqueue (MPSC mailbox -> Chase-Lev deque,
   // DESIGN.md section 9). The policy object still provides Name() and the
-  // preemption quantum below; its TaskEnqueue/TaskDequeue are never called.
-  // Policies with cross-task ordering state (CFS, EEVDF, RR's cyclic order,
-  // centralized dispatch) must keep the default false and ride the
-  // shard-mutex driver.
+  // initial preemption quantum (QuantumFor, below); its TaskEnqueue/
+  // TaskDequeue are never called. Policies with cross-task ordering state
+  // (CFS, EEVDF, RR's cyclic order, centralized dispatch) must keep the
+  // default false and ride the shard-mutex driver.
   SKYLOFT_NO_SWITCH virtual bool SupportsLockFree() const { return false; }
-
-  // Preemption quantum the lock-free driver should enforce on timer ticks
-  // (preempt when a task has run this long and work is waiting). 0 disables
-  // tick preemption. Only consulted when SupportsLockFree() is true.
-  SKYLOFT_NO_SWITCH virtual DurationNs LockFreeQuantumNs() const { return 0; }
 
   // ---- Dynamic quantum control ----
   //
-  // Worker argument meaning "every worker" for SetQuantum/QuantumFor.
-  static constexpr int kAllWorkers = -1;
+  // Updates the policy's preemption quantum (time slice / granularity), one
+  // value for every worker. Drivers call this under the same serialization
+  // as the Table 2 methods (the mutex on the host, the event loop in the
+  // sim), so implementations may use plain fields; the change takes effect
+  // from the next tick/enqueue that consults it — in-flight slices are not
+  // re-evaluated retroactively. `quantum_ns` <= 0 means "infinite" (disable
+  // tick preemption). The default ignores the request, for policies with no
+  // quantum notion (e.g. FIFO).
+  SKYLOFT_NO_SWITCH virtual void SetQuantum(DurationNs quantum_ns) {}
 
-  // Updates the policy's preemption quantum (time slice / granularity) for
-  // `worker`, or for all workers when kAllWorkers. Drivers call this under
-  // the same serialization as the Table 2 methods (shard lock on the host,
-  // event loop in the sim), so implementations may use plain fields; the
-  // change takes effect from the next tick/enqueue that consults it —
-  // in-flight slices are not re-evaluated retroactively. `quantum_ns` <= 0
-  // means "infinite" (disable tick preemption). The default ignores the
-  // request, for policies with no quantum notion (e.g. FIFO).
-  SKYLOFT_NO_SWITCH virtual void SetQuantum(DurationNs quantum_ns, int worker) {}
-
-  // The quantum currently in force for `worker` (same units/sentinel rules as
-  // SetQuantum); 0 when the policy has no quantum notion.
-  SKYLOFT_NO_SWITCH virtual DurationNs QuantumFor(int worker) const { return 0; }
+  // The quantum currently in force (same units; a policy reports "infinite"
+  // as its own sentinel); 0 when the policy has no quantum notion.
+  SKYLOFT_NO_SWITCH virtual DurationNs QuantumFor() const { return 0; }
 
   // Number of runnable tasks currently queued (all queues). Used by engines
   // for work-conservation checks and by core allocators for congestion.
@@ -121,60 +112,11 @@ class SchedPolicy {
   EngineView* view_ = nullptr;
 };
 
-// Per-worker quantum table backing the built-in policies' SetQuantum /
-// QuantumFor implementations: a global value plus sparse per-worker
-// overrides, normalized so requests <= 0 become the policy's "infinite"
-// sentinel. Grows on demand so it works even when SchedInit was never called
-// (the host's lock-free driver bypasses it). Callers serialize access the
-// same way they serialize the Table 2 methods.
-class QuantumTable {
- public:
-  QuantumTable(DurationNs global, DurationNs infinite)
-      : infinite_(infinite), global_(Normalize(global)) {}
-
-  SKYLOFT_NO_SWITCH void Set(DurationNs quantum_ns, int worker) {
-    const DurationNs q = Normalize(quantum_ns);
-    if (worker < 0) {
-      global_ = q;
-      global_explicit_ = true;
-      overrides_.clear();
-      return;
-    }
-    if (static_cast<std::size_t>(worker) >= overrides_.size()) {
-      overrides_.resize(static_cast<std::size_t>(worker) + 1, kUnset);
-    }
-    overrides_[static_cast<std::size_t>(worker)] = q;
-  }
-
-  SKYLOFT_NO_SWITCH DurationNs For(int worker) const {
-    if (worker >= 0 && static_cast<std::size_t>(worker) < overrides_.size() &&
-        overrides_[static_cast<std::size_t>(worker)] != kUnset) {
-      return overrides_[static_cast<std::size_t>(worker)];
-    }
-    return global_;
-  }
-
-  // True when SetQuantum has explicitly pinned a value for `worker` (either
-  // per-worker or globally). Policies whose default slice is computed (CFS's
-  // sched_latency / nr_runnable) bypass the formula only in that case.
-  SKYLOFT_NO_SWITCH bool IsExplicit(int worker) const {
-    if (worker >= 0 && static_cast<std::size_t>(worker) < overrides_.size() &&
-        overrides_[static_cast<std::size_t>(worker)] != kUnset) {
-      return true;
-    }
-    return global_explicit_;
-  }
-
- private:
-  static constexpr DurationNs kUnset = -1;
-
-  DurationNs Normalize(DurationNs q) const { return q <= 0 ? infinite_ : q; }
-
-  DurationNs infinite_;
-  DurationNs global_;
-  bool global_explicit_ = false;
-  std::vector<DurationNs> overrides_;
-};
+// The built-in policies' quantum normalization: a request <= 0 becomes the
+// policy's `infinite` sentinel.
+constexpr DurationNs NormalizeQuantum(DurationNs quantum_ns, DurationNs infinite) {
+  return quantum_ns <= 0 ? infinite : quantum_ns;
+}
 
 }  // namespace skyloft
 

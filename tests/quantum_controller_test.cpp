@@ -154,7 +154,7 @@ struct Recorded {
 
 QuantumController::Hooks RecordingHooks(Recorded* rec) {
   QuantumController::Hooks hooks;
-  hooks.apply_quantum = [rec](DurationNs q, int) { rec->quanta.push_back(q); };
+  hooks.apply_quantum = [rec](DurationNs q) { rec->quanta.push_back(q); };
   hooks.apply_timer_period = [rec](DurationNs p) { rec->periods.push_back(p); };
   return hooks;
 }

@@ -793,6 +793,45 @@ TEST(RuntimePreemptTest, GuardedSpinCountsDeferredTicks) {
 #endif
 }
 
+// Park raises and lowers the same per-uthread depth a PreemptGuard holds, so
+// a guard taken before a Park still holds after it: with a runnable uthread
+// waiting and a 1 us round-robin slice, every tick during the guarded spin
+// that follows is deferred.
+TEST(RuntimePreemptTest, GuardHeldAcrossParkStillDefers) {
+  RuntimeOptions opts{.workers = 1, .preempt_period_us = 100};
+  opts.sched.policy = RuntimePolicy::kRoundRobin;
+  opts.sched.time_slice_us = 1;
+  Runtime rt(opts);
+  std::uint64_t preemptions = 0;
+  std::uint64_t deferrals = 0;
+  WithWatchdog(std::chrono::seconds(60), "a guarded spin after Park", [&] {
+    rt.Run([&] {
+      std::atomic<bool> stop{false};
+      UThread* waiter = nullptr;
+      {
+        Runtime::PreemptGuard guard;
+        UThread* self = Runtime::Current();
+        Runtime::Spawn([self] { Runtime::Unpark(self); });
+        Runtime::Park();
+        waiter = Runtime::Spawn([&] {
+          while (!stop.load(std::memory_order_relaxed)) {
+            Runtime::Yield();
+          }
+        });
+        const std::uint64_t preemptions_before = rt.preemptions();
+        const std::uint64_t deferrals_before = rt.preempt_deferrals();
+        SpinUntilNs(SteadyNs() + 20'000'000);
+        preemptions = rt.preemptions() - preemptions_before;
+        deferrals = rt.preempt_deferrals() - deferrals_before;
+        stop.store(true);
+      }
+      Runtime::Join(waiter);
+    });
+  });
+  EXPECT_EQ(preemptions, 0u);
+  EXPECT_GT(deferrals, 0u);
+}
+
 // The constructor refuses a period below the floor, before any thread
 // starts.
 TEST(RuntimePreemptDeathTest, RefusesPeriodBelowFloor) {

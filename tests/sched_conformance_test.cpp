@@ -343,13 +343,13 @@ TEST(HostQuantumPlumbingTest, TimeSliceOverrideReachesEveryBuiltinPolicy) {
     opts.sched.policy = p;
     opts.sched.time_slice_us = 300;
     Runtime rt(opts);
-    EXPECT_EQ(rt.QuantumFor(0), Micros(300))
+    EXPECT_EQ(rt.QuantumFor(), Micros(300))
         << "policy " << rt.policy_name() << " dropped the time_slice_us override";
   }
 }
 
 // SetQuantum mid-run must take effect on the live driver — the lock-free
-// path rereads the per-worker atomic quantum on every Tick (it used to latch
+// path rereads its atomic quantum on every Tick (it used to latch
 // it once at driver selection) — without spurious preemptions while the
 // quantum is long and without dropped ones once it is short. Runs under the
 // TSan CI job: the controller thread writes the quantum while workers and
@@ -382,7 +382,7 @@ void MidRunSetQuantumTakesEffect(RuntimePolicy policy) {
 
     // Phase B: tighten mid-run. The hog can only finish if the new 500 us
     // quantum actually preempts it so the releaser gets the worker.
-    rt.SetQuantum(Micros(500), SchedPolicy::kAllWorkers);
+    rt.SetQuantum(Micros(500));
     std::atomic<bool> release{false};
     UThread* hog = Runtime::Spawn([&] {
       const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
