@@ -15,8 +15,13 @@
 //     with a stock of items per worker keeping the pipeline full
 //     (cross-worker submission: the mailbox CAS path vs. the neighbor's
 //     shard lock; empty workers fall into the steal path)
-// Emits BENCH_runq_contention.json via BenchReporter. `--smoke` shrinks the
-// measurement window and worker sweep for CI.
+// Each point runs 5 times (3 with `--smoke`), alternating the drivers so
+// host-speed drift hits both columns alike, and reports the median and the
+// min-max. The binary exits nonzero if the lock-free median falls below the
+// mutex median at any point. Emits BENCH_runq_contention.json via
+// BenchReporter. `--smoke` also shrinks the measurement window and worker
+// sweep for CI.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -29,7 +34,8 @@
 
 #include "bench/bench_util.h"
 #include "src/base/compiler.h"
-#include "src/base/logging.h"
+#include "src/policies/round_robin.h"
+#include "src/policies/work_stealing.h"
 #include "src/runtime/host_sched.h"
 
 namespace skyloft {
@@ -41,21 +47,13 @@ struct alignas(kCacheLineSize) BenchItem {
   SchedItem item;
 };
 
-struct ScenarioResult {
-  std::uint64_t ops = 0;  // enqueues + dequeues completed
-  double mops_per_s = 0;
-  const char* policy = "";  // the policy that selected the driver
-};
-
 // Closed loop: every worker starts with `stock` items in its own queue and
 // cycles them (dequeue + enqueue = 2 ops per iteration). `remote` sends each
-// item to the next worker instead of back to ourselves.
-ScenarioResult RunScenario(bool lock_free, bool remote, int workers, int stock,
-                           DurationNs measure_ns) {
-  HostSchedOptions opts;
-  opts.policy = lock_free ? RuntimePolicy::kWorkStealing : RuntimePolicy::kRoundRobin;
-  HostSched sched(workers, opts);
-  SKYLOFT_CHECK(sched.lock_free() == lock_free);
+// item to the next worker instead of back to ourselves. Returns enqueue +
+// dequeue Mops/s; `policy` picks the driver.
+double RunScenario(SchedPolicy* policy, bool remote, int workers, int stock,
+                   DurationNs measure_ns) {
+  HostSched sched(workers, policy);
 
   std::vector<BenchItem> items(static_cast<std::size_t>(workers * stock));
   for (int i = 0; i < workers * stock; i++) {
@@ -104,13 +102,29 @@ ScenarioResult RunScenario(bool lock_free, bool remote, int workers, int stock,
   const double elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-  ScenarioResult result;
+  std::uint64_t total = 0;
   for (int w = 0; w < workers; w++) {
-    result.ops += ops[static_cast<std::size_t>(w)];
+    total += ops[static_cast<std::size_t>(w)];
   }
-  result.mops_per_s = static_cast<double>(result.ops) / elapsed_s / 1e6;
-  result.policy = sched.PolicyName();
-  return result;
+  return static_cast<double>(total) / elapsed_s / 1e6;
+}
+
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+// `runs` has an odd length, so the median is one run.
+Spread Summarize(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  return Spread{runs[runs.size() / 2], runs.front(), runs.back()};
+}
+
+std::string Range(const Spread& s) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.1f-%.1f", s.min, s.max);
+  return buf;
 }
 
 }  // namespace
@@ -125,15 +139,20 @@ int main(int argc, char** argv) {
     }
   }
   const DurationNs measure = smoke ? Millis(30) : Millis(200);
+  const int repeats = smoke ? 3 : 5;
   std::vector<int> worker_counts = smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
 
   BenchReporter reporter("runq_contention");
   reporter.MetaNum("measure_ms", static_cast<double>(measure) / 1e6);
+  reporter.MetaNum("repeats", repeats);
   reporter.MetaBool("smoke", smoke);
   reporter.MetaNum("hw_threads", std::thread::hardware_concurrency());
 
-  PrintHeader("Runqueue contention: mutex-shard vs lock-free (enq+deq Mops/s)",
-              {"scenario", "workers", "mutex", "lockfree", "speedup"});
+  PrintHeader("Runqueue contention: mutex-shard vs lock-free (enq+deq Mops/s, median of " +
+                  std::to_string(repeats) + ")",
+              {"scenario", "workers", "mutex", "mutex range", "lockfree", "lockfree range",
+               "speedup"});
+  int behind = 0;
   for (const bool remote : {false, true}) {
     const char* scenario = remote ? "remote" : "local";
     // Local measures the single-item yield cycle; remote keeps a stock of
@@ -141,26 +160,50 @@ int main(int argc, char** argv) {
     // context-switch latency of handing one item around a ring.
     const int stock = remote ? 16 : 1;
     for (const int workers : worker_counts) {
-      const ScenarioResult mutex_r =
-          RunScenario(/*lock_free=*/false, remote, workers, stock, measure);
-      const ScenarioResult lf_r = RunScenario(/*lock_free=*/true, remote, workers, stock, measure);
-      const double speedup =
-          mutex_r.mops_per_s > 0 ? lf_r.mops_per_s / mutex_r.mops_per_s : 0;
+      std::vector<double> mutex_runs;
+      std::vector<double> lf_runs;
+      const char* mutex_policy = "";
+      const char* lf_policy = "";
+      for (int r = 0; r < repeats; r++) {
+        // Fresh policies per run: items left queued at the end of a run stay
+        // in the policy's queues.
+        RoundRobinPolicy rr(Micros(12) + 500);
+        WorkStealingPolicy ws(WorkStealingParams{});
+        mutex_runs.push_back(RunScenario(&rr, remote, workers, stock, measure));
+        lf_runs.push_back(RunScenario(&ws, remote, workers, stock, measure));
+        mutex_policy = rr.Name();
+        lf_policy = ws.Name();
+      }
+      const Spread mutex_r = Summarize(mutex_runs);
+      const Spread lf_r = Summarize(lf_runs);
+      const double speedup = mutex_r.median > 0 ? lf_r.median / mutex_r.median : 0;
       PrintCell(scenario);
       PrintCell(static_cast<std::int64_t>(workers));
-      PrintCell(mutex_r.mops_per_s);
-      PrintCell(lf_r.mops_per_s);
+      PrintCell(mutex_r.median);
+      PrintCell(Range(mutex_r).c_str());
+      PrintCell(lf_r.median);
+      PrintCell(Range(lf_r).c_str());
       PrintCell(speedup);
       EndRow();
       reporter.AddRow()
           .Str("scenario", scenario)
           .Int("workers", workers)
-          .Str("mutex_policy", mutex_r.policy)
-          .Str("lockfree_policy", lf_r.policy)
-          .Num("mutex_mops", mutex_r.mops_per_s)
-          .Num("lockfree_mops", lf_r.mops_per_s)
+          .Str("mutex_policy", mutex_policy)
+          .Str("lockfree_policy", lf_policy)
+          .Num("mutex_mops", mutex_r.median)
+          .Num("mutex_mops_min", mutex_r.min)
+          .Num("mutex_mops_max", mutex_r.max)
+          .Num("lockfree_mops", lf_r.median)
+          .Num("lockfree_mops_min", lf_r.min)
+          .Num("lockfree_mops_max", lf_r.max)
           .Num("speedup", speedup);
+      if (lf_r.median < mutex_r.median) {
+        std::fprintf(stderr, "FAIL: %s/%d workers: lock-free median %.1f < mutex median %.1f\n",
+                     scenario, workers, lf_r.median, mutex_r.median);
+        behind++;
+      }
     }
   }
-  return reporter.WriteFile() ? 0 : 1;
+  const bool written = reporter.WriteFile();
+  return written && behind == 0 ? 0 : 1;
 }

@@ -22,6 +22,8 @@
 
 #include "bench/bench_util.h"
 #include "src/base/logging.h"
+#include "src/policies/round_robin.h"
+#include "src/policies/work_stealing.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/uthread.h"
 
@@ -45,15 +47,9 @@ double NsPerOp(Clock::time_point start, Clock::time_point end, long ops) {
 
 // ---- Skyloft runtime ----
 
-RuntimeOptions OneWorker(RuntimePolicy policy) {
-  RuntimeOptions opts{.workers = 1};
-  opts.sched.policy = policy;
-  return opts;
-}
-
-double SkyloftYield(RuntimePolicy policy) {
+double SkyloftYield(SchedPolicy* policy) {
   const long kRounds = Rounds(200'000);
-  Runtime rt(OneWorker(policy));
+  Runtime rt(RuntimeOptions{.workers = 1, .policy = policy});
   double result = 0;
   rt.Run([&] {
     UThread* peer = Runtime::Spawn([kRounds] {
@@ -73,9 +69,9 @@ double SkyloftYield(RuntimePolicy policy) {
   return result;
 }
 
-double SkyloftSpawn(RuntimePolicy policy) {
+double SkyloftSpawn(SchedPolicy* policy) {
   const long kRounds = Rounds(50'000);
-  Runtime rt(OneWorker(policy));
+  Runtime rt(RuntimeOptions{.workers = 1, .policy = policy});
   double result = 0;
   rt.Run([&] {
     const auto start = Clock::now();
@@ -241,10 +237,15 @@ void Main() {
   BenchReporter reporter("table7_threadops");
   reporter.MetaNum("scale", static_cast<double>(g_scale));
 
+  // Each serves one Runtime at a time: the work-stealing default and FIFO
+  // (round robin with an infinite slice).
+  WorkStealingPolicy ws(WorkStealingParams{});
+  RoundRobinPolicy fifo(kInfiniteSlice);
+
   const double yield_pthread = PthreadYield();
-  const double yield_skyloft = SkyloftYield(RuntimePolicy::kWorkStealing);
+  const double yield_skyloft = SkyloftYield(&ws);
   const double spawn_pthread = PthreadSpawn();
-  const double spawn_skyloft = SkyloftSpawn(RuntimePolicy::kWorkStealing);
+  const double spawn_skyloft = SkyloftSpawn(&ws);
   const double mutex_pthread = PthreadMutex();
   const double mutex_skyloft = SkyloftMutex();
   const double condvar_pthread = PthreadCondvar();
@@ -277,10 +278,10 @@ void Main() {
   // The Table 2 interface makes the host policy swappable; the op cost must
   // not depend on which policy fills the runqueues. FIFO exercises the
   // plain-queue path, work stealing the pre-refactor default.
-  const double yield_ws = SkyloftYield(RuntimePolicy::kWorkStealing);
-  const double yield_fifo = SkyloftYield(RuntimePolicy::kFifo);
-  const double spawn_ws = SkyloftSpawn(RuntimePolicy::kWorkStealing);
-  const double spawn_fifo = SkyloftSpawn(RuntimePolicy::kFifo);
+  const double yield_ws = SkyloftYield(&ws);
+  const double yield_fifo = SkyloftYield(&fifo);
+  const double spawn_ws = SkyloftSpawn(&ws);
+  const double spawn_fifo = SkyloftSpawn(&fifo);
   std::printf("\n=== Policy column: same ops through the Table 2 layer ===\n");
   std::printf("%-10s %14s %14s\n", "op", "ws", "fifo");
   std::printf("%-10s %14.0f %14.0f\n", "Yield", yield_ws, yield_fifo);

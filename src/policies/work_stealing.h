@@ -49,8 +49,12 @@ class WorkStealingPolicy : public SchedPolicy {
   // above (the sim engines still drive them).
   SKYLOFT_NO_SWITCH bool SupportsLockFree() const override { return true; }
 
-  // Live quantum control (sim engines; under the host's lock-free driver
-  // HostSched reads this once and then holds the authoritative copy).
+  // Live quantum control. This object serves one Runtime or Engine at a
+  // time. Once a Runtime holds it, change its quantum only through
+  // Runtime::SetQuantum: the host's lock-free driver reads this value once
+  // and then holds the authoritative copy, so a direct SetQuantum here is
+  // not seen by it (and on the mutex driver it would race HostSched's
+  // mutex).
   SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns) override {
     quantum_ = NormalizeQuantum(quantum_ns, kInfiniteSliceWs);
   }

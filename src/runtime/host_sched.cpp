@@ -1,60 +1,14 @@
 #include "src/runtime/host_sched.h"
 
-#include <algorithm>
-
 #include "src/base/logging.h"
 #include "src/base/mpsc_queue.h"
 #include "src/base/random.h"
 #include "src/base/ws_deque.h"
-#include "src/policies/cfs.h"
-#include "src/policies/eevdf.h"
-#include "src/policies/round_robin.h"
 #include "src/policies/work_stealing.h"
 
 namespace skyloft {
 
 namespace {
-
-std::unique_ptr<SchedPolicy> MakeHostPolicy(RuntimePolicy policy, std::int64_t time_slice_us) {
-  switch (policy) {
-    case RuntimePolicy::kFifo:
-      return std::make_unique<RoundRobinPolicy>(kInfiniteSlice);
-    case RuntimePolicy::kRoundRobin:
-      return std::make_unique<RoundRobinPolicy>(
-          time_slice_us > 0 ? Micros(time_slice_us) : Micros(12) + 500);
-    case RuntimePolicy::kCfs: {
-      CfsParams params;
-      if (time_slice_us > 0) {
-        // The override sets the slice floor; widen sched_latency when the
-        // requested granularity would otherwise exceed it, so the dynamic
-        // slice actually lengthens instead of saturating at the old latency.
-        params.min_granularity = Micros(time_slice_us);
-        params.sched_latency = std::max(params.sched_latency, 4 * params.min_granularity);
-      }
-      return std::make_unique<CfsPolicy>(params);
-    }
-    case RuntimePolicy::kEevdf: {
-      EevdfParams params;
-      if (time_slice_us > 0) {
-        params.base_slice = Micros(time_slice_us);
-      }
-      return std::make_unique<EevdfPolicy>(params);
-    }
-    case RuntimePolicy::kWorkStealing:
-      break;
-  }
-  WorkStealingParams params;
-  if (time_slice_us > 0) {
-    params.quantum = Micros(time_slice_us);
-  }
-  return std::make_unique<WorkStealingPolicy>(params);
-}
-
-// The lock-free driver's quantum convention: 0 disables tick preemption, as
-// do "<= 0" and the policies' INT64_MAX-style infinite sentinel.
-DurationNs LockFreeQuantum(DurationNs quantum_ns) {
-  return quantum_ns <= 0 || quantum_ns == INT64_MAX ? 0 : quantum_ns;
-}
 
 // Per-task state of the lock-free driver, stored in SchedItem::policy_data
 // (the driver plays the policy's role, so it owns the policy-defined field).
@@ -82,7 +36,7 @@ struct alignas(kCacheLineSize) HostSched::LfWorker {
   Rng rng;  // victim-probe start, owner-only
 };
 
-HostSched::HostSched(int workers, const HostSchedOptions& options)
+HostSched::HostSched(int workers, SchedPolicy* policy)
     : workers_(workers), idle_map_(workers >= 1 ? workers : 1) {
   SKYLOFT_CHECK(workers_ >= 1);
   steals_ = metrics_.AddSharded("steals", workers_);
@@ -91,16 +45,17 @@ HostSched::HostSched(int workers, const HostSchedOptions& options)
   steal_successes_ = metrics_.AddSharded("steal_successes", workers_);
   cas_retries_ = metrics_.AddSharded("mailbox_cas_retries", workers_);
 
-  // Build (or adopt) the policy first: it decides the driver.
-  policy_ = options.custom_policy;
+  // The policy decides the driver.
+  policy_ = policy;
   if (policy_ == nullptr) {
-    owned_ = MakeHostPolicy(options.policy, options.time_slice_us);
+    owned_ = std::make_unique<WorkStealingPolicy>(WorkStealingParams{});
     policy_ = owned_.get();
   }
 
   if (policy_->SupportsLockFree()) {
     lock_free_ = true;
-    lf_quantum_.store(LockFreeQuantum(policy_->QuantumFor()), std::memory_order_relaxed);
+    lf_quantum_.store(NormalizeQuantum(policy_->QuantumFor(), kInfiniteSliceWs),
+                      std::memory_order_relaxed);
     lf_.reserve(static_cast<std::size_t>(workers_));
     for (int w = 0; w < workers_; w++) {
       lf_.push_back(
@@ -291,9 +246,10 @@ bool HostSched::Tick(int worker, SchedItem* current, DurationNs ran_ns) {
     // policy's queued_ > 0 test).
     const LfWorker& me = *lf_[static_cast<std::size_t>(worker)];
     // Reread per tick, not latched at driver selection: the quantum
-    // controller retunes it live.
+    // controller retunes it live. A disabled quantum is kInfiniteSliceWs,
+    // which `ran` never reaches.
     const DurationNs quantum = lf_quantum_.load(std::memory_order_relaxed);
-    if (current == nullptr || quantum == 0) {
+    if (current == nullptr) {
       return false;
     }
     LfRunData* data = current->PolicyData<LfRunData>();
@@ -357,7 +313,7 @@ void HostSched::SetIdle(int worker, bool idle) {
 
 void HostSched::SetQuantum(DurationNs quantum_ns) {
   if (lock_free_) {
-    lf_quantum_.store(LockFreeQuantum(quantum_ns), std::memory_order_relaxed);
+    lf_quantum_.store(NormalizeQuantum(quantum_ns, kInfiniteSliceWs), std::memory_order_relaxed);
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);

@@ -2,8 +2,9 @@
 //
 // The sim engines (src/libos) drive a SchedPolicy from a single event loop;
 // the host runtime has N real worker pthreads, so the policy must be driven
-// concurrently. HostSched owns one policy instance and two interchangeable
-// drivers behind one per-worker operation surface:
+// concurrently. HostSched drives one policy instance — the caller's, like a
+// sim engine's, or its own default work stealing — through one of two
+// interchangeable drivers behind one per-worker operation surface:
 //
 //   - the shard-mutex driver: the policy covers every worker and every
 //     policy call happens under HostSched's mutex. This is the general path
@@ -40,32 +41,13 @@
 
 namespace skyloft {
 
-// Which policy the host runtime schedules uthreads with (Table 4 policies
-// that make sense without a centralized dispatcher thread).
-enum class RuntimePolicy {
-  kWorkStealing,  // per-worker FIFO + steal-half; the pre-refactor behavior
-  kFifo,          // run-to-completion round-robin placement, no preemption
-  kRoundRobin,    // FIFO + slice-based preemption via the signal timer
-  kCfs,
-  kEevdf,
-};
-
-struct HostSchedOptions {
-  RuntimePolicy policy = RuntimePolicy::kWorkStealing;
-  // Slice/quantum override in microseconds; 0 keeps the policy default
-  // (12.5 us RR slice, 5 us work-stealing quantum).
-  std::int64_t time_slice_us = 0;
-  // Non-owning: schedule with this policy instance instead of constructing
-  // one from `policy`. The caller keeps the object alive for the lifetime of
-  // the Runtime.
-  SchedPolicy* custom_policy = nullptr;
-};
-
 // HostSched is also the EngineView its policy schedules through: the policy
 // sees the runtime's worker indices unchanged.
 class HostSched : public EngineView {
  public:
-  HostSched(int workers, const HostSchedOptions& options);
+  // `policy` is not owned and must outlive the HostSched; null runs a
+  // default-constructed WorkStealingPolicy.
+  HostSched(int workers, SchedPolicy* policy);
   ~HostSched() override;  // out of line: LfWorker is an incomplete type here
 
   // Every operation below runs policy code under the mutex (shard-mutex
@@ -101,11 +83,11 @@ class HostSched : public EngineView {
   // Live quantum control (the adaptive controller's knob): one quantum for
   // every worker. Callable from any thread: the lock-free driver stores one
   // atomic that Tick rereads every invocation; the shard-mutex driver
-  // forwards to the policy under the mutex. `quantum_ns` <= 0 (or INT64_MAX)
-  // disables tick preemption.
+  // forwards to the policy under the mutex. `quantum_ns` <= 0 disables tick
+  // preemption.
   SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns);
-  // The quantum in force (lock-free driver: 0 == disabled; shard-mutex
-  // driver: the policy's own reporting convention).
+  // The quantum in force, normalized as the policy normalizes it: a
+  // disabled quantum reads as the policy's infinite sentinel.
   SKYLOFT_NO_SWITCH DurationNs QuantumFor() const;
 
   // Placement target for submissions that originate off-runtime (external
@@ -143,18 +125,19 @@ class HostSched : public EngineView {
   int workers_;
   bool lock_free_ = false;
 
-  // The policy: owned_ unless adopted from HostSchedOptions::custom_policy.
-  // The shard-mutex driver calls it under mu_; the lock-free driver reads
-  // only its name and, at construction, its quantum.
+  // The policy: the caller's, or owned_ when the caller passed none. The
+  // shard-mutex driver calls it under mu_; the lock-free driver reads only
+  // its name and, at construction, its quantum.
   std::unique_ptr<SchedPolicy> owned_;
   SchedPolicy* policy_ = nullptr;
   mutable std::mutex mu_;
 
   // ---- lock-free driver ----
   std::vector<std::unique_ptr<LfWorker>> lf_;
-  // The quantum the lock-free Tick enforces; 0 disables tick preemption.
-  // Written by SetQuantum (any thread), reread relaxed on every tick — a
-  // tick racing an update sees either quantum, both valid moments ago.
+  // The quantum the lock-free Tick enforces; kInfiniteSliceWs never
+  // preempts. Written by SetQuantum (any thread), reread relaxed on every
+  // tick — a tick racing an update sees either quantum, both valid moments
+  // ago.
   std::atomic<DurationNs> lf_quantum_{0};
 
   // Worker state the policies read through EngineView and ExternalTarget

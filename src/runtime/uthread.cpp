@@ -319,7 +319,7 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
                 options_.preempt_period_us >= kMinPreemptPeriodUs)
       << "preempt_period_us " << options_.preempt_period_us << " is below the "
       << kMinPreemptPeriodUs << " us floor: a worker cannot keep up with shorter ticks";
-  sched_ = std::make_unique<HostSched>(options_.workers, options_.sched);
+  sched_ = std::make_unique<HostSched>(options_.workers, options_.policy);
   preemptions_ = metrics_.AddCounter("preemptions");
   preempt_deferrals_ = metrics_.AddCounter("preempt_deferrals");
   external_placements_ = metrics_.AddCounter("external_placements");

@@ -5,10 +5,10 @@
 // signal-timer preemption standing in for UINTR (which needs Sapphire
 // Rapids hardware — see DESIGN.md). Scheduling decisions are delegated to a
 // Table 2 SchedPolicy through the HostSched adapter: the default is the
-// work-stealing policy (per-worker FIFO + steal-half), but any registered
-// policy — FIFO, RR, CFS, EEVDF, or a caller-supplied instance — can drive
-// the same workers via RuntimeOptions::sched. Table 7's threading-operation
-// benchmarks measure these primitives.
+// work-stealing policy (per-worker FIFO + steal-half), but any SchedPolicy
+// object — FIFO, RR, CFS, EEVDF or the caller's own — can drive the same
+// workers via RuntimeOptions::policy, exactly as it drives a sim engine.
+// Table 7's threading-operation benchmarks measure these primitives.
 //
 // API sketch (all static calls are valid only inside Runtime::Run):
 //   Runtime rt(options);
@@ -72,8 +72,10 @@ struct RuntimeOptions {
   // policy; the policy decides whether the running uthread is preempted.
   // A positive period below Runtime::kMinPreemptPeriodUs is refused.
   std::int64_t preempt_period_us = 0;
-  // Policy selection for the host scheduler (defaults to work stealing).
-  HostSchedOptions sched{};
+  // The policy the host scheduler runs (not owned; it must outlive the
+  // Runtime and serve no other Runtime or Engine meanwhile). Null runs a
+  // default WorkStealingPolicy.
+  SchedPolicy* policy = nullptr;
   // Per-worker I/O engine cores (epoll readiness feeding
   // WaitForReadable/Writable park-unpark wakeups; DESIGN.md section 10).
   // Off by default so non-network workloads pay nothing — the worker loop
@@ -137,7 +139,9 @@ class Runtime {
   // ---- Live preemption tuning (any thread; the quantum controller's knobs) ----
 
   // Forwards to HostSched::SetQuantum: the one preemption quantum every
-  // worker enforces, effective from the next tick that consults it.
+  // worker enforces, effective from the next tick that consults it. The
+  // only way to retune the policy a Runtime holds; QuantumFor reports a
+  // disabled quantum as the policy's INT64_MAX-style sentinel.
   SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns) { sched_->SetQuantum(quantum_ns); }
   SKYLOFT_NO_SWITCH DurationNs QuantumFor() const { return sched_->QuantumFor(); }
 

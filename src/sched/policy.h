@@ -7,6 +7,9 @@
 //     Tasks, and
 //   - the host runtime (src/runtime), scheduling real user-level threads
 //     through the HostSched adapter.
+// Both take the policy the same way: a non-owning SchedPolicy* (a sim
+// engine's constructor argument, RuntimeOptions::policy on the host). One
+// policy object serves one engine or Runtime at a time.
 // This header deliberately depends only on src/base: the same policy
 // translation units compile into both substrates. That is the paper's
 // central claim of generality — RR, CFS, EEVDF, Shinjuku,

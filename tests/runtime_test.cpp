@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/policies/round_robin.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/uthread.h"
 
@@ -225,11 +226,9 @@ TEST(RuntimeTest, StackReuseAfterExit) {
 // ran one stack. The target's running flag catches a second copy of it;
 // the runtime's switch-in check (and the mutex driver's intrusive list)
 // abort on a uthread queued twice.
-void DoubleUnparkWhileParking(HostSchedOptions sched) {
+void DoubleUnparkWhileParking(SchedPolicy* policy) {
   constexpr int kRounds = 10'000;
-  RuntimeOptions options{.workers = 4};
-  options.sched = sched;
-  Runtime rt(options);
+  Runtime rt(RuntimeOptions{.workers = 4, .policy = policy});
   std::atomic<bool> running{false};
   std::atomic<int> overlaps{0};
   std::atomic<int> round_started{0};
@@ -277,12 +276,13 @@ void DoubleUnparkWhileParking(HostSchedOptions sched) {
 }
 
 TEST(RuntimeParkTest, DoubleUnparkWhileParkingLockFree) {
-  DoubleUnparkWhileParking(HostSchedOptions{});
+  DoubleUnparkWhileParking(nullptr);  // default work stealing
 }
 
 // FIFO rides the shard-mutex driver.
 TEST(RuntimeParkTest, DoubleUnparkWhileParkingLocked) {
-  DoubleUnparkWhileParking(HostSchedOptions{.policy = RuntimePolicy::kFifo});
+  RoundRobinPolicy fifo(kInfiniteSlice);
+  DoubleUnparkWhileParking(&fifo);
 }
 
 // Cross-worker Park/Unpark chains: tokens circulate around a ring of
@@ -798,10 +798,8 @@ TEST(RuntimePreemptTest, GuardedSpinCountsDeferredTicks) {
 // waiting and a 1 us round-robin slice, every tick during the guarded spin
 // that follows is deferred.
 TEST(RuntimePreemptTest, GuardHeldAcrossParkStillDefers) {
-  RuntimeOptions opts{.workers = 1, .preempt_period_us = 100};
-  opts.sched.policy = RuntimePolicy::kRoundRobin;
-  opts.sched.time_slice_us = 1;
-  Runtime rt(opts);
+  RoundRobinPolicy rr(Micros(1));
+  Runtime rt(RuntimeOptions{.workers = 1, .preempt_period_us = 100, .policy = &rr});
   std::uint64_t preemptions = 0;
   std::uint64_t deferrals = 0;
   WithWatchdog(std::chrono::seconds(60), "a guarded spin after Park", [&] {

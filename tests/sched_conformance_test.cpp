@@ -1,6 +1,6 @@
-// Policy-conformance suite: every policy registered with the src/sched
-// registry must uphold the Table 2 interface contract on BOTH substrates —
-// the simulated engines (src/libos) and the real host runtime (src/runtime).
+// Policy-conformance suite: each of the six standard policies must uphold
+// the Table 2 interface contract on BOTH substrates — the simulated engines
+// (src/libos) and the real host runtime (src/runtime).
 //
 // Checked per policy:
 //   - no lost / no duplicated tasks (everything submitted completes exactly
@@ -22,19 +22,46 @@
 #include "src/simcore/simulation.h"
 #include "src/libos/central_engine.h"
 #include "src/libos/percpu_engine.h"
-#include "src/policies/standard.h"
+#include "src/policies/cfs.h"
+#include "src/policies/eevdf.h"
+#include "src/policies/round_robin.h"
+#include "src/policies/shinjuku.h"
+#include "src/policies/work_stealing.h"
 #include "src/runtime/uthread.h"
-#include "src/sched/registry.h"
 
 namespace skyloft {
 namespace {
 
-const std::vector<RegisteredPolicy>& StandardPolicies() {
-  RegisterStandardPolicies();
-  return RegisteredPolicies();
-}
+struct StandardPolicy {
+  const char* name;
+  bool centralized;
+  std::unique_ptr<SchedPolicy> (*make)();
+};
 
-std::string PolicyParamName(const ::testing::TestParamInfo<RegisteredPolicy>& info) {
+// The repo's Table 4 policies with their default parameters (RR: the
+// 12.5 us Table 5 slice).
+const StandardPolicy kStandardPolicies[] = {
+    {"fifo", false, []() -> std::unique_ptr<SchedPolicy> {
+       return std::make_unique<RoundRobinPolicy>(kInfiniteSlice);
+     }},
+    {"rr", false, []() -> std::unique_ptr<SchedPolicy> {
+       return std::make_unique<RoundRobinPolicy>(Micros(12) + 500);
+     }},
+    {"cfs", false, []() -> std::unique_ptr<SchedPolicy> {
+       return std::make_unique<CfsPolicy>(CfsParams{});
+     }},
+    {"eevdf", false, []() -> std::unique_ptr<SchedPolicy> {
+       return std::make_unique<EevdfPolicy>(EevdfParams{});
+     }},
+    {"ws", false, []() -> std::unique_ptr<SchedPolicy> {
+       return std::make_unique<WorkStealingPolicy>(WorkStealingParams{});
+     }},
+    {"shinjuku", true, []() -> std::unique_ptr<SchedPolicy> {
+       return std::make_unique<ShinjukuPolicy>();
+     }},
+};
+
+std::string PolicyParamName(const ::testing::TestParamInfo<StandardPolicy>& info) {
   return info.param.name;
 }
 
@@ -75,7 +102,7 @@ CentralizedEngineConfig CentralCfg(int workers, DurationNs quantum) {
   return cfg;
 }
 
-class SimConformanceTest : public ::testing::TestWithParam<RegisteredPolicy> {};
+class SimConformanceTest : public ::testing::TestWithParam<StandardPolicy> {};
 
 // Drives `engine` through plain tasks plus tasks that block mid-life and get
 // woken, then checks nothing was lost or duplicated and the queues drained.
@@ -104,7 +131,7 @@ void RunLifecycleWorkload(SimRig& rig, EngineT& engine) {
 }
 
 TEST_P(SimConformanceTest, NoLostNoDuplicatedTasks) {
-  const RegisteredPolicy& entry = GetParam();
+  const StandardPolicy& entry = GetParam();
   auto policy = entry.make();
   if (entry.centralized) {
     SimRig rig(3);
@@ -120,7 +147,7 @@ TEST_P(SimConformanceTest, NoLostNoDuplicatedTasks) {
 }
 
 TEST_P(SimConformanceTest, WorkConservation) {
-  const RegisteredPolicy& entry = GetParam();
+  const StandardPolicy& entry = GetParam();
   auto policy = entry.make();
   // 8 x 200us over 2 workers: serial needs 1.6ms, work-conserving ~0.8ms.
   // All tasks are hinted at worker 0, so the second worker only stays busy
@@ -152,7 +179,7 @@ TEST_P(SimConformanceTest, WorkConservation) {
 }
 
 TEST_P(SimConformanceTest, HonorsPreemptionFlag) {
-  const RegisteredPolicy& entry = GetParam();
+  const StandardPolicy& entry = GetParam();
   auto policy = entry.make();
   // One core, a 2ms hog submitted first, a 10us task second. With
   // preemption off (flag false / zero quantum), the short task MUST wait
@@ -182,16 +209,16 @@ TEST_P(SimConformanceTest, HonorsPreemptionFlag) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, SimConformanceTest,
-                         ::testing::ValuesIn(StandardPolicies()), PolicyParamName);
+                         ::testing::ValuesIn(kStandardPolicies), PolicyParamName);
 
 // ---- Host substrate ----
 
-class HostConformanceTest : public ::testing::TestWithParam<RegisteredPolicy> {};
+class HostConformanceTest : public ::testing::TestWithParam<StandardPolicy> {};
 
 TEST_P(HostConformanceTest, NoLostNoDuplicatedUThreads) {
   auto policy = GetParam().make();
   RuntimeOptions opts{.workers = 2};
-  opts.sched.custom_policy = policy.get();
+  opts.policy = policy.get();
   Runtime rt(opts);
   constexpr int kThreads = 300;
   auto slots = std::make_unique<std::atomic<int>[]>(kThreads);
@@ -223,7 +250,7 @@ TEST_P(HostConformanceTest, TimerTicksDoNotLoseWork) {
   // compute runs; whatever the policy decides, all work must complete.
   auto policy = GetParam().make();
   RuntimeOptions opts{.workers = 2, .preempt_period_us = 1000};
-  opts.sched.custom_policy = policy.get();
+  opts.policy = policy.get();
   Runtime rt(opts);
   std::atomic<long long> total{0};
   rt.Run([&] {
@@ -249,14 +276,13 @@ TEST_P(HostConformanceTest, TimerTicksDoNotLoseWork) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, HostConformanceTest,
-                         ::testing::ValuesIn(StandardPolicies()), PolicyParamName);
+                         ::testing::ValuesIn(kStandardPolicies), PolicyParamName);
 
 // ---- Host preemption-flag honoring (policy-specific semantics) ----
 
 TEST(HostPolicySemanticsTest, FifoNeverPreempts) {
-  RuntimeOptions opts{.workers = 1, .preempt_period_us = 1000};
-  opts.sched.policy = RuntimePolicy::kFifo;
-  Runtime rt(opts);
+  RoundRobinPolicy fifo(kInfiniteSlice);
+  Runtime rt(RuntimeOptions{.workers = 1, .preempt_period_us = 1000, .policy = &fifo});
   std::atomic<long long> sink{0};
   rt.Run([&] {
     std::vector<UThread*> children;
@@ -280,10 +306,8 @@ TEST(HostPolicySemanticsTest, FifoNeverPreempts) {
 }
 
 TEST(HostPolicySemanticsTest, RoundRobinPreemptsCpuHog) {
-  RuntimeOptions opts{.workers = 1, .preempt_period_us = 1000};
-  opts.sched.policy = RuntimePolicy::kRoundRobin;
-  opts.sched.time_slice_us = 500;
-  Runtime rt(opts);
+  RoundRobinPolicy rr(Micros(500));
+  Runtime rt(RuntimeOptions{.workers = 1, .preempt_period_us = 1000, .policy = &rr});
   std::atomic<bool> hog_running{true};
   bool other_ran = false;
   rt.Run([&] {
@@ -310,8 +334,8 @@ TEST(HostPolicySemanticsTest, RoundRobinPreemptsCpuHog) {
 // two-level runqueue (mailbox -> Chase-Lev deque, DESIGN.md section 9) when
 // the policy declares its discipline is FIFO + steal-half, or the shard-mutex
 // driver otherwise. The conformance suites above already exercise both (the
-// registry's "ws" entry rides lock-free, everything else rides the mutex);
-// these tests pin the selection logic itself.
+// "ws" entry rides lock-free, everything else rides the mutex); these tests
+// pin the selection logic itself.
 
 TEST(HostDriverSelectionTest, WorkStealingSelectsLockFreeDriver) {
   Runtime rt(RuntimeOptions{.workers = 2});  // default policy: work stealing
@@ -320,32 +344,46 @@ TEST(HostDriverSelectionTest, WorkStealingSelectsLockFreeDriver) {
 }
 
 TEST(HostDriverSelectionTest, OrderingPoliciesKeepShardMutexDriver) {
-  for (RuntimePolicy p : {RuntimePolicy::kCfs, RuntimePolicy::kEevdf,
-                          RuntimePolicy::kRoundRobin, RuntimePolicy::kFifo}) {
-    RuntimeOptions opts{.workers = 2};
-    opts.sched.policy = p;
-    Runtime rt(opts);
-    EXPECT_FALSE(rt.lock_free_sched());
+  CfsPolicy cfs(CfsParams{});
+  EevdfPolicy eevdf(EevdfParams{});
+  RoundRobinPolicy rr(Micros(12) + 500);
+  RoundRobinPolicy fifo(kInfiniteSlice);
+  for (SchedPolicy* p : std::vector<SchedPolicy*>{&cfs, &eevdf, &rr, &fifo}) {
+    Runtime rt(RuntimeOptions{.workers = 2, .policy = p});
+    EXPECT_FALSE(rt.lock_free_sched()) << p->Name();
   }
 }
 
 // ---- Quantum plumbing (ISSUE 9) ----
 
-// Regression: HostSchedOptions::time_slice_us was silently dropped for CFS
-// and EEVDF — MakeHostPolicy built CfsParams{}/EevdfParams{} and ignored the
-// override, despite the host_sched.h contract. Every built-in policy that
-// has a slice must report the override through QuantumFor. (FIFO is exempt:
-// it is RR with an infinite slice by definition.)
-TEST(HostQuantumPlumbingTest, TimeSliceOverrideReachesEveryBuiltinPolicy) {
-  for (RuntimePolicy p : {RuntimePolicy::kRoundRobin, RuntimePolicy::kCfs,
-                          RuntimePolicy::kEevdf, RuntimePolicy::kWorkStealing}) {
-    RuntimeOptions opts{.workers = 1};
-    opts.sched.policy = p;
-    opts.sched.time_slice_us = 300;
-    Runtime rt(opts);
-    EXPECT_EQ(rt.QuantumFor(), Micros(300))
-        << "policy " << rt.policy_name() << " dropped the time_slice_us override";
+// A policy's own quantum parameter is the one the runtime enforces: both
+// drivers report it through QuantumFor. The lock-free driver keeps its own
+// copy of the work-stealing quantum, so this pins that copy too. (FIFO has
+// no slice: it is RR with an infinite slice by definition.)
+TEST(HostQuantumPlumbingTest, PolicyQuantumReachesEveryDriver) {
+  RoundRobinPolicy rr(Micros(300));
+  CfsPolicy cfs(CfsParams{.min_granularity = Micros(300), .sched_latency = Micros(1200)});
+  EevdfPolicy eevdf(EevdfParams{.base_slice = Micros(300)});
+  WorkStealingPolicy ws(WorkStealingParams{.quantum = Micros(300)});
+  for (SchedPolicy* p : std::vector<SchedPolicy*>{&rr, &cfs, &eevdf, &ws}) {
+    Runtime rt(RuntimeOptions{.workers = 1, .policy = p});
+    EXPECT_EQ(rt.QuantumFor(), Micros(300)) << "policy " << rt.policy_name();
   }
+}
+
+// "No quantum" reads the same on both drivers: the policy's infinite
+// sentinel, whether the lock-free driver holds the work-stealing quantum or
+// the mutex driver asks FIFO.
+TEST(HostQuantumPlumbingTest, DisabledQuantumReadsInfiniteOnBothDrivers) {
+  WorkStealingPolicy ws(WorkStealingParams{.quantum = 0});
+  RoundRobinPolicy fifo(kInfiniteSlice);
+  for (SchedPolicy* p : std::vector<SchedPolicy*>{&ws, &fifo}) {
+    Runtime rt(RuntimeOptions{.workers = 1, .policy = p});
+    EXPECT_EQ(rt.QuantumFor(), kInfiniteSlice) << "policy " << rt.policy_name();
+  }
+  Runtime rt(RuntimeOptions{.workers = 1});
+  rt.SetQuantum(0);
+  EXPECT_EQ(rt.QuantumFor(), kInfiniteSlice) << "SetQuantum(0) on the lock-free driver";
 }
 
 // SetQuantum mid-run must take effect on the live driver — the lock-free
@@ -354,13 +392,10 @@ TEST(HostQuantumPlumbingTest, TimeSliceOverrideReachesEveryBuiltinPolicy) {
 // quantum is long and without dropped ones once it is short. Runs under the
 // TSan CI job: the controller thread writes the quantum while workers and
 // the signal path read it.
-void MidRunSetQuantumTakesEffect(RuntimePolicy policy) {
+void MidRunSetQuantumTakesEffect(SchedPolicy* policy) {
   SchedTracer tracer(1 << 16);
-  RuntimeOptions opts{.workers = 1, .preempt_period_us = 500};
-  opts.sched.policy = policy;
-  opts.sched.time_slice_us = 1'000'000;  // phase A: 1 s quantum
-  opts.tracer = &tracer;
-  Runtime rt(opts);
+  Runtime rt(RuntimeOptions{
+      .workers = 1, .preempt_period_us = 500, .policy = policy, .tracer = &tracer});
   const auto spin_for = [](std::int64_t us) {
     const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
     volatile std::uint64_t x = 0;
@@ -410,13 +445,16 @@ void MidRunSetQuantumTakesEffect(RuntimePolicy policy) {
             0u);
 }
 
+// Both start in phase A with a 1 s quantum.
 TEST(HostQuantumPlumbingTest, SetQuantumMidRunLockFreeDriver) {
-  MidRunSetQuantumTakesEffect(RuntimePolicy::kWorkStealing);
+  WorkStealingPolicy ws(WorkStealingParams{.quantum = Millis(1000)});
+  MidRunSetQuantumTakesEffect(&ws);
 }
 
 // Round robin rides the shard-mutex driver.
 TEST(HostQuantumPlumbingTest, SetQuantumMidRunShardMutexDriver) {
-  MidRunSetQuantumTakesEffect(RuntimePolicy::kRoundRobin);
+  RoundRobinPolicy rr(Millis(1000));
+  MidRunSetQuantumTakesEffect(&rr);
 }
 
 // Pin for the ISSUE 9 run-charging audit: LfRunData::ran is charged exactly
@@ -427,9 +465,8 @@ TEST(HostQuantumPlumbingTest, SetQuantumMidRunShardMutexDriver) {
 // charge leaked across spans (or a deferral re-billed one), the quantum
 // would trip despite every span being ~100x shorter than it.
 TEST(HostQuantumPlumbingTest, RunChargingResetsPerDispatchedSpan) {
-  RuntimeOptions opts{.workers = 1, .preempt_period_us = 500};
-  opts.sched.time_slice_us = 20'000;  // 20 ms quantum
-  Runtime rt(opts);
+  WorkStealingPolicy ws(WorkStealingParams{.quantum = Millis(20)});
+  Runtime rt(RuntimeOptions{.workers = 1, .preempt_period_us = 500, .policy = &ws});
   const auto burst = [] {
     const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(200);
     volatile std::uint64_t x = 0;
