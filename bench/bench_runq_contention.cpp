@@ -15,12 +15,17 @@
 //     with a stock of items per worker keeping the pipeline full
 //     (cross-worker submission: the mailbox CAS path vs. the neighbor's
 //     shard lock; empty workers fall into the steal path)
+// Worker thread w is pinned to CPU w mod n of the process affinity mask's n
+// CPUs, so the kernel cannot stack two workers on one CPU while another idles.
 // Each point runs 5 times (3 with `--smoke`), alternating the drivers so
 // host-speed drift hits both columns alike, and reports the median and the
 // min-max. The binary exits nonzero if the lock-free median falls below the
 // mutex median at any point. Emits BENCH_runq_contention.json via
 // BenchReporter. `--smoke` also shrinks the measurement window and worker
 // sweep for CI.
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -47,12 +52,36 @@ struct alignas(kCacheLineSize) BenchItem {
   SchedItem item;
 };
 
+// The CPUs of the process affinity mask, in order; empty if it is unreadable.
+std::vector<int> AllowedCpus() {
+  cpu_set_t mask;
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; cpu++) {
+      if (CPU_ISSET(cpu, &mask)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+  return cpus;
+}
+
+// Pins the calling thread to one CPU; false if that fails.
+bool PinTo(int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+}
+
 // Closed loop: every worker starts with `stock` items in its own queue and
 // cycles them (dequeue + enqueue = 2 ops per iteration). `remote` sends each
 // item to the next worker instead of back to ourselves. Returns enqueue +
-// dequeue Mops/s; `policy` picks the driver.
+// dequeue Mops/s; `policy` picks the driver. Worker w runs pinned to
+// cpus[w mod size]; a failed pin clears `*pinned`.
 double RunScenario(SchedPolicy* policy, bool remote, int workers, int stock,
-                   DurationNs measure_ns) {
+                   DurationNs measure_ns, const std::vector<int>& cpus,
+                   std::atomic<bool>* pinned) {
   HostSched sched(workers, policy);
 
   std::vector<BenchItem> items(static_cast<std::size_t>(workers * stock));
@@ -69,6 +98,9 @@ double RunScenario(SchedPolicy* policy, bool remote, int workers, int stock,
   threads.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; w++) {
     threads.emplace_back([&, w] {
+      if (cpus.empty() || !PinTo(cpus[static_cast<std::size_t>(w) % cpus.size()])) {
+        pinned->store(false);
+      }
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
@@ -147,6 +179,8 @@ int main(int argc, char** argv) {
   reporter.MetaNum("repeats", repeats);
   reporter.MetaBool("smoke", smoke);
   reporter.MetaNum("hw_threads", std::thread::hardware_concurrency());
+  const std::vector<int> cpus = AllowedCpus();
+  std::atomic<bool> pinned{true};
 
   PrintHeader("Runqueue contention: mutex-shard vs lock-free (enq+deq Mops/s, median of " +
                   std::to_string(repeats) + ")",
@@ -169,8 +203,8 @@ int main(int argc, char** argv) {
         // in the policy's queues.
         RoundRobinPolicy rr(Micros(12) + 500);
         WorkStealingPolicy ws(WorkStealingParams{});
-        mutex_runs.push_back(RunScenario(&rr, remote, workers, stock, measure));
-        lf_runs.push_back(RunScenario(&ws, remote, workers, stock, measure));
+        mutex_runs.push_back(RunScenario(&rr, remote, workers, stock, measure, cpus, &pinned));
+        lf_runs.push_back(RunScenario(&ws, remote, workers, stock, measure, cpus, &pinned));
         mutex_policy = rr.Name();
         lf_policy = ws.Name();
       }
@@ -204,6 +238,7 @@ int main(int argc, char** argv) {
       }
     }
   }
+  reporter.MetaBool("pinned", pinned.load());
   const bool written = reporter.WriteFile();
   return written && behind == 0 ? 0 : 1;
 }

@@ -81,6 +81,9 @@ constexpr int kUdpBatch = 64;
 // parks until the engine drains its send queue.
 constexpr std::size_t kSendHighWater = 256 * 1024;
 
+// Index keys a SCAN copies per hold of the index lock.
+constexpr std::size_t kScanChunk = 64;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -119,6 +122,15 @@ void KvStripedStore::UnlockLane(LatencyLane& l) { SpinUnlock(l.spin); }
 
 KvStripedStore::Stripe& KvStripedStore::StripeOf(const std::string& key) {
   return *stripes_[KeyHash(key) & (stripes_.size() - 1)];
+}
+
+void KvStripedStore::Reserve(std::size_t keys) {
+  // Keys hash evenly over the stripes; 3% covers the imbalance of a large
+  // preload, and a stripe that still overflows just grows.
+  const std::size_t share = keys / stripes_.size();
+  for (auto& stripe : stripes_) {
+    stripe->store.Reserve(share + share * 3 / 100);
+  }
 }
 
 void KvStripedStore::Preload(const std::string& key, const std::string& value) {
@@ -184,17 +196,23 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
       if (limit == 0) {
         kind = KvOpKind::kError;
       } else {
-        // Copy the first `limit` keys out of the index, then read each value
+        // Copy the first `limit` keys out of the index, at most kScanChunk
+        // per hold so a long SCAN stays preemptible between chunks; each
+        // chunk resumes after the last key copied. Then read each value
         // under its stripe's lock, one lock at a time. Skip a vanished key.
         std::vector<std::string> keys;
         keys.reserve(limit);
-        {
+        bool more = true;
+        while (more && keys.size() < limit) {
+          const std::size_t chunk_end = std::min(limit, keys.size() + kScanChunk);
           Runtime::PreemptGuard guard;
           LockIndex();
-          for (auto it = index_.keys.lower_bound(start);
-               it != index_.keys.end() && keys.size() < limit; ++it) {
+          auto it = keys.empty() ? index_.keys.lower_bound(start)
+                                 : index_.keys.upper_bound(keys.back());
+          for (; it != index_.keys.end() && keys.size() < chunk_end; ++it) {
             keys.push_back(*it);
           }
+          more = it != index_.keys.end();
           UnlockIndex();
         }
         for (const std::string& key : keys) {
@@ -270,6 +288,7 @@ KvServerNet::~KvServerNet() = default;
 
 void KvServerNet::Start() {
   SKYLOFT_CHECK(listeners_.empty()) << "Start() called twice";
+  store_.Reserve(static_cast<std::size_t>(std::max(0, options_.preload_keys)));
   for (int i = 0; i < options_.preload_keys; i++) {
     store_.Preload("user" + std::to_string(i), "profile-" + std::to_string(i));
   }

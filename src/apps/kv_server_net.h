@@ -25,9 +25,8 @@
 // exercising the remote-enqueue mailbox path of the lock-free runqueues.
 //
 // The store is a striped hash table plus one ordered key index, each behind
-// SpinBackoff + PreemptGuard spinlocks, replacing the old example's 8 global
-// UthreadMutex shards; per-op-kind service latencies land in the metrics
-// registry ("kv_server" group) instead of a hand-rolled histogram.
+// SpinBackoff + PreemptGuard spinlocks; per-op-kind service latencies land in
+// the metrics registry ("kv_server" group).
 #ifndef SRC_APPS_KV_SERVER_NET_H_
 #define SRC_APPS_KV_SERVER_NET_H_
 
@@ -58,8 +57,9 @@ enum class KvOpKind { kGet = 0, kSet = 1, kScan = 2, kError = 3 };
 // separated and sized from the worker count (4x workers, rounded up to a
 // power of two, min 8) so the GET fast path of co-scheduled workers rarely
 // collides — the contention hot spot the old fixed-8-shard example hid. One
-// ordered index of every key serves SCAN; only a SET that adds a key writes
-// it, and its lock is never held together with a stripe or lane lock.
+// ordered index of every key serves SCAN, which copies at most 64 keys per
+// hold of its lock; only a SET that adds a key writes it, and its lock is
+// never held together with a stripe or lane lock.
 // Critical sections are short and preemption-guarded, so a SpinBackoff
 // spinlock beats a parking mutex here.
 class KvStripedStore {
@@ -72,6 +72,9 @@ class KvStripedStore {
   std::string Serve(const std::string& request, std::uint64_t lane);
 
   // Direct store access for preloading (single-threaded setup only).
+  // Reserve sizes every stripe for its share of `keys`, so a preload of
+  // that many keys never rehashes.
+  void Reserve(std::size_t keys);
   void Preload(const std::string& key, const std::string& value);
 
   int stripes() const { return static_cast<int>(stripes_.size()); }

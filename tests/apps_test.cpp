@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/simcore/simulation.h"
@@ -54,6 +56,53 @@ TEST(KvStoreTest, TombstoneReuse) {
   EXPECT_EQ(kv.Size(), 0u);
   kv.Set("final", "x");
   EXPECT_EQ(kv.Get("final"), "x");
+}
+
+// 200k seeded random operations against std::unordered_map, from the
+// smallest table: many 1.5x growths, heavy tombstone churn, the empty key and
+// heap-allocated values included.
+TEST(KvStoreTest, MatchesUnorderedMapUnderRandomOps) {
+  KvStore kv(16);
+  std::unordered_map<std::string, std::string> model;
+  std::mt19937_64 rng(42);
+  constexpr std::uint64_t kKeys = 20'000;  // key 0 is ""
+  for (int op = 0; op < 200'000; op++) {
+    const std::uint64_t id = rng() % kKeys;
+    const std::string key = id == 0 ? std::string() : "k" + std::to_string(id);
+    const std::uint64_t dice = rng() % 100;
+    if (dice < 45) {
+      const std::string value =
+          dice < 5 ? std::string(100, static_cast<char>('a' + op % 26)) : std::to_string(op);
+      const bool is_new = model.find(key) == model.end();
+      model[key] = value;
+      ASSERT_EQ(kv.Set(key, value), is_new) << "op " << op << " key '" << key << "'";
+    } else if (dice < 80) {
+      const auto it = model.find(key);
+      const std::optional<std::string> want =
+          it == model.end() ? std::nullopt : std::optional<std::string>(it->second);
+      ASSERT_EQ(kv.Get(key), want) << "op " << op << " key '" << key << "'";
+    } else {
+      ASSERT_EQ(kv.Delete(key), model.erase(key) == 1) << "op " << op << " key '" << key << "'";
+    }
+    ASSERT_EQ(kv.Size(), model.size()) << "op " << op;
+  }
+  for (const auto& [key, value] : model) {
+    ASSERT_EQ(kv.Get(key), value) << "key '" << key << "'";
+  }
+}
+
+TEST(KvStoreTest, ReservedTableHoldsEveryInsert) {
+  for (const std::size_t n : {0, 1, 14, 15, 16, 1'000, 50'000}) {
+    KvStore kv(16);
+    kv.Reserve(n);
+    for (std::size_t i = 0; i < n; i++) {
+      ASSERT_TRUE(kv.Set("user" + std::to_string(i), "profile-" + std::to_string(i)));
+    }
+    ASSERT_EQ(kv.Size(), n);
+    for (std::size_t i = 0; i < n; i++) {
+      ASSERT_EQ(kv.Get("user" + std::to_string(i)), "profile-" + std::to_string(i)) << n;
+    }
+  }
 }
 
 // ---- KvStripedStore ----
@@ -115,6 +164,30 @@ TEST(KvStripedStoreTest, ScanLimitIsGlobalAndAscending) {
     EXPECT_EQ(keys[static_cast<std::size_t>(i)], key);
   }
   EXPECT_EQ(reply.substr(0, 11), "key100=100;");
+}
+
+TEST(KvStripedStoreTest, LongScanCopiesInChunksAndStaysExact) {
+  // 300 keys take five index-lock holds of at most 64 keys; the reply is
+  // still the 300 keys after the start, once each, in ascending order.
+  KvStripedStore store(/*workers=*/1);
+  char key[16];
+  for (int i = 0; i < 1'000; i++) {
+    std::snprintf(key, sizeof(key), "key%04d", i);
+    store.Preload(key, std::to_string(i));
+  }
+  std::string want;
+  for (int i = 500; i < 800; i++) {
+    std::snprintf(key, sizeof(key), "key%04d", i);
+    want += std::string(key) + "=" + std::to_string(i) + ";";
+  }
+  EXPECT_EQ(store.Serve("SCAN key0499x 300", 0), want);
+  // A limit past the last key returns every remaining key.
+  want.clear();
+  for (int i = 900; i < 1'000; i++) {
+    std::snprintf(key, sizeof(key), "key%04d", i);
+    want += std::string(key) + "=" + std::to_string(i) + ";";
+  }
+  EXPECT_EQ(store.Serve("SCAN key0900 300", 0), want);
 }
 
 // ---- Workload mixes ----
