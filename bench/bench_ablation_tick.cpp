@@ -185,8 +185,11 @@ void Main() {
       // tight and the lower one allows for ticks lost to overruns.
       SKYLOFT_CHECK(delivered_hz >= 0.9 * configured_hz)
           << period_us << " us with " << host_workers << " workers delivered only "
-          << delivered_hz << " of " << configured_hz << " ticks/s";
-      SKYLOFT_CHECK(delivered_hz < 2.0 * configured_hz);
+          << delivered_hz << " of " << configured_hz << " ticks/s (workers_cpu_sec "
+          << workers_cpu_sec << ")";
+      SKYLOFT_CHECK(delivered_hz < 2.0 * configured_hz)
+          << period_us << " us with " << host_workers << " workers delivered " << delivered_hz
+          << " of " << configured_hz << " ticks/s (workers_cpu_sec " << workers_cpu_sec << ")";
     }
   }
   reporter.WriteFile();

@@ -135,7 +135,7 @@ void KvStripedStore::Reserve(std::size_t keys) {
 
 void KvStripedStore::Preload(const std::string& key, const std::string& value) {
   if (StripeOf(key).store.Set(key, value)) {
-    index_.keys.insert(key);
+    index_.keys.Insert(key);
   }
 }
 
@@ -170,7 +170,7 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
       UnlockStripe(stripe);
       if (added) {  // overwrites leave the index alone
         LockIndex();
-        index_.keys.insert(key);
+        index_.keys.Insert(key);
         UnlockIndex();
       }
       reply = "STORED";
@@ -207,10 +207,10 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
           const std::size_t chunk_end = std::min(limit, keys.size() + kScanChunk);
           Runtime::PreemptGuard guard;
           LockIndex();
-          auto it = keys.empty() ? index_.keys.lower_bound(start)
-                                 : index_.keys.upper_bound(keys.back());
+          auto it = keys.empty() ? index_.keys.LowerBound(start)
+                                 : index_.keys.UpperBound(keys.back());
           for (; it != index_.keys.end() && keys.size() < chunk_end; ++it) {
-            keys.push_back(*it);
+            keys.emplace_back(*it);
           }
           more = it != index_.keys.end();
           UnlockIndex();

@@ -24,19 +24,20 @@
 // stealing, while their fd's readiness keeps firing on the home engine —
 // exercising the remote-enqueue mailbox path of the lock-free runqueues.
 //
-// The store is a striped hash table plus one ordered key index, each behind
-// SpinBackoff + PreemptGuard spinlocks; per-op-kind service latencies land in
-// the metrics registry ("kv_server" group).
+// The store is a striped hash table plus one ordered KeyIndex of packed sorted
+// leaves (src/apps/key_index.h), each behind SpinBackoff + PreemptGuard
+// spinlocks; per-op-kind service latencies land in the metrics registry
+// ("kv_server" group).
 #ifndef SRC_APPS_KV_SERVER_NET_H_
 #define SRC_APPS_KV_SERVER_NET_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "src/apps/key_index.h"
 #include "src/apps/kvstore.h"
 #include "src/base/compiler.h"
 #include "src/base/histogram.h"
@@ -57,9 +58,10 @@ enum class KvOpKind { kGet = 0, kSet = 1, kScan = 2, kError = 3 };
 // separated and sized from the worker count (4x workers, rounded up to a
 // power of two, min 8) so the GET fast path of co-scheduled workers rarely
 // collides — the contention hot spot the old fixed-8-shard example hid. One
-// ordered index of every key serves SCAN, which copies at most 64 keys per
-// hold of its lock; only a SET that adds a key writes it, and its lock is
-// never held together with a stripe or lane lock.
+// KeyIndex of every key serves SCAN, which copies at most 64 keys per hold of
+// its lock; only a SET that adds a key writes it (the store has no DEL, and
+// the index no erase), and its lock is never held together with a stripe or
+// lane lock.
 // Critical sections are short and preemption-guarded, so a SpinBackoff
 // spinlock beats a parking mutex here.
 class KvStripedStore {
@@ -92,10 +94,11 @@ class KvStripedStore {
     std::atomic_flag spin = ATOMIC_FLAG_INIT;
     KvStore store;
   };
-  // Every key in the store, in order, on its own cache line.
-  struct alignas(kCacheLineSize) KeyIndex {
+  // Every key in the store, in packed sorted leaves, behind the `kv_index`
+  // spinlock on its own cache line.
+  struct alignas(kCacheLineSize) OrderedKeys {
     std::atomic_flag spin = ATOMIC_FLAG_INIT;
-    std::set<std::string> keys;
+    KeyIndex keys;
   };
   // Latency recording lane: a short spinlock per lane keeps LatencyHistogram
   // (not internally thread-safe) consistent without a global bottleneck.
@@ -119,7 +122,7 @@ class KvStripedStore {
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::vector<std::unique_ptr<LatencyLane>> lanes_;
-  KeyIndex index_;
+  OrderedKeys index_;
   LatencyHistogram merged_[4];
 };
 

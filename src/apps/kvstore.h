@@ -8,8 +8,9 @@
 // only on a tag match, so a hit touches one entry line. The table fills to
 // 7/8 of its capacity (a multiple of 16) and grows by 1.5x.
 //
-// SCAN's ordered index lives in KvStripedStore. Not thread-safe by itself;
-// KvStripedStore guards each instance with its stripe's spinlock.
+// SCAN's ordered index is KvStripedStore's KeyIndex (src/apps/key_index.h),
+// not part of this table. Not thread-safe by itself; KvStripedStore guards
+// each instance with its stripe's spinlock.
 #ifndef SRC_APPS_KVSTORE_H_
 #define SRC_APPS_KVSTORE_H_
 

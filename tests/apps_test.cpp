@@ -2,14 +2,17 @@
 // the real KV store, plain and striped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/simcore/simulation.h"
 #include "src/apps/batch_app.h"
+#include "src/apps/key_index.h"
 #include "src/apps/kv_server_net.h"
 #include "src/apps/kvstore.h"
 #include "src/apps/schbench.h"
@@ -105,6 +108,67 @@ TEST(KvStoreTest, ReservedTableHoldsEveryInsert) {
   }
 }
 
+// ---- KeyIndex ----
+
+// A key of `len` bytes over a 4-letter alphabet that includes NUL and 0xff,
+// so prefix ties, zero padding and unsigned byte order all come up.
+std::string RandomKey(std::mt19937_64& rng, std::size_t len) {
+  static constexpr char kAlphabet[] = {'\0', 'a', 'b', '\xff'};
+  std::string key(len, '\0');
+  for (char& c : key) {
+    c = kAlphabet[rng() % 4];
+  }
+  return key;
+}
+
+// Walks up to `steps` keys from `it` and from `want` side by side.
+void ExpectSameWalk(const KeyIndex& index, KeyIndex::Iterator it,
+                    std::set<std::string>::const_iterator want, const std::set<std::string>& model,
+                    int steps, const std::string& probe) {
+  for (int i = 0; i < steps && want != model.end(); i++, ++it, ++want) {
+    ASSERT_FALSE(it == index.end()) << "probe of " << probe.size() << " bytes, step " << i;
+    ASSERT_EQ(*it, *want) << "probe of " << probe.size() << " bytes, step " << i;
+  }
+  if (want == model.end()) {
+    ASSERT_TRUE(it == index.end()) << "probe of " << probe.size() << " bytes";
+  }
+}
+
+// 120k seeded inserts against std::set: short keys that repeat, keys up to
+// 300 bytes, and a few 64 KiB keys that no shared leaf can hold.
+TEST(KeyIndexTest, MatchesStdSetUnderRandomInserts) {
+  KeyIndex index;
+  std::set<std::string> model;
+  std::mt19937_64 rng(7);
+  const auto insert = [&](const std::string& key) {
+    ASSERT_EQ(index.Insert(key), model.insert(key).second) << key.size() << "-byte key";
+    ASSERT_EQ(index.size(), model.size());
+  };
+  // A new first key, then a huge one before it: the first leaf moves right.
+  ASSERT_NO_FATAL_FAILURE(insert("b"));
+  ASSERT_NO_FATAL_FAILURE(insert("ab"));
+  ASSERT_NO_FATAL_FAILURE(insert(std::string(64 * 1024, 'a')));
+  for (int op = 0; op < 120'000; op++) {
+    const std::uint64_t dice = rng() % 1000;
+    const std::size_t len = dice == 0 ? 64 * 1024 : dice < 700 ? rng() % 6 : rng() % 301;
+    ASSERT_NO_FATAL_FAILURE(insert(RandomKey(rng, len)));
+  }
+  ASSERT_GT(index.leaves(), 100u);
+
+  // The whole walk, then bounded walks from probes, present or absent.
+  ASSERT_NO_FATAL_FAILURE(ExpectSameWalk(index, index.begin(), model.begin(), model,
+                                         static_cast<int>(model.size() + 1), "begin"));
+  const std::vector<std::string> keys(model.begin(), model.end());
+  for (int probe = 0; probe < 5'000; probe++) {
+    const std::string key =
+        probe % 2 == 0 ? keys[rng() % keys.size()] : RandomKey(rng, rng() % 20);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameWalk(index, index.LowerBound(key), model.lower_bound(key), model, 70, key));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameWalk(index, index.UpperBound(key), model.upper_bound(key), model, 70, key));
+  }
+}
+
 // ---- KvStripedStore ----
 
 TEST(KvStripedStoreTest, ScanIsOrderedAndBounded) {
@@ -188,6 +252,50 @@ TEST(KvStripedStoreTest, LongScanCopiesInChunksAndStaysExact) {
     want += std::string(key) + "=" + std::to_string(i) + ";";
   }
   EXPECT_EQ(store.Serve("SCAN key0900 300", 0), want);
+}
+
+TEST(KvStripedStoreTest, HugeKeyScansInOrderBetweenNeighbours) {
+  // Far past a shared leaf's budget, the key gets a leaf of its own.
+  KvStripedStore store(/*workers=*/1);
+  store.Preload("a", "1");
+  store.Preload("c", "3");
+  const std::string huge = "b" + std::string(100 * 1024, 'x');
+  EXPECT_EQ(store.Serve("SET " + huge + " 2", 0), "STORED");
+  EXPECT_EQ(store.Serve("SCAN a 10", 0), "a=1;" + huge + "=2;c=3;");
+  EXPECT_EQ(store.Serve("SCAN b 1", 0), huge + "=2;");
+  EXPECT_EQ(store.Serve("SCAN " + huge + "y 10", 0), "c=3;");
+}
+
+TEST(KvStripedStoreTest, ScanChunksMeetLeafBoundaries) {
+  // 29-byte keys: a leaf holds at most kLeafBytes / 31 = 132 of them, so as
+  // the start walks 200 consecutive keys, the end of a SCAN's first 64-key
+  // chunk lands exactly on a leaf boundary at least once. Every reply must be
+  // exact whatever the alignment.
+  constexpr int kKeyLen = 29;
+  constexpr int kStarts = 200;
+  static_assert(KeyIndex::kLeafBytes / (kKeyLen + 2) < kStarts);
+  KvStripedStore store(/*workers=*/1);
+  std::vector<std::string> keys;
+  char key[kKeyLen + 1];
+  for (int i = 0; i < 600; i++) {
+    std::snprintf(key, sizeof(key), "key%026d", i);
+    keys.emplace_back(key);
+  }
+  std::mt19937_64 rng(3);
+  std::vector<std::string> shuffled = keys;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const std::string& k : shuffled) {
+    store.Preload(k, k.substr(kKeyLen - 3));
+  }
+  for (int start = 0; start < kStarts; start++) {
+    std::string want;
+    for (int i = start; i < start + 130; i++) {
+      want += keys[static_cast<std::size_t>(i)] + "=" +
+              keys[static_cast<std::size_t>(i)].substr(kKeyLen - 3) + ";";
+    }
+    ASSERT_EQ(store.Serve("SCAN " + keys[static_cast<std::size_t>(start)] + " 130", 0), want)
+        << "start " << start;
+  }
 }
 
 // ---- Workload mixes ----

@@ -384,7 +384,9 @@ bool ParseScan(const std::string& reply, std::vector<std::pair<std::string, std:
 }
 
 TEST(KvStripedStoreRaceTest, NewKeySetsRacingScansStayOrdered) {
-  constexpr int kNewKeys = 1000;
+  // The 8-byte new keys fill a key index leaf at kLeafBytes / 10 keys; 12
+  // leaves' worth make leaves split while the SCANs run.
+  constexpr int kNewKeys = 12 * static_cast<int>(KeyIndex::kLeafBytes / 10);
   constexpr int kWriters = 2;
   constexpr int kScanners = 2;
   constexpr std::size_t kLimit = 16;
@@ -440,13 +442,20 @@ TEST(KvStripedStoreRaceTest, NewKeySetsRacingScansStayOrdered) {
       Runtime::Join(c);
     }
   });
-  // Every SET was acknowledged, so one SCAN lists every new key, then the
-  // preloaded ones.
+  // Every SET was acknowledged, so SCANs from "new" list every new key, then
+  // the preloaded ones. A reply holds at most 4096 pairs: each next SCAN
+  // starts at the last key listed and skips it.
+  std::vector<std::pair<std::string, std::string>> all;
   std::vector<std::pair<std::string, std::string>> pairs;
-  ASSERT_TRUE(ParseScan(store.Serve("SCAN new 4096", 0), &pairs));
-  ASSERT_EQ(pairs.size(), static_cast<std::size_t>(kNewKeys + 100));
+  std::string start = "new";
+  do {
+    ASSERT_TRUE(ParseScan(store.Serve("SCAN " + start + " 4096", 0), &pairs));
+    all.insert(all.end(), pairs.begin() + (all.empty() ? 0 : 1), pairs.end());
+    start = pairs.back().first;
+  } while (pairs.size() == 4096);
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(kNewKeys + 100));
   for (int i = 0; i < kNewKeys; i++) {
-    EXPECT_EQ(pairs[static_cast<std::size_t>(i)].first, new_key(i));
+    EXPECT_EQ(all[static_cast<std::size_t>(i)].first, new_key(i));
   }
 }
 
