@@ -14,21 +14,12 @@
 // are cross-checked, and wall-clock throughput is written to
 // BENCH_simcore.json in the current directory.
 //
-// A third section sweeps ClusterSim shard counts on the periodic-heavy
-// profile — every shard carries its own 24-timer + background load, so total
-// work scales with the shard count and events/s measures how well the
-// conservative-window coordinator turns host cores into throughput. Results
-// land in BENCH_simcore_parallel.json; the >=4x acceptance bar only applies
-// on hosts with enough hardware threads (recorded in the JSON).
-//
 // Usage: bench_simcore_events [--smoke]
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,7 +27,6 @@
 #include "src/base/logging.h"
 #include "src/base/random.h"
 #include "src/base/time.h"
-#include "src/simcore/cluster_sim.h"
 #include "src/simcore/simulation.h"
 #include "tests/reference_simulation.h"
 
@@ -180,42 +170,6 @@ ProfileResult RunRandomHorizon(const char* engine_name, DurationNs sim_duration)
   return r;
 }
 
-// One shard-sweep point: `shards` SimNodes under a ClusterSim, each loaded
-// with the full periodic-heavy profile (24 APIC-style timers + a 512-event
-// self-rescheduling pool on a per-shard derived seed), run on `shards` host
-// threads. No links are registered, so the coordinator uses the default
-// epoch; the workload is embarrassingly shard-parallel by construction —
-// the sweep isolates the coordinator's barrier/window overhead and the
-// scaling the host can deliver.
-ProfileResult RunPeriodicHeavySharded(int shards, DurationNs sim_duration) {
-  ClusterSim::Options options;
-  options.num_threads = shards;
-  ClusterSim cluster(shards, options);
-  std::vector<std::unique_ptr<SelfRescheduler<SimNode>>> pools;
-  const DurationNs period = HzToPeriodNs(100'000);
-  for (int s = 0; s < shards; s++) {
-    SimNode* sim = cluster.node(s);
-    for (int core = 0; core < 24; core++) {
-      StartPeriodic(*sim, 1 + core, period, [] {});
-    }
-    pools.push_back(std::make_unique<SelfRescheduler<SimNode>>(
-        *sim, Rng::DeriveStream(42, static_cast<std::uint64_t>(s)), /*cancel_mix=*/false));
-    pools.back()->Seed(512);
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  cluster.RunUntil(sim_duration);
-  const auto stop = std::chrono::steady_clock::now();
-
-  ProfileResult r;
-  r.name = "periodic_heavy_x" + std::to_string(shards);
-  r.engine = "cluster";
-  r.events = cluster.TotalEventsExecuted();
-  r.wall_s = std::chrono::duration<double>(stop - start).count();
-  r.events_per_s = static_cast<double>(r.events) / r.wall_s;
-  return r;
-}
-
 void Report(const ProfileResult& ref, const ProfileResult& wheel, BenchReporter& reporter,
             bool* ok) {
   SKYLOFT_CHECK(ref.name == wheel.name);
@@ -273,47 +227,6 @@ int Main(int argc, char** argv) {
   }
 
   if (!reporter.WriteFile()) {
-    ok = false;
-  }
-
-  // ---- shard-count sweep (BENCH_simcore_parallel.json) ----
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  const DurationNs sweep_duration = smoke ? Millis(20) : kSecond;
-  BenchReporter parallel("simcore_parallel");
-  parallel.MetaBool("smoke", smoke);
-  parallel.MetaNum("hw_threads", static_cast<double>(hw_threads));
-
-  double base_events_per_s = 0;
-  double best_scaled_speedup = 0;
-  for (const int shards : {1, 2, 4, 8}) {
-    ProfileResult r = RunPeriodicHeavySharded(shards, sweep_duration);
-    if (shards == 1) {
-      base_events_per_s = r.events_per_s;
-    }
-    const double speedup = r.events_per_s / base_events_per_s;
-    if (shards >= 4) {
-      best_scaled_speedup = std::max(best_scaled_speedup, speedup);
-    }
-    std::printf("%-16s %12llu events | %d threads | %8.3fs (%10.0f ev/s) | %.2fx vs 1 shard\n",
-                r.name.c_str(), static_cast<unsigned long long>(r.events), shards, r.wall_s,
-                r.events_per_s, speedup);
-    parallel.AddRow()
-        .Str("profile", r.name)
-        .Int("shards", shards)
-        .Int("events", static_cast<std::int64_t>(r.events))
-        .Num("wall_s", r.wall_s)
-        .Num("events_per_s", r.events_per_s)
-        .Num("speedup_vs_1shard", speedup);
-  }
-  // The >=4x bar needs at least 8 host threads (4x at exactly 4 cores would
-  // demand perfectly free barriers); on smaller hosts — CI included — the
-  // sweep still runs and records, it just cannot prove scaling.
-  if (!smoke && hw_threads >= 8 && best_scaled_speedup < 4.0) {
-    std::fprintf(stderr, "FAIL: shard sweep peaked at %.2fx (< 4x) with %u hw threads\n",
-                 best_scaled_speedup, hw_threads);
-    ok = false;
-  }
-  if (!parallel.WriteFile()) {
     ok = false;
   }
   return ok ? 0 : 1;

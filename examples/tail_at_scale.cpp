@@ -1,35 +1,20 @@
 // Tail-at-scale demo on the simulated substrate: why microsecond preemption
 // matters for heavy-tailed workloads (the paper's central motivation, §1).
 //
-// Part 1 — one machine. Throws the dispersive workload (99.5% x 4 us GETs +
-// 0.5% x 10 ms scans) at three schedulers on identical 8-worker machines:
+// Throws the dispersive workload (99.5% x 4 us GETs + 0.5% x 10 ms scans) at
+// three schedulers on identical 8-worker machines:
 //   - FIFO run-to-completion (head-of-line blocking)
 //   - Skyloft-Shinjuku with a 30 us user-IPI preemption quantum
 //   - Skyloft preemptive work stealing with a 5 us timer quantum
-//
-// Part 2 — the fleet. The same three schedulers, but now each request fans
-// out from a front node to N backend shards of a ClusterSim and waits for
-// the slowest one (Dean & Barroso's "tail at scale" shape). Every backend
-// also serves its own dispersive background load from an independent
-// per-node arrival stream (same base seed, Rng::DeriveStream per node), so a
-// fan-out GET occasionally lands behind a 10 ms scan. With N shards the
-// probability that *some* shard is blocked grows ~N-fold: run-to-completion
-// tails get worse with scale, while us-preemption keeps p99-of-max flat.
 //
 //   ./build/examples/tail_at_scale            # full figure
 //   ./build/examples/tail_at_scale --smoke    # seconds-long CI variant
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <memory>
-#include <vector>
 
 #include "src/apps/workloads.h"
-#include "src/base/random.h"
 #include "src/baselines/systems.h"
 #include "src/net/loadgen.h"
-#include "src/net/node_link.h"
-#include "src/simcore/cluster_sim.h"
 
 using namespace skyloft;
 
@@ -55,137 +40,6 @@ void RunOne(const char* label, SystemSetup setup, double rate_rps) {
               static_cast<long long>(stats.latency_by_kind[kKindShort].Max() / 1000));
 }
 
-// ---- Part 2: fan-out over a ClusterSim ----
-
-constexpr int kBackends = 4;
-constexpr int kBackendWorkers = 8;
-constexpr DurationNs kLinkLatency = Micros(5);  // one-way front<->backend
-constexpr DurationNs kFanoutGetNs = Micros(4);
-
-enum class Policy { kFifo, kShinjuku, kWorkSteal };
-
-struct FanoutRequest {
-  TimeNs start = 0;
-  int outstanding = 0;
-};
-
-// Front-node bookkeeping plus per-backend systems for one cluster run. All
-// mutable state is touched only by its owning shard: backends only read the
-// request index out of their link callback and reply over their own link;
-// the front node alone updates FanoutRequest and the histogram.
-struct Fleet {
-  ClusterSim* cluster = nullptr;
-  SimNode* front = nullptr;
-  std::vector<NodeSetup> backends;
-  std::vector<std::unique_ptr<PoissonClient>> background;
-  std::vector<std::unique_ptr<NodeLink>> to_backend;
-  std::vector<std::unique_ptr<NodeLink>> to_front;
-  std::deque<FanoutRequest> requests;
-  LatencyHistogram fanout_max_ns;  // per-request max over kBackends
-  Rng arrivals{1};
-  double rate_rps = 0;
-  bool measuring = false;
-
-  void ScheduleNextArrival() {
-    const auto gap = static_cast<DurationNs>(arrivals.NextExponential(1e9 / rate_rps));
-    front->ScheduleAfter(gap, [this] {
-      FanOut();
-      ScheduleNextArrival();
-    });
-  }
-
-  void FanOut() {
-    const std::size_t r = requests.size();
-    requests.push_back({front->Now(), kBackends});
-    for (int b = 0; b < kBackends; b++) {
-      to_backend[static_cast<std::size_t>(b)]->Send([this, b, r] { ServeShard(b, r); });
-    }
-  }
-
-  // Runs on backend `b`: execute one GET under that shard's scheduler, then
-  // reply to the front when the task's segment completes.
-  void ServeShard(int b, std::size_t r) {
-    NodeSetup& node = backends[static_cast<std::size_t>(b)];
-    Task* task = node.engine->NewTask(node.app, kFanoutGetNs, kKindShort);
-    task->on_segment_end = [this, b, r](Task*) {
-      to_front[static_cast<std::size_t>(b)]->Send([this, r] { Complete(r); });
-      return SegmentAction::kFinish;
-    };
-    node.engine->Submit(task);
-  }
-
-  // Runs on the front node: the request is done when the slowest shard
-  // (plus the return link) has answered.
-  void Complete(std::size_t r) {
-    FanoutRequest& req = requests[r];
-    if (--req.outstanding == 0 && measuring) {
-      fanout_max_ns.Record(front->Now() - req.start);
-    }
-  }
-};
-
-void RunFleet(const char* label, Policy policy, double background_rate) {
-  ClusterSim::Options copts;
-  copts.num_threads = kBackends + 1;
-  ClusterSim cluster(kBackends + 1, copts);
-
-  Fleet fleet;
-  fleet.cluster = &cluster;
-  fleet.front = cluster.node(kBackends);
-  fleet.rate_rps = g_smoke ? 5e3 : 10e3;
-  for (int b = 0; b < kBackends; b++) {
-    SimNode* sim = cluster.node(b);
-    switch (policy) {
-      case Policy::kFifo:
-        fleet.backends.push_back(MakeSkyloftPerCpuNode(sim, SkyloftSched::kFifo, kBackendWorkers));
-        break;
-      case Policy::kShinjuku:
-        fleet.backends.push_back(MakeSkyloftShinjukuNode(sim, kBackendWorkers, Micros(30)));
-        break;
-      case Policy::kWorkSteal:
-        fleet.backends.push_back(MakeSkyloftWorkStealingNode(sim, kBackendWorkers, Micros(5)));
-        break;
-    }
-    fleet.to_backend.push_back(
-        std::make_unique<NodeLink>(&cluster, kBackends, b, kLinkLatency));
-    fleet.to_front.push_back(std::make_unique<NodeLink>(&cluster, b, kBackends, kLinkLatency));
-  }
-  for (int b = 0; b < kBackends; b++) {
-    NodeSetup& node = fleet.backends[static_cast<std::size_t>(b)];
-    PoissonClient::Options options;
-    options.rate_rps = background_rate;
-    options.seed = 1;    // same base seed on every node...
-    options.node_id = b; // ...but an independent derived arrival stream
-    options.rss_route = false;
-    fleet.background.push_back(std::make_unique<PoissonClient>(
-        node.engine.get(), node.app, DispersiveMix(), options));
-    fleet.background.back()->Start();
-  }
-  fleet.ScheduleNextArrival();
-
-  cluster.RunUntil(g_smoke ? Millis(5) : Millis(50));
-  for (NodeSetup& node : fleet.backends) {
-    node.engine->ResetStats();
-  }
-  fleet.measuring = true;
-  cluster.RunUntil(g_smoke ? Millis(25) : Millis(250));
-
-  // Fleet-wide view: merge every shard's stats as if one histogram had
-  // recorded all of them (single-shard GET latency, for the comparison
-  // column), then report the fan-out p99-of-max next to it.
-  EngineStats fleet_stats;
-  fleet_stats.Reset(cluster.Now());
-  for (NodeSetup& node : fleet.backends) {
-    fleet_stats.MergeFrom(node.engine->stats());
-  }
-  std::printf("%-22s %12lld %12lld %14lld %14lld\n", label,
-              static_cast<long long>(
-                  fleet_stats.latency_by_kind[kKindShort].Percentile(0.99) / 1000),
-              static_cast<long long>(fleet.fanout_max_ns.Percentile(0.5) / 1000),
-              static_cast<long long>(fleet.fanout_max_ns.Percentile(0.99) / 1000),
-              static_cast<long long>(fleet.fanout_max_ns.Max() / 1000));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -206,20 +60,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\nWithout preemption, a 4 us GET can sit behind a 10 ms scan (max ~10^4 us).\n"
       "With us-scale preemption, GET tails collapse by orders of magnitude.\n");
-
-  const double background = 0.6 * kBackendWorkers / (MixMeanNs(DispersiveMix()) / 1e9);
-  std::printf("\nfan-out over %d backend shards (ClusterSim, %lld us links), "
-              "p99 of the max\n", kBackends,
-              static_cast<long long>(kLinkLatency / 1000));
-  std::printf("%-22s %12s %12s %14s %14s\n", "scheduler", "1-shard p99",
-              "fanout p50", "fanout p99", "fanout max(us)");
-  RunFleet("fifo (no preemption)", Policy::kFifo, background);
-  RunFleet("shinjuku q=30us", Policy::kShinjuku, background);
-  RunFleet("work-steal q=5us", Policy::kWorkSteal, background);
-  std::printf(
-      "\nWaiting on the slowest of %d shards multiplies the chance of hitting a\n"
-      "blocked shard: without preemption the fan-out p99 approaches the scan\n"
-      "time itself, while us-preemption keeps p99-of-max near the single-shard\n"
-      "tail plus two link hops.\n", kBackends);
   return 0;
 }

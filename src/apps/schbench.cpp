@@ -8,14 +8,14 @@ SchbenchSim::SchbenchSim(Engine* engine, App* app, SchbenchOptions options)
     : engine_(engine), app_(app), options_(options) {}
 
 void SchbenchSim::Start() {
-  SimNode& sim = engine_->machine().sim();
+  Simulation& sim = engine_->machine().sim();
   workers_.reserve(static_cast<std::size_t>(options_.worker_threads));
   for (int i = 0; i < options_.worker_threads; i++) {
     Task* worker = engine_->NewTask(app_, options_.request_ns);
     // Workers never finish: each completed request blocks the worker until
     // the message thread wakes it with the next one.
     worker->on_segment_end = [this](Task* task) {
-      SimNode& s = engine_->machine().sim();
+      Simulation& s = engine_->machine().sim();
       s.ScheduleAfter(options_.rewake_delay_ns, [this, task] {
         engine_->WakeTask(task, options_.request_ns);
       });

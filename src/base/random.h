@@ -19,13 +19,13 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) : state_(seed) {}
 
-  // Derives an independent stream seed from (base seed, stream index) —
-  // per-node RNG splitting for cluster simulations. A plain `seed ^ stream`
-  // is dangerous with splitmix64 (nearby streams start a fixed small offset
-  // apart in the same underlying sequence), so the stream index is mixed
-  // through a full avalanche round first. Stream 0 returns the base seed
-  // unchanged, keeping single-node runs bit-identical to their historical
-  // traces.
+  // Derives an independent stream seed from (base seed, stream index), so
+  // one run seed can feed several components with uncorrelated draws
+  // (perfbench's KV and ring workloads take streams 1-3 of their seed). A
+  // plain `seed ^ stream` is dangerous with splitmix64 (nearby streams start
+  // a fixed small offset apart in the same underlying sequence), so the
+  // stream index is mixed through a full avalanche round first. Stream 0
+  // returns the base seed unchanged.
   static std::uint64_t DeriveStream(std::uint64_t seed, std::uint64_t stream) {
     if (stream == 0) {
       return seed;

@@ -1,40 +1,23 @@
 #include "src/baselines/systems.h"
 
-#include <utility>
-
-#include "src/base/logging.h"
+#include <vector>
 
 namespace skyloft {
 
 namespace {
 
-// Builds the simulation substrate shared by every system under test, on a
-// SimNode the caller owns (a standalone Simulation or a ClusterSim shard).
-NodeSetup MakeNodeBase(SimNode* sim, const std::string& name, int num_cores) {
-  SKYLOFT_CHECK(sim != nullptr);
-  NodeSetup node;
-  node.name = name;
-  node.sim = sim;
+// Builds the simulation substrate shared by every system under test: a fresh
+// Simulation, the machine, its user-interrupt chip and the kernel model.
+SystemSetup MakeBase(const std::string& name, int num_cores) {
+  SystemSetup setup;
+  setup.name = name;
+  setup.sim = std::make_unique<Simulation>();
   MachineConfig mcfg;
   mcfg.num_cores = num_cores;
   mcfg.cores_per_socket = 24;
-  node.machine = std::make_unique<Machine>(sim, mcfg);
-  node.chip = std::make_unique<UintrChip>(node.machine.get());
-  node.kernel = std::make_unique<KernelSim>(node.machine.get(), node.chip.get());
-  return node;
-}
-
-// Wraps a NodeSetup built on a freshly-owned Simulation into a SystemSetup.
-SystemSetup Adopt(std::unique_ptr<Simulation> sim, NodeSetup node) {
-  SystemSetup setup;
-  setup.name = std::move(node.name);
-  setup.sim = std::move(sim);
-  setup.machine = std::move(node.machine);
-  setup.chip = std::move(node.chip);
-  setup.kernel = std::move(node.kernel);
-  setup.policy = std::move(node.policy);
-  setup.engine = std::move(node.engine);
-  setup.app = node.app;
+  setup.machine = std::make_unique<Machine>(setup.sim.get(), mcfg);
+  setup.chip = std::make_unique<UintrChip>(setup.machine.get());
+  setup.kernel = std::make_unique<KernelSim>(setup.machine.get(), setup.chip.get());
   return setup;
 }
 
@@ -56,23 +39,22 @@ void ApplyLinuxCosts(EngineConfig& config, const CostModel& costs) {
 
 }  // namespace
 
-NodeSetup MakeSkyloftPerCpuNode(SimNode* sim, SkyloftSched sched, int num_cores,
-                                DurationNs rr_slice) {
+SystemSetup MakeSkyloftPerCpu(SkyloftSched sched, int num_cores, DurationNs rr_slice) {
   const char* names[] = {"skyloft-rr", "skyloft-cfs", "skyloft-eevdf", "skyloft-fifo"};
-  NodeSetup node = MakeNodeBase(sim, names[static_cast<int>(sched)], num_cores);
+  SystemSetup setup = MakeBase(names[static_cast<int>(sched)], num_cores);
 
   switch (sched) {
     case SkyloftSched::kRr:
-      node.policy = std::make_unique<RoundRobinPolicy>(rr_slice);
+      setup.policy = std::make_unique<RoundRobinPolicy>(rr_slice);
       break;
     case SkyloftSched::kCfs:
-      node.policy = std::make_unique<CfsPolicy>(CfsParams{Micros(12) + 500, Micros(50)});
+      setup.policy = std::make_unique<CfsPolicy>(CfsParams{Micros(12) + 500, Micros(50)});
       break;
     case SkyloftSched::kEevdf:
-      node.policy = std::make_unique<EevdfPolicy>(EevdfParams{Micros(12) + 500});
+      setup.policy = std::make_unique<EevdfPolicy>(EevdfParams{Micros(12) + 500});
       break;
     case SkyloftSched::kFifo:
-      node.policy = std::make_unique<RoundRobinPolicy>(kInfiniteSlice);
+      setup.policy = std::make_unique<RoundRobinPolicy>(kInfiniteSlice);
       break;
   }
 
@@ -81,85 +63,70 @@ NodeSetup MakeSkyloftPerCpuNode(SimNode* sim, SkyloftSched sched, int num_cores,
   pcfg.base.local_switch_ns = 100;  // user-level switch through the scheduler
   pcfg.timer_hz = 100'000;          // Table 5: TIMER_HZ
   pcfg.tick_path = TickPath::kUserTimer;
-  node.engine = std::make_unique<PerCpuEngine>(node.machine.get(), node.chip.get(),
-                                               node.kernel.get(), node.policy.get(), pcfg);
-  node.app = node.engine->CreateApp("lc");
-  node.engine->Start();
-  return node;
-}
-
-SystemSetup MakeSkyloftPerCpu(SkyloftSched sched, int num_cores, DurationNs rr_slice) {
-  auto sim = std::make_unique<Simulation>();
-  NodeSetup node = MakeSkyloftPerCpuNode(sim.get(), sched, num_cores, rr_slice);
-  return Adopt(std::move(sim), std::move(node));
+  setup.engine = std::make_unique<PerCpuEngine>(setup.machine.get(), setup.chip.get(),
+                                                setup.kernel.get(), setup.policy.get(), pcfg);
+  setup.app = setup.engine->CreateApp("lc");
+  setup.engine->Start();
+  return setup;
 }
 
 SystemSetup MakeLinuxPerCpu(LinuxSched sched, int num_cores) {
   const char* names[] = {"linux-rr", "linux-cfs-default", "linux-cfs-tuned",
                          "linux-eevdf-default", "linux-eevdf-tuned"};
-  auto sim = std::make_unique<Simulation>();
-  NodeSetup node = MakeNodeBase(sim.get(), names[static_cast<int>(sched)], num_cores);
+  SystemSetup setup = MakeBase(names[static_cast<int>(sched)], num_cores);
 
   std::int64_t hz = 250;
   switch (sched) {
     case LinuxSched::kRrDefault:
-      node.policy = std::make_unique<RoundRobinPolicy>(Millis(100));
+      setup.policy = std::make_unique<RoundRobinPolicy>(Millis(100));
       hz = 250;
       break;
     case LinuxSched::kCfsDefault:
-      node.policy = std::make_unique<CfsPolicy>(CfsParams{Millis(3), Millis(24)});
+      setup.policy = std::make_unique<CfsPolicy>(CfsParams{Millis(3), Millis(24)});
       hz = 250;
       break;
     case LinuxSched::kCfsTuned:
-      node.policy = std::make_unique<CfsPolicy>(CfsParams{Micros(12) + 500, Micros(50)});
+      setup.policy = std::make_unique<CfsPolicy>(CfsParams{Micros(12) + 500, Micros(50)});
       hz = 1000;
       break;
     case LinuxSched::kEevdfDefault:
-      node.policy = std::make_unique<EevdfPolicy>(EevdfParams{Millis(3)});
+      setup.policy = std::make_unique<EevdfPolicy>(EevdfParams{Millis(3)});
       hz = 1000;
       break;
     case LinuxSched::kEevdfTuned:
-      node.policy = std::make_unique<EevdfPolicy>(EevdfParams{Micros(12) + 500});
+      setup.policy = std::make_unique<EevdfPolicy>(EevdfParams{Micros(12) + 500});
       hz = 1000;
       break;
   }
 
   PerCpuEngineConfig pcfg;
   pcfg.base.worker_cores = CoreRange(0, num_cores);
-  ApplyLinuxCosts(pcfg.base, node.machine->costs());
+  ApplyLinuxCosts(pcfg.base, setup.machine->costs());
   pcfg.timer_hz = hz;  // Table 5: CONFIG_HZ caps Linux preemption granularity
   pcfg.tick_path = TickPath::kKernelTimer;
   pcfg.kernel_tick_cost_ns = 1500;
   pcfg.preempt_extra_ns = 0;  // switch cost is already in local_switch_ns
-  node.engine = std::make_unique<PerCpuEngine>(node.machine.get(), node.chip.get(),
-                                               node.kernel.get(), node.policy.get(), pcfg);
-  node.app = node.engine->CreateApp("lc");
-  node.engine->Start();
-  return Adopt(std::move(sim), std::move(node));
+  setup.engine = std::make_unique<PerCpuEngine>(setup.machine.get(), setup.chip.get(),
+                                                setup.kernel.get(), setup.policy.get(), pcfg);
+  setup.app = setup.engine->CreateApp("lc");
+  setup.engine->Start();
+  return setup;
 }
 
 namespace {
 
-NodeSetup MakeCentralNode(SimNode* sim, const std::string& name, int workers,
-                          CentralizedEngineConfig ccfg) {
+SystemSetup MakeCentral(const std::string& name, int workers, CentralizedEngineConfig ccfg) {
   // Core layout: workers on 0..N-1, dispatcher (+ load generator) on core N.
-  NodeSetup node = MakeNodeBase(sim, name, workers + 1);
-  node.policy = std::make_unique<ShinjukuPolicy>();
+  SystemSetup setup = MakeBase(name, workers + 1);
+  setup.policy = std::make_unique<ShinjukuPolicy>();
   ccfg.base.worker_cores = CoreRange(0, workers);
   ccfg.dispatcher_core = workers;
-  node.engine = std::make_unique<CentralizedEngine>(node.machine.get(), node.chip.get(),
-                                                    node.kernel.get(), node.policy.get(),
-                                                    ccfg);
-  node.app = node.engine->CreateApp("lc");
-  node.engine->Start();
-  return node;
-}
-
-SystemSetup MakeCentral(const std::string& name, int workers,
-                        CentralizedEngineConfig ccfg) {
-  auto sim = std::make_unique<Simulation>();
-  NodeSetup node = MakeCentralNode(sim.get(), name, workers, std::move(ccfg));
-  return Adopt(std::move(sim), std::move(node));
+  setup.engine = std::make_unique<CentralizedEngine>(setup.machine.get(), setup.chip.get(),
+                                                     setup.kernel.get(), setup.policy.get(),
+                                                     ccfg);
+  setup.app = setup.engine->CreateApp("lc");
+  setup.engine->Start();
+  return setup;
 }
 
 CentralizedEngineConfig SkyloftShinjukuConfig(DurationNs quantum, bool core_alloc) {
@@ -175,11 +142,6 @@ CentralizedEngineConfig SkyloftShinjukuConfig(DurationNs quantum, bool core_allo
 }
 
 }  // namespace
-
-NodeSetup MakeSkyloftShinjukuNode(SimNode* sim, int workers, DurationNs quantum) {
-  return MakeCentralNode(sim, "skyloft-shinjuku", workers,
-                         SkyloftShinjukuConfig(quantum, /*core_alloc=*/false));
-}
 
 SystemSetup MakeSkyloftShinjuku(int workers, DurationNs quantum, bool core_alloc) {
   return MakeCentral(core_alloc ? "skyloft-shinjuku-shenango" : "skyloft-shinjuku", workers,
@@ -225,19 +187,16 @@ SystemSetup MakeLinuxCfsCentralWorkload(int workers) {
   return MakeLinuxPerCpu(LinuxSched::kCfsTuned, workers);
 }
 
-namespace {
-
-NodeSetup MakeWorkStealingNode(SimNode* sim, int workers, DurationNs quantum,
-                               bool utimer_core_emulation) {
+SystemSetup MakeSkyloftWorkStealing(int workers, DurationNs quantum,
+                                    bool utimer_core_emulation) {
   const bool preemptive = quantum != kInfiniteSliceWs;
-  NodeSetup node = MakeNodeBase(
-      sim,
+  SystemSetup setup = MakeBase(
       utimer_core_emulation ? "skyloft-ws-utimer" : (preemptive ? "skyloft-ws-preempt" : "skyloft-ws"),
       workers + (utimer_core_emulation ? 1 : 0));
 
   WorkStealingParams params;
   params.quantum = quantum;
-  node.policy = std::make_unique<WorkStealingPolicy>(params);
+  setup.policy = std::make_unique<WorkStealingPolicy>(params);
 
   PerCpuEngineConfig pcfg;
   pcfg.base.worker_cores = CoreRange(0, workers);
@@ -250,32 +209,18 @@ NodeSetup MakeWorkStealingNode(SimNode* sim, int workers, DurationNs quantum,
   } else {
     pcfg.tick_path = TickPath::kNone;
   }
-  node.engine = std::make_unique<PerCpuEngine>(node.machine.get(), node.chip.get(),
-                                               node.kernel.get(), node.policy.get(), pcfg);
-  node.app = node.engine->CreateApp("server");
-  node.engine->Start();
-  return node;
-}
-
-}  // namespace
-
-NodeSetup MakeSkyloftWorkStealingNode(SimNode* sim, int workers, DurationNs quantum) {
-  return MakeWorkStealingNode(sim, workers, quantum, /*utimer_core_emulation=*/false);
-}
-
-SystemSetup MakeSkyloftWorkStealing(int workers, DurationNs quantum,
-                                    bool utimer_core_emulation) {
-  auto sim = std::make_unique<Simulation>();
-  NodeSetup node = MakeWorkStealingNode(sim.get(), workers, quantum, utimer_core_emulation);
-  return Adopt(std::move(sim), std::move(node));
+  setup.engine = std::make_unique<PerCpuEngine>(setup.machine.get(), setup.chip.get(),
+                                                setup.kernel.get(), setup.policy.get(), pcfg);
+  setup.app = setup.engine->CreateApp("server");
+  setup.engine->Start();
+  return setup;
 }
 
 SystemSetup MakeShenango(int workers) {
-  auto sim = std::make_unique<Simulation>();
-  NodeSetup node = MakeNodeBase(sim.get(), "shenango", workers);
+  SystemSetup setup = MakeBase("shenango", workers);
   WorkStealingParams params;
   params.quantum = kInfiniteSliceWs;  // no preemption within an application
-  node.policy = std::make_unique<WorkStealingPolicy>(params);
+  setup.policy = std::make_unique<WorkStealingPolicy>(params);
 
   PerCpuEngineConfig pcfg;
   pcfg.base.worker_cores = CoreRange(0, workers);
@@ -286,11 +231,11 @@ SystemSetup MakeShenango(int workers) {
   pcfg.base.idle_park_threshold_ns = Micros(5);
   pcfg.base.idle_unpark_cost_ns = 2000;
   pcfg.tick_path = TickPath::kNone;
-  node.engine = std::make_unique<PerCpuEngine>(node.machine.get(), node.chip.get(),
-                                               node.kernel.get(), node.policy.get(), pcfg);
-  node.app = node.engine->CreateApp("server");
-  node.engine->Start();
-  return Adopt(std::move(sim), std::move(node));
+  setup.engine = std::make_unique<PerCpuEngine>(setup.machine.get(), setup.chip.get(),
+                                                setup.kernel.get(), setup.policy.get(), pcfg);
+  setup.app = setup.engine->CreateApp("server");
+  setup.engine->Start();
+  return setup;
 }
 
 }  // namespace skyloft

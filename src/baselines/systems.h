@@ -11,14 +11,8 @@
 //   - Shenango (Fig. 8): per-CPU work stealing without in-app preemption,
 //     with its IOKernel-driven core parking overheads
 //
-// Two granularities:
-//
-//   - SystemSetup: one standalone simulated machine owning its own
-//     Simulation — what every single-machine benchmark sweeps.
-//   - NodeSetup: the same machine built on a caller-provided SimNode, i.e.
-//     one shard of a ClusterSim. Multi-node scenarios (tail-at-scale
-//     fan-out, per-tenant fleets) build one NodeSetup per backend shard and
-//     wire the shards together with net NodeLinks.
+// Each factory returns a SystemSetup: one simulated machine that owns its
+// Simulation, with the engine started and the primary app created.
 #ifndef SRC_BASELINES_SYSTEMS_H_
 #define SRC_BASELINES_SYSTEMS_H_
 
@@ -36,26 +30,10 @@
 
 namespace skyloft {
 
-// One simulated machine built on a SimNode the caller owns (typically a
-// ClusterSim shard). Everything event-driven in here schedules on that node.
-struct NodeSetup {
-  std::string name;
-  SimNode* sim = nullptr;  // not owned
-  std::unique_ptr<Machine> machine;
-  std::unique_ptr<UintrChip> chip;
-  std::unique_ptr<KernelSim> kernel;
-  std::unique_ptr<SchedPolicy> policy;
-  std::unique_ptr<Engine> engine;
-  App* app = nullptr;  // primary (LC) application, already created
-
-  CentralizedEngine* central() { return static_cast<CentralizedEngine*>(engine.get()); }
-  PerCpuEngine* percpu() { return static_cast<PerCpuEngine*>(engine.get()); }
-};
-
 // Everything a benchmark needs to drive one standalone system under test.
 struct SystemSetup {
   std::string name;
-  std::unique_ptr<Simulation> sim;
+  std::unique_ptr<Simulation> sim;  // first member: destroyed after the engine
   std::unique_ptr<Machine> machine;
   std::unique_ptr<UintrChip> chip;
   std::unique_ptr<KernelSim> kernel;
@@ -106,14 +84,6 @@ SystemSetup MakeLinuxCfsCentralWorkload(int workers);
 SystemSetup MakeSkyloftWorkStealing(int workers, DurationNs quantum,
                                     bool utimer_core_emulation = false);
 SystemSetup MakeShenango(int workers);
-
-// ---- Cluster-node variants ----
-// The same systems built on one shard of a ClusterSim; the caller keeps the
-// cluster (and thus `sim`) alive for the NodeSetup's lifetime.
-NodeSetup MakeSkyloftPerCpuNode(SimNode* sim, SkyloftSched sched, int num_cores,
-                                DurationNs rr_slice = Micros(50));
-NodeSetup MakeSkyloftShinjukuNode(SimNode* sim, int workers, DurationNs quantum);
-NodeSetup MakeSkyloftWorkStealingNode(SimNode* sim, int workers, DurationNs quantum);
 
 }  // namespace skyloft
 

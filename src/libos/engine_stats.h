@@ -39,27 +39,6 @@ struct EngineStats {
     epoch_start = now;
   }
 
-  // Folds another engine's stats into this one — the cluster aggregation
-  // path: each ClusterSim shard records into its own EngineStats (no shared
-  // state, so shards stay race-free and deterministic) and a fleet-wide view
-  // is produced after the run by merging. Equivalent to having recorded every
-  // sample into one histogram; the throughput window widens to the earliest
-  // epoch_start so ThroughputRps stays meaningful for aligned shards.
-  void MergeFrom(const EngineStats& other) {
-    wakeup_latency.Merge(other.wakeup_latency);
-    request_latency.Merge(other.request_latency);
-    slowdown_x100.Merge(other.slowdown_x100);
-    for (int k = 0; k < kMaxKinds; k++) {
-      const auto i = static_cast<std::size_t>(k);
-      latency_by_kind[i].Merge(other.latency_by_kind[i]);
-      slowdown_by_kind_x100[i].Merge(other.slowdown_by_kind_x100[i]);
-    }
-    completed += other.completed;
-    if (other.epoch_start < epoch_start) {
-      epoch_start = other.epoch_start;
-    }
-  }
-
   // Completed requests per second since the last Reset().
   double ThroughputRps(TimeNs now) const {
     const DurationNs window = now - epoch_start;

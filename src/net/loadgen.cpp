@@ -20,10 +20,9 @@ PoissonClient::PoissonClient(Engine* engine, App* app, RequestMix mix, Options o
       app_(app),
       mix_(std::move(mix)),
       options_(options),
-      rng_(Rng::DeriveStream(options.seed, static_cast<std::uint64_t>(options.node_id))) {
+      rng_(options.seed) {
   SKYLOFT_CHECK(!mix_.empty());
   SKYLOFT_CHECK(options_.rate_rps > 0);
-  SKYLOFT_CHECK(options_.node_id >= 0);
   for (const RequestClass& cls : mix_) {
     total_weight_ += cls.weight;
   }

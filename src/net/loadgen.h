@@ -33,12 +33,6 @@ class PoissonClient {
   struct Options {
     double rate_rps = 0;          // offered load
     std::uint64_t seed = 1;
-    // Which simulated node this client feeds. The effective RNG stream is
-    // Rng::DeriveStream(seed, node_id), so a cluster can give every node the
-    // same base seed and still get statistically independent arrival
-    // processes per node. Node 0 (the default) uses `seed` unchanged —
-    // single-machine setups are bit-identical to their historical traces.
-    int node_id = 0;
     bool rss_route = true;        // steer by flow hash to a worker (RSS)
     DurationNs wire_ns = 0;       // one-way client<->server latency
     std::size_t ring_capacity = 4096;

@@ -4,7 +4,7 @@
 
 namespace skyloft {
 
-Nic::Nic(SimNode* sim, int num_queues, DurationNs wire_latency_ns,
+Nic::Nic(Simulation* sim, int num_queues, DurationNs wire_latency_ns,
          std::size_t ring_capacity, DeliverCallback deliver)
     : sim_(sim),
       num_queues_(num_queues),

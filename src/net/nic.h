@@ -15,7 +15,7 @@
 
 #include "src/base/ring_buffer.h"
 #include "src/base/time.h"
-#include "src/simcore/sim_node.h"
+#include "src/simcore/simulation.h"
 
 namespace skyloft {
 
@@ -33,7 +33,7 @@ class Nic {
   // the consumer should drain with PollQueue().
   using DeliverCallback = std::function<void(int queue)>;
 
-  Nic(SimNode* sim, int num_queues, DurationNs wire_latency_ns, std::size_t ring_capacity,
+  Nic(Simulation* sim, int num_queues, DurationNs wire_latency_ns, std::size_t ring_capacity,
       DeliverCallback deliver);
 
   // RSS hash: 64-bit finalizer over the flow id (stands in for Toeplitz).
@@ -56,7 +56,7 @@ class Nic {
   DurationNs wire_latency() const { return wire_latency_ns_; }
 
  private:
-  SimNode* sim_;
+  Simulation* sim_;
   int num_queues_;
   DurationNs wire_latency_ns_;
   std::vector<std::unique_ptr<SpscRing<Packet>>> rings_;

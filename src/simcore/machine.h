@@ -4,9 +4,8 @@
 // pieces relevant to scheduling are modeled: core ids, NUMA placement (user
 // IPI costs differ across sockets, Table 6), and the shared cost model.
 //
-// A Machine is scoped to one SimNode: standalone single-machine setups hand
-// it their `Simulation`, cluster setups hand it one shard of a ClusterSim —
-// every event the machine's components schedule lands on that node's wheel.
+// A Machine is scoped to one Simulation: every event the machine's
+// components schedule lands on that simulation's queue.
 #ifndef SRC_SIMCORE_MACHINE_H_
 #define SRC_SIMCORE_MACHINE_H_
 
@@ -14,7 +13,7 @@
 
 #include "src/base/logging.h"
 #include "src/simcore/cost_model.h"
-#include "src/simcore/sim_node.h"
+#include "src/simcore/simulation.h"
 
 namespace skyloft {
 
@@ -29,12 +28,12 @@ struct MachineConfig {
 
 class Machine {
  public:
-  Machine(SimNode* sim, MachineConfig config) : sim_(sim), config_(config) {
+  Machine(Simulation* sim, MachineConfig config) : sim_(sim), config_(config) {
     SKYLOFT_CHECK(config.num_cores > 0);
     SKYLOFT_CHECK(config.cores_per_socket > 0);
   }
 
-  SimNode& sim() { return *sim_; }
+  Simulation& sim() { return *sim_; }
   const MachineConfig& config() const { return config_; }
   const CostModel& costs() const { return config_.costs; }
   int num_cores() const { return config_.num_cores; }
@@ -47,7 +46,7 @@ class Machine {
   bool CrossNuma(CoreId a, CoreId b) const { return SocketOf(a) != SocketOf(b); }
 
  private:
-  SimNode* sim_;
+  Simulation* sim_;
   MachineConfig config_;
 };
 

@@ -15,7 +15,7 @@
 #include <functional>
 
 #include "src/simcore/machine.h"
-#include "src/simcore/sim_node.h"
+#include "src/simcore/simulation.h"
 
 namespace skyloft {
 
@@ -23,7 +23,7 @@ class ApicTimer {
  public:
   using FireCallback = std::function<void(CoreId core, int vector)>;
 
-  ApicTimer(SimNode* sim, CoreId core, FireCallback on_fire)
+  ApicTimer(Simulation* sim, CoreId core, FireCallback on_fire)
       : sim_(sim), core_(core), on_fire_(std::move(on_fire)) {}
 
   // Sets the periodic frequency. Reprogramming an enabled timer restarts the
@@ -41,7 +41,7 @@ class ApicTimer {
   void Rearm();
   void Fire();
 
-  SimNode* sim_;
+  Simulation* sim_;
   CoreId core_;
   FireCallback on_fire_;
   std::int64_t hz_ = 0;

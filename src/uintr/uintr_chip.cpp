@@ -151,7 +151,7 @@ void UintrChip::DeliverPhysicalIpi(CoreId core, int vector, Upid* upid, CoreId s
 
 void UintrChip::ProgramUserTimerDeadline(CoreId core, TimeNs deadline) {
   CancelUserTimerDeadline(core);
-  SimNode& sim = machine_->sim();
+  Simulation& sim = machine_->sim();
   const TimeNs at = std::max(deadline, sim.Now());
   user_timer_events_[static_cast<std::size_t>(core)] = sim.ScheduleAt(at, [this, core] {
     user_timer_events_[static_cast<std::size_t>(core)] = kInvalidEventId;

@@ -104,6 +104,27 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.01);
 }
 
+// Derived streams must actually decorrelate: two streams derived from the
+// same base seed draw different sequences.
+TEST(RngTest, DerivedNodeStreamsAreDistinct) {
+  Rng a(Rng::DeriveStream(42, 0));
+  Rng b(Rng::DeriveStream(42, 1));
+  Rng c(Rng::DeriveStream(42, 2));
+  int equal_ab = 0;
+  int equal_bc = 0;
+  for (int i = 0; i < 64; i++) {
+    const std::uint64_t x = a.NextU64();
+    const std::uint64_t y = b.NextU64();
+    const std::uint64_t z = c.NextU64();
+    equal_ab += (x == y);
+    equal_bc += (y == z);
+  }
+  EXPECT_EQ(equal_ab, 0);
+  EXPECT_EQ(equal_bc, 0);
+  // Stream 0 is the base seed itself (single-node compatibility).
+  EXPECT_EQ(Rng::DeriveStream(42, 0), 42u);
+}
+
 TEST(ServiceTimeDistTest, FixedAlwaysSame) {
   Rng rng(1);
   auto dist = ServiceTimeDist::Fixed(Micros(4));

@@ -249,64 +249,6 @@ TEST(MetricsAdoptionTest, RuntimeCountersAreRegistered) {
   EXPECT_TRUE(found_steals);
 }
 
-// The cluster aggregation path: merging per-shard EngineStats must be
-// indistinguishable from having recorded every sample into one stats block.
-TEST(EngineStatsMergeTest, MergeMatchesConcatenatedSamplesReference) {
-  constexpr int kShards = 3;
-  Rng rng(17);
-  std::vector<EngineStats> shard(kShards);
-  EngineStats reference;
-  reference.Reset(0);
-  for (int s = 0; s < kShards; s++) {
-    // Shards reset at different times; the merged window starts at the
-    // earliest one.
-    shard[static_cast<std::size_t>(s)].Reset(Micros(10) * (s + 1));
-  }
-  for (int i = 0; i < 5000; i++) {
-    auto& dst = shard[rng.NextBelow(kShards)];
-    const auto latency = static_cast<std::int64_t>(1 + rng.NextBelow(10'000'000));
-    const auto wakeup = static_cast<std::int64_t>(rng.NextBelow(100'000));
-    const auto slowdown = static_cast<std::int64_t>(100 + rng.NextBelow(50'000));
-    const int kind = static_cast<int>(rng.NextBelow(EngineStats::kMaxKinds));
-    for (EngineStats* stats : {&dst, &reference}) {
-      stats->request_latency.Record(latency);
-      stats->wakeup_latency.Record(wakeup);
-      stats->slowdown_x100.Record(slowdown);
-      stats->latency_by_kind[static_cast<std::size_t>(kind)].Record(latency);
-      stats->slowdown_by_kind_x100[static_cast<std::size_t>(kind)].Record(slowdown);
-      stats->completed++;
-    }
-  }
-
-  EngineStats fleet;
-  fleet.Reset(kSecond);  // later than any shard: the merge must rewind it
-  for (const EngineStats& s : shard) {
-    fleet.MergeFrom(s);
-  }
-
-  EXPECT_EQ(fleet.completed, reference.completed);
-  EXPECT_EQ(fleet.epoch_start, Micros(10));
-  auto expect_same = [](const LatencyHistogram& a, const LatencyHistogram& b) {
-    EXPECT_EQ(a.Count(), b.Count());
-    EXPECT_EQ(a.Min(), b.Min());
-    EXPECT_EQ(a.Max(), b.Max());
-    EXPECT_DOUBLE_EQ(a.Mean(), b.Mean());
-    for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-      EXPECT_EQ(a.Percentile(q), b.Percentile(q)) << "q=" << q;
-    }
-  };
-  expect_same(fleet.request_latency, reference.request_latency);
-  expect_same(fleet.wakeup_latency, reference.wakeup_latency);
-  expect_same(fleet.slowdown_x100, reference.slowdown_x100);
-  for (std::size_t k = 0; k < EngineStats::kMaxKinds; k++) {
-    expect_same(fleet.latency_by_kind[k], reference.latency_by_kind[k]);
-    expect_same(fleet.slowdown_by_kind_x100[k], reference.slowdown_by_kind_x100[k]);
-  }
-  // Throughput over the merged window uses the widened epoch.
-  EXPECT_DOUBLE_EQ(fleet.ThroughputRps(kSecond),
-                   5000.0 * 1e9 / static_cast<double>(kSecond - Micros(10)));
-}
-
 // ---- Interval snapshots (LatencyHistogram::DeltaSince, ISSUE 9) ----
 //
 // The quantum controller polls faster than samples arrive at low load, so

@@ -160,38 +160,5 @@ TEST(MixMeanTest, WeightedMean) {
   EXPECT_NEAR(MixMeanNs(mix), 53'980.0, 1.0);
 }
 
-// Arrival-count trajectory sampled at fixed sim-time checkpoints: a
-// fingerprint of the client's arrival process that two identical streams
-// match exactly and two distinct streams almost surely do not.
-std::vector<std::uint64_t> ArrivalTrajectory(std::uint64_t seed, int node_id) {
-  LoadgenRig rig;
-  PoissonClient::Options options;
-  options.rate_rps = 100'000;
-  options.seed = seed;
-  options.node_id = node_id;
-  PoissonClient client(rig.engine.get(), rig.app, {{1.0, ServiceTimeDist::Fixed(1000), 0}},
-                       options);
-  client.Start();
-  std::vector<std::uint64_t> counts;
-  for (int step = 1; step <= 200; step++) {
-    rig.sim.RunUntil(step * Micros(50));
-    counts.push_back(client.generated());
-  }
-  return counts;
-}
-
-TEST(PoissonClientTest, PerNodeStreamsAreIndependentButSeeded) {
-  // Same base seed, different node: statistically independent arrivals.
-  const auto node0 = ArrivalTrajectory(/*seed=*/9, /*node_id=*/0);
-  const auto node1 = ArrivalTrajectory(/*seed=*/9, /*node_id=*/1);
-  EXPECT_NE(node0, node1) << "nodes sharing a base seed must not share arrivals";
-  // Same (seed, node): fully deterministic.
-  EXPECT_EQ(node1, ArrivalTrajectory(/*seed=*/9, /*node_id=*/1));
-  // Node 0 uses the base seed unchanged (Rng::DeriveStream(seed, 0) == seed),
-  // so pre-cluster single-machine traces are preserved: the derived stream
-  // for node 0 matches a raw Rng on the same seed.
-  EXPECT_EQ(Rng::DeriveStream(9, 0), 9u);
-}
-
 }  // namespace
 }  // namespace skyloft

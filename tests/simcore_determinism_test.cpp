@@ -1,19 +1,16 @@
 // Determinism property tests: the timing-wheel Simulation must execute the
 // exact same event sequence as the reference priority-queue engine
 // (tests/reference_simulation.h) for any schedule, including periodic
-// events, cancellations, and deadline-chunked execution. The cluster section
-// extends the property across shards: a partitioned ClusterSim must produce
-// bit-identical per-node traces at any host-thread count.
+// events, cancellations, and deadline-chunked execution, including
+// deadlines that sit on timing-wheel window boundaries.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/base/random.h"
-#include "src/net/node_link.h"
-#include "src/simcore/cluster_sim.h"
 #include "src/simcore/simulation.h"
 #include "tests/reference_simulation.h"
 
@@ -228,152 +225,70 @@ TEST(SimcoreDeterminismTest, WheelIsSelfDeterministic) {
   EXPECT_EQ(a->engine.Executed(), b->engine.Executed());
 }
 
-// ---- Cluster determinism ----
+// ---- Deadlines on wheel window boundaries ----
 //
-// Three shards on a latency ring, each running a randomized self-propagating
-// schedule from its own derived RNG stream, randomly sending events across
-// the ring (and sometimes cancelling them in flight). All mutable driver
-// state is per-node and only ever touched from that node's events, so the
-// workload is exactly as parallel as the shards themselves. The property:
-// the per-node (time, tag) traces and every cancel result are bit-identical
-// whether the shards share one host thread or get one each.
+// RunUntil lands the clock on its deadline through JumpTo. The chunked
+// schedule above puts its deadlines on whole milliseconds: level-1 window
+// starts (and level-2 ones at multiples of 64 ms), never one before or after
+// a window start, never a level-3 window start or the 2^24 horizon. Here the
+// deadlines are W-1, W and W+1 for a level-1 (64), level-2 (4,096) and
+// level-3 (262,144) window start W and for the horizon, with events on and
+// around each W, inside the window it opens and in the next one. The trace,
+// the cancel results, the clock and the number of events fired by every
+// deadline must match the reference engine's.
 
-struct ClusterDriver {
-  static constexpr int kNodes = 3;
+constexpr TimeNs kBoundaryWindows[] = {64 * 5, 4096 * 3, 262'144 * 2, TimeNs{1} << 24};
 
-  ClusterDriver(std::uint64_t seed, int threads) {
-    ClusterSim::Options options;
-    options.num_threads = threads;
-    cluster = std::make_unique<ClusterSim>(kNodes, options);
-    for (int n = 0; n < kNodes; n++) {
-      rngs.emplace_back(Rng::DeriveStream(seed, static_cast<std::uint64_t>(n)));
-      budgets[static_cast<std::size_t>(n)] = 400;
-      next_tag[static_cast<std::size_t>(n)] = n * 1'000'000;
-      // Ring with per-hop latencies 2us / 2.5us / 3us; lookahead = 2us.
-      links.push_back(std::make_unique<NodeLink>(cluster.get(), n, (n + 1) % kNodes,
-                                                 Micros(2) + n * 500));
+// (clock, events traced so far) after each RunUntil.
+using Checkpoints = std::vector<std::pair<TimeNs, std::size_t>>;
+
+template <typename Engine>
+std::unique_ptr<Driver<Engine>> RunBoundarySchedule(std::uint64_t seed,
+                                                    Checkpoints* checkpoints) {
+  auto driver = std::make_unique<Driver<Engine>>(seed);
+  for (const TimeNs w : kBoundaryWindows) {
+    for (const DurationNs offset : {-2, -1, 0, 1, 2, 63, 64, 4095, 4096, 262'143, 262'144}) {
+      driver->budget--;
+      driver->SpawnOneShot(w + offset);
+    }
+    // Periodic fires on every deadline around W, and on W - 64, W, W + 64.
+    driver->budget -= 8;
+    driver->SpawnPeriodic(w - 2, 1, 5);
+    driver->SpawnPeriodic(w - 64, 64, 3);
+  }
+  for (const TimeNs w : kBoundaryWindows) {
+    for (const TimeNs deadline : {w - 1, w, w + 1}) {
+      driver->engine.RunUntil(deadline);
+      checkpoints->push_back({driver->engine.Now(), driver->trace.size()});
     }
   }
-
-  void SpawnLocal(int node, DurationNs delay) {
-    const auto i = static_cast<std::size_t>(node);
-    const int tag = next_tag[i]++;
-    SimNode* sim = cluster->node(node);
-    handles[i].push_back(sim->ScheduleAt(sim->Now() + delay, [this, node, tag] {
-      OnFire(node, tag);
-    }));
-  }
-
-  void OnFire(int node, int tag) {
-    const auto i = static_cast<std::size_t>(node);
-    traces[i].push_back({cluster->node(node)->Now(), tag});
-    Rng& rng = rngs[i];
-    if (budgets[i] > 0) {
-      const int kids = static_cast<int>(rng.NextBelow(3));
-      for (int k = 0; k < kids && budgets[i] > 0; k++) {
-        budgets[i]--;
-        SpawnLocal(node, RandomDelay(rng));
-      }
-    }
-    if (budgets[i] > 0 && rng.NextBool(0.3)) {
-      // Hop to the next node on the ring; the remote event continues the
-      // destination's schedule with the destination's own RNG stream.
-      budgets[i]--;
-      const int rtag = next_tag[i]++;
-      remote_ids[i].push_back(links[i]->Send([this, dst = (node + 1) % kNodes, rtag] {
-        OnFire(dst, rtag);
-      }));
-    }
-    if (!remote_ids[i].empty() && rng.NextBool(0.2)) {
-      const auto victim = rng.NextBelow(remote_ids[i].size());
-      cancel_results[i].push_back(links[i]->Cancel(remote_ids[i][victim]));
-    }
-    if (!handles[i].empty() && rng.NextBool(0.2)) {
-      const auto victim = rng.NextBelow(handles[i].size());
-      cancel_results[i].push_back(cluster->node(node)->Cancel(handles[i][victim]));
-    }
-  }
-
-  std::unique_ptr<ClusterSim> cluster;
-  std::vector<Rng> rngs;
-  std::vector<std::unique_ptr<NodeLink>> links;
-  std::array<std::vector<EventId>, kNodes> handles;
-  std::array<std::vector<RemoteEventId>, kNodes> remote_ids;
-  std::array<std::vector<std::pair<TimeNs, int>>, kNodes> traces;
-  std::array<std::vector<bool>, kNodes> cancel_results;
-  std::array<int, kNodes> next_tag = {};
-  std::array<int, kNodes> budgets = {};
-};
-
-std::unique_ptr<ClusterDriver> RunClusterSchedule(std::uint64_t seed, int threads) {
-  auto driver = std::make_unique<ClusterDriver>(seed, threads);
-  for (int n = 0; n < ClusterDriver::kNodes; n++) {
-    for (int i = 0; i < 15; i++) {
-      driver->budgets[static_cast<std::size_t>(n)]--;
-      driver->SpawnLocal(n, RandomDelay(driver->rngs[static_cast<std::size_t>(n)]));
-    }
-  }
-  // Chunked epochs (RunUntil deadline paths, including deadline-grazing
-  // cross-shard arrivals) followed by a full drain.
-  TimeNs deadline = 0;
-  for (int chunk = 0; chunk < 100 && driver->cluster->TotalPendingEvents() > 0; chunk++) {
-    deadline += Millis(1);
-    driver->cluster->RunUntil(deadline);
-  }
-  driver->cluster->Run();
+  driver->engine.Run();
   return driver;
 }
 
-TEST(SimcoreDeterminismTest, ClusterParallelMatchesSequentialForManySeeds) {
-  for (std::uint64_t seed = 1; seed <= 10; seed++) {
-    auto seq = RunClusterSchedule(seed, /*threads=*/1);
-    auto par = RunClusterSchedule(seed, /*threads=*/ClusterDriver::kNodes);
-    for (std::size_t n = 0; n < ClusterDriver::kNodes; n++) {
-      ASSERT_EQ(seq->traces[n].size(), par->traces[n].size())
-          << "seed " << seed << " node " << n;
-      for (std::size_t i = 0; i < seq->traces[n].size(); i++) {
-        ASSERT_EQ(seq->traces[n][i], par->traces[n][i])
-            << "seed " << seed << " node " << n << " diverges at event " << i;
-      }
-      EXPECT_EQ(seq->cancel_results[n], par->cancel_results[n])
-          << "seed " << seed << " node " << n;
+TEST(SimcoreDeterminismTest, WheelMatchesReferenceWithDeadlinesOnWindowBoundaries) {
+  std::vector<TimeNs> deadlines;
+  for (const TimeNs w : kBoundaryWindows) {
+    deadlines.insert(deadlines.end(), {w - 1, w, w + 1});
+  }
+  for (std::uint64_t seed = 1; seed <= 8; seed++) {
+    Checkpoints wheel_checkpoints;
+    Checkpoints ref_checkpoints;
+    auto wheel = RunBoundarySchedule<WheelEngine>(seed, &wheel_checkpoints);
+    auto ref = RunBoundarySchedule<ReferenceEngine>(seed, &ref_checkpoints);
+    ASSERT_EQ(ref_checkpoints.size(), deadlines.size());
+    for (std::size_t i = 0; i < deadlines.size(); i++) {
+      EXPECT_EQ(ref_checkpoints[i].first, deadlines[i]) << "seed " << seed;
     }
-    EXPECT_EQ(seq->cluster->TotalEventsExecuted(), par->cluster->TotalEventsExecuted())
-        << "seed " << seed;
-    EXPECT_EQ(seq->cluster->TotalPendingEvents(), 0u) << "seed " << seed;
+    EXPECT_EQ(wheel_checkpoints, ref_checkpoints) << "seed " << seed;
+    ASSERT_EQ(wheel->trace.size(), ref->trace.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < wheel->trace.size(); i++) {
+      ASSERT_EQ(wheel->trace[i], ref->trace[i])
+          << "seed " << seed << " diverges at event " << i;
+    }
+    EXPECT_EQ(wheel->cancel_results, ref->cancel_results) << "seed " << seed;
+    EXPECT_EQ(wheel->engine.Pending(), 0u) << "seed " << seed;
   }
-}
-
-// Same cluster workload, same seed, same thread count, run twice: the trace
-// must also be stable run-to-run (no hidden dependence on allocation order
-// or thread start timing).
-TEST(SimcoreDeterminismTest, ClusterIsSelfDeterministic) {
-  auto a = RunClusterSchedule(11, /*threads=*/ClusterDriver::kNodes);
-  auto b = RunClusterSchedule(11, /*threads=*/ClusterDriver::kNodes);
-  for (std::size_t n = 0; n < ClusterDriver::kNodes; n++) {
-    EXPECT_EQ(a->traces[n], b->traces[n]) << "node " << n;
-  }
-}
-
-// Derived per-node streams must actually decorrelate the shards: two nodes
-// seeded from the same base seed draw different schedules.
-TEST(SimcoreDeterminismTest, DerivedNodeStreamsAreDistinct) {
-  Rng a(Rng::DeriveStream(42, 0));
-  Rng b(Rng::DeriveStream(42, 1));
-  Rng c(Rng::DeriveStream(42, 2));
-  int equal_ab = 0;
-  int equal_bc = 0;
-  for (int i = 0; i < 64; i++) {
-    const std::uint64_t x = a.NextU64();
-    const std::uint64_t y = b.NextU64();
-    const std::uint64_t z = c.NextU64();
-    equal_ab += (x == y);
-    equal_bc += (y == z);
-  }
-  EXPECT_EQ(equal_ab, 0);
-  EXPECT_EQ(equal_bc, 0);
-  // Stream 0 is the base seed itself (single-node compatibility).
-  EXPECT_EQ(Rng::DeriveStream(42, 0), 42u);
 }
 
 }  // namespace

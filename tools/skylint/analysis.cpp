@@ -312,7 +312,7 @@ std::string Analyzer::WorkerPath(int fn) const {
 
 std::string Analyzer::GuardLockName(int fn, const std::string& last_ident) const {
   // Qualify a lock_guard argument's terminal identifier by the enclosing
-  // class so `mu_` in MetricGroup and ClusterSim stays two lock classes.
+  // class so `mu_` in MetricsRegistry and HostSched stays two lock classes.
   // Namespace components carry no instance identity and are stripped.
   static const std::set<std::string> ns = {"skyloft", "std", "detail", "internal", "<anon>"};
   const std::string& q = functions_[static_cast<std::size_t>(fn)].qualified;
