@@ -91,8 +91,9 @@ int Main() {
   // Each ToJson() is a complete trace-event array; splice the two into one
   // document. (Timestamps share a timeline only nominally — sim time starts
   // at 0, host time is CLOCK_MONOTONIC — but viewers render both fine.)
-  const std::string combined = "[" + sim_json.substr(1, sim_json.size() - 2) + "," +
-                               host_json.substr(1, host_json.size() - 2) + "]";
+  std::string combined = "[";
+  combined.append(sim_json, 1, sim_json.size() - 2).append(",");
+  combined.append(host_json, 1, host_json.size() - 2).append("]");
 
   std::ofstream out("TRACE_sample.json");
   if (!out) {

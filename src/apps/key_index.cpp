@@ -153,6 +153,10 @@ KeyIndex::Iterator KeyIndex::UpperBound(std::string_view key) const { return See
 bool KeyIndex::Insert(std::string_view key) {
   if (dir_.empty()) {
     dir_.push_back({0, Leaf::New(key.size() + 2)});  // empty only until the insert below
+  } else if (const Leaf* last = dir_.back().leaf; key > last->Key(last->count - 1)) {
+    Append(key);  // no search: `key` goes after every key
+    size_++;
+    return true;
   }
   const std::size_t li = LeafFor(key);
   Leaf* leaf = dir_[li].leaf;
@@ -170,6 +174,23 @@ bool KeyIndex::Insert(std::string_view key) {
   }
   size_++;
   return true;
+}
+
+void KeyIndex::Append(std::string_view key) {
+  Leaf* last = dir_.back().leaf;
+  const std::size_t need = key.size() + 2;
+  if (last->Free() >= need) {
+    last->InsertAt(last->count, key);
+  } else if (need <= Leaf::kCap) {
+    // A half split would leave the last leaf half empty for good once the
+    // keys come in ascending order; a fresh leaf keeps every leaf but the
+    // last one full.
+    Leaf* fresh = Leaf::New(0);
+    fresh->InsertAt(0, key);
+    dir_.push_back({Prefix(key), fresh});
+  } else {
+    Split(dir_.size() - 1, last->count, key);
+  }
 }
 
 void KeyIndex::Split(std::size_t li, std::uint32_t pos, std::string_view key) {

@@ -11,6 +11,11 @@
 // directory entries are trivially copyable: a split moves them with one
 // memmove, never a string per leaf.
 //
+// A key greater than every key in the index is appended with no search: it
+// goes at the end of the last leaf, or, when that leaf is full, opens a new
+// leaf instead of splitting it. Keys inserted in ascending order (the KV
+// server's preload) therefore leave every leaf but the last one full.
+//
 // The index is insert-only: the KV store has no DEL, so there is no Erase.
 // A future DEL must add one (and, for the directory, either merge or allow
 // empty leaves). Not thread-safe; KvStripedStore guards it with its
@@ -76,6 +81,8 @@ class KeyIndex {
   std::size_t LeafFor(std::string_view key) const;
   // Position of `key`'s lower bound (found = exact match) in dir_[leaf].
   Iterator Seek(std::string_view key, bool upper) const;
+  // Adds `key`, greater than every key, after the last leaf's last key.
+  void Append(std::string_view key);
   // Replaces dir_[li] by leaves holding its keys plus `key` at `pos`.
   void Split(std::size_t li, std::uint32_t pos, std::string_view key);
 

@@ -84,6 +84,32 @@ constexpr std::size_t kSendHighWater = 256 * 1024;
 // Index keys a SCAN copies per hold of the index lock.
 constexpr std::size_t kScanChunk = 64;
 
+// Preloaded pairs whose table misses one PreloadBatch overlaps.
+constexpr std::size_t kPreloadBatch = 16;
+
+// Calls visit(i) for `i`, then for every i' < n whose decimal digits extend
+// i's, in the order of their decimal strings.
+template <typename Visit>
+void VisitDecimalSubtree(std::uint64_t i, std::uint64_t n, const Visit& visit) {
+  visit(i);
+  for (std::uint64_t child = i * 10; child < i * 10 + 10 && child < n; child++) {
+    VisitDecimalSubtree(child, n, visit);
+  }
+}
+
+// Calls visit(i) for every i in [0, n) in the order of i's decimal strings
+// (0, 1, 10, 100, ..., 101, ..., 11, ..., 2, ...): the preorder of the digit
+// trie, so "user<i>" keys come out ascending.
+template <typename Visit>
+void ForEachInDecimalOrder(std::uint64_t n, const Visit& visit) {
+  if (n > 0) {
+    visit(0);  // no other number starts with the digit 0
+  }
+  for (std::uint64_t d = 1; d < 10 && d < n; d++) {
+    VisitDecimalSubtree(d, n, visit);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -136,6 +162,15 @@ void KvStripedStore::Reserve(std::size_t keys) {
 void KvStripedStore::Preload(const std::string& key, const std::string& value) {
   if (StripeOf(key).store.Set(key, value)) {
     index_.keys.Insert(key);
+  }
+}
+
+void KvStripedStore::PreloadBatch(std::span<const std::pair<std::string, std::string>> pairs) {
+  for (const auto& [key, value] : pairs) {
+    StripeOf(key).store.Prefetch(key);
+  }
+  for (const auto& [key, value] : pairs) {
+    Preload(key, value);
   }
 }
 
@@ -288,10 +323,19 @@ KvServerNet::~KvServerNet() = default;
 
 void KvServerNet::Start() {
   SKYLOFT_CHECK(listeners_.empty()) << "Start() called twice";
-  store_.Reserve(static_cast<std::size_t>(std::max(0, options_.preload_keys)));
-  for (int i = 0; i < options_.preload_keys; i++) {
-    store_.Preload("user" + std::to_string(i), "profile-" + std::to_string(i));
-  }
+  const std::size_t keys = static_cast<std::size_t>(std::max(0, options_.preload_keys));
+  store_.Reserve(keys);
+  // In key order every index insert is an append.
+  std::vector<std::pair<std::string, std::string>> batch;
+  batch.reserve(kPreloadBatch);
+  ForEachInDecimalOrder(keys, [&](std::uint64_t i) {
+    batch.emplace_back("user" + std::to_string(i), "profile-" + std::to_string(i));
+    if (batch.size() == kPreloadBatch) {
+      store_.PreloadBatch(batch);
+      batch.clear();
+    }
+  });
+  store_.PreloadBatch(batch);
   for (int w = 0; w < rt_->workers(); w++) {
     IoEngine* engine = rt_->io_engine(w);
     SKYLOFT_CHECK(engine != nullptr) << "KvServerNet needs RuntimeOptions::io_engine";

@@ -28,13 +28,21 @@
 // leaves (src/apps/key_index.h), each behind SpinBackoff + PreemptGuard
 // spinlocks; per-op-kind service latencies land in the metrics registry
 // ("kv_server" group).
+//
+// Start() preloads `preload_keys` pairs "user<i>" -> "profile-<i>" in key
+// order, a preorder walk of the decimal digit trie ("user0", "user1",
+// "user10", ...): every KeyIndex insert is then an append, which leaves the
+// index's leaves full. The pairs go to PreloadBatch in fixed batches, so the
+// hash-table misses of a batch overlap.
 #ifndef SRC_APPS_KV_SERVER_NET_H_
 #define SRC_APPS_KV_SERVER_NET_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/key_index.h"
@@ -78,6 +86,9 @@ class KvStripedStore {
   // that many keys never rehashes.
   void Reserve(std::size_t keys);
   void Preload(const std::string& key, const std::string& value);
+  // Preloads `pairs` in order, after prefetching every pair's home slot in
+  // its stripe, so that the batch's table misses overlap.
+  void PreloadBatch(std::span<const std::pair<std::string, std::string>> pairs);
 
   int stripes() const { return static_cast<int>(stripes_.size()); }
 

@@ -158,6 +158,12 @@ void KvStore::Reserve(std::size_t keys) {
   }
 }
 
+void KvStore::Prefetch(const std::string& key) const {
+  const std::size_t home = Home(Hash(key));
+  __builtin_prefetch(&ctrl_[home]);
+  __builtin_prefetch(&entries_[home]);
+}
+
 bool KvStore::Set(const std::string& key, const std::string& value) {
   const std::uint64_t hash = Hash(key);
   std::size_t index = Find(key, hash);

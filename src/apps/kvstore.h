@@ -38,6 +38,11 @@ class KvStore {
   // Sizes the table so that `keys` live keys fit without a rehash.
   void Reserve(std::size_t keys);
 
+  // Starts loading the lines a lookup of `key` reads first, its home control
+  // group and entry, so that a caller holding several keys overlaps their
+  // misses instead of waiting on each in turn.
+  void Prefetch(const std::string& key) const;
+
   std::size_t Size() const { return size_; }
 
  private:

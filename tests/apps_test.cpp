@@ -52,7 +52,7 @@ TEST(KvStoreTest, GrowsPastInitialCapacity) {
 TEST(KvStoreTest, TombstoneReuse) {
   KvStore kv(16);
   for (int round = 0; round < 200; round++) {
-    const std::string key = "k" + std::to_string(round % 5);
+    const std::string key = std::string("k").append(std::to_string(round % 5));
     kv.Set(key, "v");
     kv.Delete(key);
   }
@@ -71,7 +71,7 @@ TEST(KvStoreTest, MatchesUnorderedMapUnderRandomOps) {
   constexpr std::uint64_t kKeys = 20'000;  // key 0 is ""
   for (int op = 0; op < 200'000; op++) {
     const std::uint64_t id = rng() % kKeys;
-    const std::string key = id == 0 ? std::string() : "k" + std::to_string(id);
+    const std::string key = id == 0 ? std::string() : std::string("k").append(std::to_string(id));
     const std::uint64_t dice = rng() % 100;
     if (dice < 45) {
       const std::string value =
@@ -134,6 +134,22 @@ void ExpectSameWalk(const KeyIndex& index, KeyIndex::Iterator it,
   }
 }
 
+// The whole walk, then bounded walks from 5,000 probes, present or absent.
+void ExpectSameAsModel(const KeyIndex& index, const std::set<std::string>& model,
+                       std::mt19937_64& rng) {
+  ASSERT_NO_FATAL_FAILURE(ExpectSameWalk(index, index.begin(), model.begin(), model,
+                                         static_cast<int>(model.size() + 1), "begin"));
+  const std::vector<std::string> keys(model.begin(), model.end());
+  for (int probe = 0; probe < 5'000; probe++) {
+    const std::string key =
+        probe % 2 == 0 ? keys[rng() % keys.size()] : RandomKey(rng, rng() % 20);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameWalk(index, index.LowerBound(key), model.lower_bound(key), model, 70, key));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameWalk(index, index.UpperBound(key), model.upper_bound(key), model, 70, key));
+  }
+}
+
 // 120k seeded inserts against std::set: short keys that repeat, keys up to
 // 300 bytes, and a few 64 KiB keys that no shared leaf can hold.
 TEST(KeyIndexTest, MatchesStdSetUnderRandomInserts) {
@@ -154,19 +170,41 @@ TEST(KeyIndexTest, MatchesStdSetUnderRandomInserts) {
     ASSERT_NO_FATAL_FAILURE(insert(RandomKey(rng, len)));
   }
   ASSERT_GT(index.leaves(), 100u);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsModel(index, model, rng));
+}
 
-  // The whole walk, then bounded walks from probes, present or absent.
-  ASSERT_NO_FATAL_FAILURE(ExpectSameWalk(index, index.begin(), model.begin(), model,
-                                         static_cast<int>(model.size() + 1), "begin"));
-  const std::vector<std::string> keys(model.begin(), model.end());
-  for (int probe = 0; probe < 5'000; probe++) {
-    const std::string key =
-        probe % 2 == 0 ? keys[rng() % keys.size()] : RandomKey(rng, rng() % 20);
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectSameWalk(index, index.LowerBound(key), model.lower_bound(key), model, 70, key));
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectSameWalk(index, index.UpperBound(key), model.upper_bound(key), model, 70, key));
+// 50k keys inserted in ascending order take the append path, with a key
+// longer than a shared leaf among them and duplicates of the largest key;
+// then random inserts split the full leaves it left.
+TEST(KeyIndexTest, AscendingInsertsPackLeaves) {
+  KeyIndex index;
+  std::mt19937_64 rng(11);
+  std::set<std::string> model;
+  while (model.size() < 50'000) {
+    model.insert(RandomKey(rng, rng() % 25));
   }
+  const std::string huge = RandomKey(rng, KeyIndex::kLeafBytes + 1000);
+  model.insert(huge);
+  std::size_t bytes = 0;  // what the keys take in leaves, slots included
+  std::size_t done = 0;
+  for (const std::string& key : model) {
+    ASSERT_TRUE(index.Insert(key)) << "key " << done;
+    bytes += key.size() + 2;
+    done++;
+    if (key == huge || done == model.size() / 2) {
+      ASSERT_FALSE(index.Insert(key)) << "duplicate of key " << done - 1;
+    }
+    ASSERT_EQ(index.size(), done);
+  }
+  const std::size_t shared_cap = KeyIndex::kLeafBytes - 12;
+  EXPECT_LE(index.leaves(), (bytes + shared_cap - 1) / shared_cap + 2);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsModel(index, model, rng));
+  for (int op = 0; op < 20'000; op++) {
+    const std::string key = RandomKey(rng, rng() % 30);
+    ASSERT_EQ(index.Insert(key), model.insert(key).second) << "op " << op;
+  }
+  ASSERT_EQ(index.size(), model.size());
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAsModel(index, model, rng));
 }
 
 // ---- KvStripedStore ----
@@ -259,7 +297,7 @@ TEST(KvStripedStoreTest, HugeKeyScansInOrderBetweenNeighbours) {
   KvStripedStore store(/*workers=*/1);
   store.Preload("a", "1");
   store.Preload("c", "3");
-  const std::string huge = "b" + std::string(100 * 1024, 'x');
+  const std::string huge = std::string("b").append(100 * 1024, 'x');
   EXPECT_EQ(store.Serve("SET " + huge + " 2", 0), "STORED");
   EXPECT_EQ(store.Serve("SCAN a 10", 0), "a=1;" + huge + "=2;c=3;");
   EXPECT_EQ(store.Serve("SCAN b 1", 0), huge + "=2;");

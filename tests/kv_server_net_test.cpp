@@ -6,6 +6,7 @@
 //   - a UDP GET round trip
 //   - a malformed datagram counted in frame_errors and dropped
 //   - SETs of new keys racing SCANs on the store's ordered key index
+//   - the preload: every "user<i>" key once, in order, with its value
 //   - 10,000 concurrent connections, each with its own parked handler
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -15,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -383,6 +385,23 @@ bool ParseScan(const std::string& reply, std::vector<std::pair<std::string, std:
   return true;
 }
 
+// Every pair at or after `start`, through SCANs of 4096 (the most a reply
+// holds): each next SCAN starts at the last key listed and skips it.
+void ScanAll(KvStripedStore& store, std::string start,
+             std::vector<std::pair<std::string, std::string>>* all) {
+  all->clear();
+  std::vector<std::pair<std::string, std::string>> pairs;
+  do {
+    const std::string reply = store.Serve("SCAN " + start + " 4096", 0);
+    if (reply == "EMPTY") {
+      return;
+    }
+    ASSERT_TRUE(ParseScan(reply, &pairs)) << reply.substr(0, 100);
+    all->insert(all->end(), pairs.begin() + (all->empty() ? 0 : 1), pairs.end());
+    start = pairs.back().first;
+  } while (pairs.size() == 4096);
+}
+
 TEST(KvStripedStoreRaceTest, NewKeySetsRacingScansStayOrdered) {
   // The 8-byte new keys fill a key index leaf at kLeafBytes / 10 keys; 12
   // leaves' worth make leaves split while the SCANs run.
@@ -443,20 +462,41 @@ TEST(KvStripedStoreRaceTest, NewKeySetsRacingScansStayOrdered) {
     }
   });
   // Every SET was acknowledged, so SCANs from "new" list every new key, then
-  // the preloaded ones. A reply holds at most 4096 pairs: each next SCAN
-  // starts at the last key listed and skips it.
+  // the preloaded ones.
   std::vector<std::pair<std::string, std::string>> all;
-  std::vector<std::pair<std::string, std::string>> pairs;
-  std::string start = "new";
-  do {
-    ASSERT_TRUE(ParseScan(store.Serve("SCAN " + start + " 4096", 0), &pairs));
-    all.insert(all.end(), pairs.begin() + (all.empty() ? 0 : 1), pairs.end());
-    start = pairs.back().first;
-  } while (pairs.size() == 4096);
+  ASSERT_NO_FATAL_FAILURE(ScanAll(store, "new", &all));
   ASSERT_EQ(all.size(), static_cast<std::size_t>(kNewKeys + 100));
   for (int i = 0; i < kNewKeys; i++) {
     EXPECT_EQ(all[static_cast<std::size_t>(i)].first, new_key(i));
   }
+}
+
+TEST(KvServerNetTest, PreloadHoldsEveryKeyInOrder) {
+  // Start() preloads "user<i>" in key order, a walk of the decimal digit
+  // trie; its turns at decade boundaries are where such a walk goes wrong.
+  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+  rt.Run([&] {
+    for (const int n : {0, 1, 9, 10, 11, 99, 100, 101, 1'000, 1'001, 123'456}) {
+      KvServerNetOptions options;
+      options.udp = false;
+      options.preload_keys = n;
+      KvServerNet server(&rt, options);
+      server.Start();
+      std::vector<std::pair<std::string, std::string>> all;
+      ScanAll(server.store(), "", &all);
+      server.Stop();
+      std::vector<std::string> want;
+      for (int i = 0; i < n; i++) {
+        want.push_back("user" + std::to_string(i));
+      }
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(all.size(), want.size()) << n;
+      for (std::size_t i = 0; i < all.size(); i++) {
+        ASSERT_EQ(all[i].first, want[i]) << n;
+        ASSERT_EQ(all[i].second, "profile-" + want[i].substr(4)) << n;
+      }
+    }
+  });
 }
 
 }  // namespace

@@ -268,7 +268,7 @@ TEST(ChannelTest, SendAfterCloseFails) {
     channel.Send(1);
     channel.Close();
     EXPECT_FALSE(channel.Send(2));
-    int value;
+    int value = 0;
     EXPECT_TRUE(channel.Receive(&value)) << "close still drains buffered items";
     EXPECT_EQ(value, 1);
     EXPECT_FALSE(channel.Receive(&value));

@@ -454,8 +454,9 @@ TEST(TracerCrossSubstrateTest, CombinedTraceIsValidChromeJson) {
   // Splice both arrays into one combined trace document, as trace_demo does.
   ASSERT_GT(sim_json.size(), 2u);
   ASSERT_GT(host_json.size(), 2u);
-  const std::string combined = "[" + sim_json.substr(1, sim_json.size() - 2) + "," +
-                               host_json.substr(1, host_json.size() - 2) + "]";
+  std::string combined = "[";
+  combined.append(sim_json, 1, sim_json.size() - 2).append(",");
+  combined.append(host_json, 1, host_json.size() - 2).append("]");
   EXPECT_TRUE(JsonValidator(combined).Validate());
 }
 
