@@ -58,7 +58,6 @@ SystemSetup MakeWithMechanism(const char* kind) {
     for (int i = 0; i < kWorkers; i++) {
       ccfg.base.worker_cores.push_back(i);
     }
-    ccfg.dispatcher_core = kWorkers;
     ccfg.base.local_switch_ns = 100;
     ccfg.quantum = Micros(30);
     ccfg.mech = mech;

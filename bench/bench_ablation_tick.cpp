@@ -60,18 +60,15 @@ SystemSetup MakeTickVariant(const std::string& kind) {
     cfg.tick_path = TickPath::kUserTimer;
   } else if (kind == "user-deadline") {
     cfg.tick_path = TickPath::kUserDeadline;
-    cfg.deadline_quantum = kQuantum;
   } else if (kind == "kernel-timer") {
     cfg.tick_path = TickPath::kKernelTimer;
     cfg.timer_hz = 1000;  // CONFIG_HZ ceiling
-    cfg.kernel_tick_cost_ns = 1500;
     cfg.base.local_switch_ns = setup.machine->costs().linux_kthread_switch_ns;
   } else if (kind == "utimer-ipi") {
     cfg.tick_path = TickPath::kUtimerIpi;
     cfg.utimer_core = kWorkers - 1 + 1;  // dedicated core past the workers
   } else {
     cfg.tick_path = TickPath::kNone;
-    cfg.base.preemption = false;
   }
   setup.engine = std::make_unique<PerCpuEngine>(setup.machine.get(), setup.chip.get(),
                                                 setup.kernel.get(), setup.policy.get(), cfg);

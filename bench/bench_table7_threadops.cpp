@@ -6,10 +6,10 @@
 // methodology: Yield (ping-pong switch), Spawn (create+run+join), Mutex
 // (uncontended lock/unlock), Condvar (signal round trip).
 //
-// Paper numbers (Sapphire Rapids @ 2 GHz): pthread 898/15418/28/2532 ns vs
-// Skyloft 37/191/27/86 ns. Absolute values here depend on this container's
-// CPU; the shape to check is Skyloft beating pthreads by 1-2 orders of
-// magnitude on yield/spawn/condvar and tying on uncontended mutex.
+// The "paper" columns are CostModel's Table 7 fields (Sapphire Rapids @
+// 2 GHz). Absolute values here depend on this host's CPU; the shape to
+// check is Skyloft beating pthreads by 1-2 orders of magnitude on
+// yield/spawn/condvar and tying on uncontended mutex.
 #include <pthread.h>
 #include <sched.h>
 
@@ -26,6 +26,7 @@
 #include "src/policies/work_stealing.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/uthread.h"
+#include "src/simcore/cost_model.h"
 
 namespace skyloft {
 namespace {
@@ -254,15 +255,11 @@ void Main() {
   std::printf("=== Table 7: threading operations (ns), measured on this host ===\n");
   std::printf("%-10s %14s %14s %18s %18s\n", "op", "pthread", "skyloft", "paper pthread",
               "paper skyloft");
-  std::printf("%-10s %14.0f %14.0f %18d %18d\n", "Yield", yield_pthread, yield_skyloft, 898, 37);
-  std::printf("%-10s %14.0f %14.0f %18d %18d\n", "Spawn", spawn_pthread, spawn_skyloft, 15418,
-              191);
-  std::printf("%-10s %14.0f %14.0f %18d %18d\n", "Mutex", mutex_pthread, mutex_skyloft, 28, 27);
-  std::printf("%-10s %14.0f %14.0f %18d %18d\n", "Condvar", condvar_pthread, condvar_skyloft,
-              2532, 86);
-
-  auto op_row = [&reporter](const char* op, double pthread_ns, double skyloft_ns,
-                            int paper_pthread, int paper_skyloft) {
+  auto op_row = [&reporter](const char* label, const char* op, double pthread_ns,
+                            double skyloft_ns, DurationNs paper_pthread,
+                            DurationNs paper_skyloft) {
+    std::printf("%-10s %14.0f %14.0f %18lld %18lld\n", label, pthread_ns, skyloft_ns,
+                static_cast<long long>(paper_pthread), static_cast<long long>(paper_skyloft));
     reporter.AddRow()
         .Str("op", op)
         .Num("pthread_ns", pthread_ns)
@@ -270,10 +267,15 @@ void Main() {
         .Int("paper_pthread_ns", paper_pthread)
         .Int("paper_skyloft_ns", paper_skyloft);
   };
-  op_row("yield", yield_pthread, yield_skyloft, 898, 37);
-  op_row("spawn", spawn_pthread, spawn_skyloft, 15418, 191);
-  op_row("mutex", mutex_pthread, mutex_skyloft, 28, 27);
-  op_row("condvar", condvar_pthread, condvar_skyloft, 2532, 86);
+  const CostModel paper;
+  op_row("Yield", "yield", yield_pthread, yield_skyloft, paper.pthread_yield_ns,
+         paper.uthread_yield_ns);
+  op_row("Spawn", "spawn", spawn_pthread, spawn_skyloft, paper.pthread_spawn_ns,
+         paper.uthread_spawn_ns);
+  op_row("Mutex", "mutex", mutex_pthread, mutex_skyloft, paper.pthread_mutex_ns,
+         paper.uthread_mutex_ns);
+  op_row("Condvar", "condvar", condvar_pthread, condvar_skyloft, paper.pthread_condvar_ns,
+         paper.uthread_condvar_ns);
 
   // The Table 2 interface makes the host policy swappable; the op cost must
   // not depend on which policy fills the runqueues. FIFO exercises the

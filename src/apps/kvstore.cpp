@@ -11,10 +11,9 @@ namespace skyloft {
 
 namespace {
 
-// A control byte is kEmpty, kTombstone, or a full slot's 7-bit hash tag
-// (high bit clear). Probes read a group of 8 control bytes as one word.
+// A control byte is kEmpty or a full slot's 7-bit hash tag (high bit
+// clear). Probes read a group of 8 control bytes as one word.
 constexpr std::uint8_t kEmpty = 0x80;
-constexpr std::uint8_t kTombstone = 0xFE;
 constexpr std::size_t kGroup = 8;
 constexpr std::uint64_t kLsbs = 0x0101010101010101ULL;
 constexpr std::uint64_t kMsbs = 0x8080808080808080ULL;
@@ -27,10 +26,8 @@ std::uint64_t MatchTag(std::uint64_t group, std::uint8_t tag) {
   return (x - kLsbs) & ~x & kMsbs;
 }
 
-// kEmpty is the only control byte with bit 7 set and bit 1 clear.
-std::uint64_t MatchEmpty(std::uint64_t group) { return group & (~group << 6) & kMsbs; }
-
-std::uint64_t MatchEmptyOrTombstone(std::uint64_t group) { return group & kMsbs; }
+// kEmpty is the only control byte with bit 7 set.
+std::uint64_t MatchEmpty(std::uint64_t group) { return group & kMsbs; }
 
 std::size_t ByteIndex(std::uint64_t mask) {
   return static_cast<std::size_t>(std::countr_zero(mask)) / 8;
@@ -123,7 +120,7 @@ std::size_t KvStore::FindFree(std::uint64_t hash) const {
   const std::size_t cap = capacity();
   std::size_t pos = Home(hash);
   for (;;) {
-    const std::uint64_t m = MatchEmptyOrTombstone(LoadGroup(pos));
+    const std::uint64_t m = MatchEmpty(LoadGroup(pos));
     if (m != 0) {
       const std::size_t index = pos + ByteIndex(m);
       return index >= cap ? index - cap : index;
@@ -141,7 +138,6 @@ void KvStore::Rehash(std::size_t slots) {
   std::vector<Entry> old_entries = std::move(entries_);
   ctrl_.assign(slots + kGroup, kEmpty);
   entries_ = std::vector<Entry>(slots);
-  tombstones_ = 0;
   for (std::size_t i = 0; i < old_entries.size(); i++) {
     if (old_ctrl[i] < kEmpty) {
       const std::uint64_t hash = Hash(old_entries[i].key);
@@ -171,17 +167,10 @@ bool KvStore::Set(const std::string& key, const std::string& value) {
     entries_[index].value = value;
     return false;
   }
+  if (size_ + 1 > MaxLoad(capacity())) {
+    Rehash(RoundUp16(capacity() * 3 / 2));
+  }
   index = FindFree(hash);
-  if (ctrl_[index] == kEmpty && size_ + tombstones_ + 1 > MaxLoad(capacity())) {
-    // Grow by 1.5x while more than half the load is live; otherwise the
-    // tombstones are the problem, and a rehash at this capacity clears them.
-    const bool grow = (size_ + 1) * 2 > MaxLoad(capacity());
-    Rehash(grow ? RoundUp16(capacity() * 3 / 2) : capacity());
-    index = FindFree(hash);
-  }
-  if (ctrl_[index] == kTombstone) {
-    tombstones_--;
-  }
   SetCtrl(index, TagOf(hash));
   entries_[index].key = key;
   entries_[index].value = value;
@@ -195,25 +184,6 @@ std::optional<std::string> KvStore::Get(const std::string& key) const {
     return std::nullopt;
   }
   return entries_[index].value;
-}
-
-bool KvStore::Delete(const std::string& key) {
-  const std::size_t index = Find(key, Hash(key));
-  if (index == capacity()) {
-    return false;
-  }
-  // Moving out frees any heap buffers; a free slot's entry is never read.
-  const Entry released = std::move(entries_[index]);
-  // A slot whose successor is empty ends every probe that reaches it, so it
-  // can become empty again instead of a tombstone.
-  if (ctrl_[index + 1] == kEmpty) {
-    SetCtrl(index, kEmpty);
-  } else {
-    SetCtrl(index, kTombstone);
-    tombstones_++;
-  }
-  size_--;
-  return true;
 }
 
 }  // namespace skyloft

@@ -1,9 +1,11 @@
-// A real in-memory key-value store with GET/SET/DELETE, in the spirit of the
-// Memcached / RocksDB servers of §5.3. Used by the host-runtime examples
-// (actual hash lookups on actual threads) and by the application tests.
+// A real in-memory key-value store with GET and SET (insert or overwrite),
+// in the spirit of the Memcached / RocksDB servers of §5.3; like the
+// server's protocol, it never deletes a key. Used by the host-runtime
+// examples (actual hash lookups on actual threads) and by the application
+// tests.
 //
-// Layout (DESIGN.md §10): one control byte per slot (empty, tombstone, or a
-// full slot's 7-bit hash tag) beside a parallel array of cache-line entries.
+// Layout (DESIGN.md §10): one control byte per slot (empty, or a full
+// slot's 7-bit hash tag) beside a parallel array of cache-line entries.
 // A lookup scans the control bytes linearly, 8 at a time, and reads an entry
 // only on a tag match, so a hit touches one entry line. The table fills to
 // 7/8 of its capacity (a multiple of 16) and grows by 1.5x.
@@ -33,8 +35,6 @@ class KvStore {
 
   std::optional<std::string> Get(const std::string& key) const;
 
-  bool Delete(const std::string& key);
-
   // Sizes the table so that `keys` live keys fit without a rehash.
   void Reserve(std::size_t keys);
 
@@ -55,7 +55,7 @@ class KvStore {
   std::size_t Home(std::uint64_t hash) const;
   // Index of `key`'s slot, or capacity() if absent.
   std::size_t Find(const std::string& key, std::uint64_t hash) const;
-  // First empty or tombstone slot on `hash`'s probe path.
+  // First empty slot on `hash`'s probe path.
   std::size_t FindFree(std::uint64_t hash) const;
   std::uint64_t LoadGroup(std::size_t index) const;
   void SetCtrl(std::size_t index, std::uint8_t ctrl);
@@ -67,7 +67,6 @@ class KvStore {
   std::vector<std::uint8_t> ctrl_;
   std::vector<Entry> entries_;
   std::size_t size_ = 0;
-  std::size_t tombstones_ = 0;
 };
 
 }  // namespace skyloft

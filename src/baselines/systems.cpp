@@ -104,8 +104,6 @@ SystemSetup MakeLinuxPerCpu(LinuxSched sched, int num_cores) {
   ApplyLinuxCosts(pcfg.base, setup.machine->costs());
   pcfg.timer_hz = hz;  // Table 5: CONFIG_HZ caps Linux preemption granularity
   pcfg.tick_path = TickPath::kKernelTimer;
-  pcfg.kernel_tick_cost_ns = 1500;
-  pcfg.preempt_extra_ns = 0;  // switch cost is already in local_switch_ns
   setup.engine = std::make_unique<PerCpuEngine>(setup.machine.get(), setup.chip.get(),
                                                 setup.kernel.get(), setup.policy.get(), pcfg);
   setup.app = setup.engine->CreateApp("lc");
@@ -120,7 +118,6 @@ SystemSetup MakeCentral(const std::string& name, int workers, CentralizedEngineC
   SystemSetup setup = MakeBase(name, workers + 1);
   setup.policy = std::make_unique<ShinjukuPolicy>();
   ccfg.base.worker_cores = CoreRange(0, workers);
-  ccfg.dispatcher_core = workers;
   setup.engine = std::make_unique<CentralizedEngine>(setup.machine.get(), setup.chip.get(),
                                                      setup.kernel.get(), setup.policy.get(),
                                                      ccfg);
@@ -137,7 +134,6 @@ CentralizedEngineConfig SkyloftShinjukuConfig(DurationNs quantum, bool core_allo
   ccfg.dispatch_ns = 100;
   ccfg.dispatch_occupancy_ns = 50;
   ccfg.core_alloc = core_alloc;
-  ccfg.alloc_period = Micros(5);  // Shenango's 5 us allocation granularity
   return ccfg;
 }
 
@@ -177,7 +173,6 @@ SystemSetup MakeGhost(int workers, DurationNs quantum, bool core_alloc) {
   ccfg.dispatch_ns = 2400;          // txn decode + kthread wake on worker
   ccfg.dispatch_occupancy_ns = 1200;  // agent-side transaction commit
   ccfg.core_alloc = core_alloc;
-  ccfg.alloc_period = Micros(5);
   return MakeCentral(core_alloc ? "ghost-shenango" : "ghost", workers, ccfg);
 }
 
@@ -201,7 +196,6 @@ SystemSetup MakeSkyloftWorkStealing(int workers, DurationNs quantum,
   PerCpuEngineConfig pcfg;
   pcfg.base.worker_cores = CoreRange(0, workers);
   pcfg.base.local_switch_ns = 100;
-  pcfg.base.preemption = preemptive;
   if (preemptive) {
     pcfg.timer_hz = kSecond / quantum;  // tick once per quantum
     pcfg.tick_path = utimer_core_emulation ? TickPath::kUtimerIpi : TickPath::kUserTimer;
@@ -225,7 +219,6 @@ SystemSetup MakeShenango(int workers) {
   PerCpuEngineConfig pcfg;
   pcfg.base.worker_cores = CoreRange(0, workers);
   pcfg.base.local_switch_ns = 150;
-  pcfg.base.preemption = false;
   // Shenango parks idle kthreads and the IOKernel unparks them on new work
   // every 5 us; an idle core therefore pays a kernel wake to accept work.
   pcfg.base.idle_park_threshold_ns = Micros(5);

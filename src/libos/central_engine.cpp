@@ -9,11 +9,24 @@ namespace skyloft {
 namespace {
 // User-interrupt vector (PIR bit) used for dispatcher->worker preemptions.
 constexpr int kPreemptUivec = 2;
+
+// Shenango's core allocator: every 5 us it takes a core back from the batch
+// application while any LC task is queued, and otherwise grants it one idle
+// core, never the last LC worker. Batch work runs in 1 ms chunks.
+constexpr DurationNs kAllocPeriod = Micros(5);
+constexpr int kMinLcWorkers = 1;
+constexpr DurationNs kBeSegmentNs = Millis(1);
 }  // namespace
 
 CentralizedEngine::CentralizedEngine(Machine* machine, UintrChip* chip, KernelSim* kernel,
                                      SchedPolicy* policy, CentralizedEngineConfig config)
-    : Engine(machine, chip, kernel, policy, config.base), ccfg_(std::move(config)) {
+    : Engine(machine, chip, kernel, policy, config.base),
+      ccfg_(std::move(config)),
+      dispatcher_core_(*std::max_element(config_.worker_cores.begin(),
+                                         config_.worker_cores.end()) +
+                       1) {
+  SKYLOFT_CHECK(dispatcher_core_ < machine->num_cores())
+      << "no dispatcher core after the last worker core " << dispatcher_core_ - 1;
   const auto n = static_cast<std::size_t>(NumWorkers());
   preempt_upids_.resize(n);
   preempt_uitt_.resize(n, -1);
@@ -22,10 +35,6 @@ CentralizedEngine::CentralizedEngine(Machine* machine, UintrChip* chip, KernelSi
   quantum_ev_.resize(n, kInvalidEventId);
   owner_.resize(n, Owner::kLc);
   be_tasks_.resize(n, nullptr);
-  for (int w = 0; w < NumWorkers(); w++) {
-    SKYLOFT_CHECK(WorkerCore(w) != ccfg_.dispatcher_core)
-        << "dispatcher core must not be a worker";
-  }
 }
 
 void CentralizedEngine::Start() {
@@ -45,13 +54,13 @@ void CentralizedEngine::Start() {
       unit.SetActiveUpid(&upid);
       unit.SetHandler([this, w](const UintrFrame& frame) { OnPreemptIpi(w, frame); });
       preempt_uitt_[static_cast<std::size_t>(w)] =
-          chip_->RegisterUittEntry(ccfg_.dispatcher_core, &upid, kPreemptUivec);
+          chip_->RegisterUittEntry(dispatcher_core_, &upid, kPreemptUivec);
     }
   }
 
   if (ccfg_.core_alloc) {
-    machine_->sim().SchedulePeriodic(machine_->sim().Now() + ccfg_.alloc_period,
-                                     ccfg_.alloc_period, [this] { AllocatorTick(); });
+    machine_->sim().SchedulePeriodic(machine_->sim().Now() + kAllocPeriod, kAllocPeriod,
+                                     [this] { AllocatorTick(); });
   }
 }
 
@@ -155,7 +164,7 @@ void CentralizedEngine::SendPreempt(int worker) {
   switch (ccfg_.mech) {
     case CentralizedEngineConfig::Mech::kUserIpi: {
       const DurationNs send_cost =
-          chip_->SendUipi(ccfg_.dispatcher_core, preempt_uitt_[static_cast<std::size_t>(worker)]);
+          chip_->SendUipi(dispatcher_core_, preempt_uitt_[static_cast<std::size_t>(worker)]);
       DispatcherOccupy(send_cost);
       break;
     }
@@ -190,8 +199,7 @@ void CentralizedEngine::AllocatorTick() {
   if (be_app_ == nullptr) {
     return;
   }
-  const std::size_t backlog = policy_->QueuedTasks();
-  if (backlog >= ccfg_.congestion_threshold) {
+  if (policy_->QueuedTasks() != 0) {
     // LC is congested: take a core back from the batch application.
     for (int w = 0; w < NumWorkers(); w++) {
       if (owner_[static_cast<std::size_t>(w)] == Owner::kBe) {
@@ -201,18 +209,15 @@ void CentralizedEngine::AllocatorTick() {
     }
     return;
   }
-  if (backlog == 0) {
-    // LC is quiet: grant one idle LC core to the batch application, keeping
-    // a minimum reserve for latency spikes.
-    int lc_workers = NumWorkers() - BestEffortWorkers();
-    if (lc_workers <= ccfg_.min_lc_workers) {
+  // LC is quiet: grant one idle LC core to the batch application, keeping
+  // a minimum reserve for latency spikes.
+  if (NumWorkers() - BestEffortWorkers() <= kMinLcWorkers) {
+    return;
+  }
+  for (int w = NumWorkers() - 1; w >= 0; w--) {
+    if (owner_[static_cast<std::size_t>(w)] == Owner::kLc && IsWorkerIdle(w)) {
+      GrantCore(w);
       return;
-    }
-    for (int w = NumWorkers() - 1; w >= 0; w--) {
-      if (owner_[static_cast<std::size_t>(w)] == Owner::kLc && IsWorkerIdle(w)) {
-        GrantCore(w);
-        return;
-      }
     }
   }
 }
@@ -228,7 +233,7 @@ void CentralizedEngine::ReclaimCore(int worker) {
   // preemption lands, the worker switches back to the LC application.
   const DurationNs delivery = ccfg_.mech == CentralizedEngineConfig::Mech::kUserIpi
                                   ? machine_->costs().UserIpiDeliveryNs(
-                                        machine_->CrossNuma(ccfg_.dispatcher_core,
+                                        machine_->CrossNuma(dispatcher_core_,
                                                             WorkerCore(worker)))
                                   : ccfg_.preempt_delivery_ns;
   const DurationNs receive = ccfg_.mech == CentralizedEngineConfig::Mech::kUserIpi
@@ -251,11 +256,11 @@ void CentralizedEngine::ResumeBatch(int worker, DurationNs overhead_ns) {
   SKYLOFT_CHECK(be_app_ != nullptr);
   Task*& batch = be_tasks_[static_cast<std::size_t>(worker)];
   if (batch == nullptr) {
-    batch = NewTask(be_app_, ccfg_.be_segment_ns, /*kind=*/3);
+    batch = NewTask(be_app_, kBeSegmentNs, /*kind=*/3);
     batch->submit_time = Now();
     batch->on_segment_end = [](Task*) { return SegmentAction::kBlock; };
   }
-  batch->remaining_ns = ccfg_.be_segment_ns;
+  batch->remaining_ns = kBeSegmentNs;
   batch->state = TaskState::kRunnable;
   AssignTask(worker, batch, overhead_ns);
 }

@@ -1,11 +1,11 @@
 // Centralized scheduling engine (paper Fig. 2b, §5.2).
 //
-// A dedicated dispatcher core maintains the global runqueue (owned by the
-// policy), hands tasks to idle workers (sched_poll), and preempts workers
-// whose quantum expired by sending user IPIs with SENDUIPI. The dispatcher
-// is a serial resource: its per-dispatch occupancy bounds maximum
-// throughput, which is how ghOSt's heavier kernel-transaction dispatch shows
-// up in Fig. 7.
+// A dedicated dispatcher core, the one after the last worker core,
+// maintains the global runqueue (owned by the policy), hands tasks to idle
+// workers (sched_poll), and preempts workers whose quantum expired by
+// sending user IPIs with SENDUIPI. The dispatcher is a serial resource: its
+// per-dispatch occupancy bounds maximum throughput, which is how ghOSt's
+// heavier kernel-transaction dispatch shows up in Fig. 7.
 //
 // With `core_alloc` enabled the engine also implements Shenango's core
 // allocation policy (§5.2 "Multiple workloads"): a congestion check every
@@ -22,8 +22,7 @@
 namespace skyloft {
 
 struct CentralizedEngineConfig {
-  EngineConfig base;  // base.worker_cores excludes the dispatcher core
-  CoreId dispatcher_core = 0;
+  EngineConfig base;
 
   // Preemption quantum for LC tasks; 0 disables quantum preemption.
   DurationNs quantum = Micros(30);
@@ -37,17 +36,14 @@ struct CentralizedEngineConfig {
   DurationNs preempt_delivery_ns = 0;  // kModelled only
   DurationNs preempt_receive_ns = 0;   // kModelled only
 
-  // Worker-side cost of accepting a dispatched task (cache-line handoff).
+  // Worker-side cost of accepting a dispatched task (cache-line handoff;
+  // Shinjuku reports ~100 ns).
   DurationNs dispatch_ns = 100;
   // Dispatcher-side serial occupancy per dispatch decision.
   DurationNs dispatch_occupancy_ns = 50;
 
-  // ---- Shenango-style core allocation (Fig. 7b/7c) ----
+  // Shenango-style core allocation (Fig. 7b/7c).
   bool core_alloc = false;
-  DurationNs alloc_period = Micros(5);
-  std::size_t congestion_threshold = 1;  // queued LC tasks => congested
-  int min_lc_workers = 1;                // never grant the last LC worker away
-  DurationNs be_segment_ns = Millis(1);  // batch work chunk size
 };
 
 class CentralizedEngine : public Engine {
@@ -58,9 +54,9 @@ class CentralizedEngine : public Engine {
   void Start() override;
 
   // Registers `app` as the co-located best-effort application. Its work is
-  // an endless stream of be_segment_ns chunks on whatever cores the
-  // allocator grants. Requires core_alloc (otherwise the app never runs,
-  // reproducing Shinjuku's zero BE share in Fig. 7c).
+  // an endless stream of 1 ms chunks on whatever cores the allocator
+  // grants. Requires core_alloc (otherwise the app never runs, reproducing
+  // Shinjuku's zero BE share in Fig. 7c).
   void AttachBestEffortApp(App* app);
 
   // Number of workers currently owned by the best-effort app.
@@ -89,6 +85,7 @@ class CentralizedEngine : public Engine {
   DurationNs DispatcherOccupy(DurationNs occupancy_ns);
 
   CentralizedEngineConfig ccfg_;
+  const CoreId dispatcher_core_;
   std::vector<Upid> preempt_upids_;
   std::vector<int> preempt_uitt_;
   std::vector<std::uint64_t> assign_gen_;

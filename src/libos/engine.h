@@ -42,10 +42,6 @@ struct EngineConfig {
   // Skyloft pays nothing beyond the local switch).
   DurationNs wakeup_extra_ns = 0;
 
-  // When false, SchedTimerTick preemption decisions are ignored
-  // (run-to-completion / FIFO behaviour).
-  bool preemption = true;
-
   // Idle-core parking model (Shenango baseline): a worker idle for longer
   // than the threshold is considered parked, and assigning work to it costs
   // an extra kernel unpark. Skyloft workers spin-poll and pay nothing.

@@ -8,6 +8,11 @@ namespace {
 // User-interrupt vector (bit in the PIR/UIRR) used for the timer-delegation
 // self-IPIs. Any value works; the paper uses "any interrupt number".
 constexpr int kSelfTimerUivec = 1;
+
+// Kernel-tick handler cost (scheduler_tick + IRQ entry/exit) on the
+// kKernelTimer path. A preemption it decides pays no extra: the kernel
+// switch cost is the engine's local_switch_ns.
+constexpr DurationNs kKernelTickCostNs = 1500;
 }  // namespace
 
 PerCpuEngine::PerCpuEngine(Machine* machine, UintrChip* chip, KernelSim* kernel,
@@ -61,9 +66,6 @@ void PerCpuEngine::Start() {
       case TickPath::kUserDeadline: {
         // User-Timer Events (§6): the handler is all that's needed up front;
         // deadlines are programmed per assignment in OnAssigned().
-        if (pcfg_.deadline_quantum == 0) {
-          pcfg_.deadline_quantum = HzToPeriodNs(pcfg_.timer_hz);
-        }
         chip_->unit(core).SetHandler(
             [this, w](const UintrFrame& frame) { OnUserTick(w, frame); });
         break;
@@ -105,13 +107,13 @@ void PerCpuEngine::OnUserTick(int worker, const UintrFrame& frame) {
     chip_->SendUipi(WorkerCore(worker), self_uitt_index_[static_cast<std::size_t>(worker)]);
     cost += machine_->costs().SenduipiSnRearmNs();
   }
-  Tick(worker, cost, /*preempt_extra_ns=*/0);
+  Tick(worker, cost);
   if (pcfg_.tick_path == TickPath::kUserDeadline &&
       runs_[static_cast<std::size_t>(worker)].current != nullptr &&
       !chip_->UserTimerArmed(WorkerCore(worker))) {
     // The task survived its quantum (policy declined to preempt): extend
     // the deadline by one more quantum.
-    chip_->ProgramUserTimerDeadline(WorkerCore(worker), Now() + pcfg_.deadline_quantum);
+    chip_->ProgramUserTimerDeadline(WorkerCore(worker), Now() + HzToPeriodNs(pcfg_.timer_hz));
   }
 }
 
@@ -119,7 +121,7 @@ void PerCpuEngine::OnAssigned(int worker) {
   if (pcfg_.tick_path == TickPath::kUserDeadline) {
     chip_->ProgramUserTimerDeadline(
         WorkerCore(worker),
-        runs_[static_cast<std::size_t>(worker)].run_start + pcfg_.deadline_quantum);
+        runs_[static_cast<std::size_t>(worker)].run_start + HzToPeriodNs(pcfg_.timer_hz));
   }
 }
 
@@ -149,10 +151,10 @@ void PerCpuEngine::UtimerRound() {
 
 void PerCpuEngine::OnKernelTick(int worker) {
   ticks_++;
-  Tick(worker, pcfg_.kernel_tick_cost_ns, pcfg_.preempt_extra_ns);
+  Tick(worker, kKernelTickCostNs);
 }
 
-void PerCpuEngine::Tick(int worker, DurationNs handler_cost_ns, DurationNs preempt_extra_ns) {
+void PerCpuEngine::Tick(int worker, DurationNs handler_cost_ns) {
   WorkerRun& run = runs_[static_cast<std::size_t>(worker)];
   Task* current = run.current;
   DurationNs ran = 0;
@@ -167,8 +169,8 @@ void PerCpuEngine::Tick(int worker, DurationNs handler_cost_ns, DurationNs preem
     TryRunNext(worker, handler_cost_ns);
     return;
   }
-  if (resched && config_.preemption) {
-    PreemptWorker(worker, handler_cost_ns + preempt_extra_ns);
+  if (resched) {
+    PreemptWorker(worker, handler_cost_ns);
   } else {
     ChargeOverhead(worker, handler_cost_ns);
   }
@@ -176,7 +178,7 @@ void PerCpuEngine::Tick(int worker, DurationNs handler_cost_ns, DurationNs preem
 
 bool PerCpuEngine::TryRunNext(int worker, DurationNs overhead_ns) {
   Task* task = static_cast<Task*>(policy_->TaskDequeue(worker));
-  if (task == nullptr && pcfg_.steal_on_idle) {
+  if (task == nullptr) {
     policy_->SchedBalance(worker);
     task = static_cast<Task*>(policy_->TaskDequeue(worker));
   }

@@ -26,29 +26,15 @@ enum class TickPath {
 
 struct PerCpuEngineConfig {
   EngineConfig base;
+  // Tick rate of every timer path. For kUserDeadline its period is the
+  // deadline horizon: the user timer is programmed to run_start + period on
+  // every assignment and re-armed on every tick the task survives.
   std::int64_t timer_hz = 100'000;  // Table 5: Skyloft runs TIMER_HZ = 100000
   TickPath tick_path = TickPath::kUserTimer;
-
-  // Kernel-tick handler cost (scheduler_tick + IRQ entry/exit). Only used on
-  // the kKernelTimer path.
-  DurationNs kernel_tick_cost_ns = 1500;
-
-  // Extra cost charged when a *kernel* preemption actually switches threads
-  // (Linux context switch, §5.4: 1124 ns). Skyloft pays only the user-level
-  // switch, which AssignTask already charges.
-  DurationNs preempt_extra_ns = 0;
-
-  // Whether idle workers invoke sched_balance (work stealing).
-  bool steal_on_idle = true;
 
   // Dedicated core emulating a timer by sending user IPIs to every worker
   // each period (kUtimerIpi only). Must not be a worker core.
   CoreId utimer_core = kInvalidCore;
-
-  // Deadline horizon for kUserDeadline: the user timer is programmed to
-  // run_start + quantum on every assignment and re-armed on every tick the
-  // task survives. 0 derives it from timer_hz.
-  DurationNs deadline_quantum = 0;
 };
 
 class PerCpuEngine : public Engine {
@@ -71,7 +57,7 @@ class PerCpuEngine : public Engine {
   void OnUserTick(int worker, const UintrFrame& frame);
   void OnKernelTick(int worker);
   void UtimerRound();
-  void Tick(int worker, DurationNs handler_cost_ns, DurationNs preempt_extra_ns);
+  void Tick(int worker, DurationNs handler_cost_ns);
   bool TryRunNext(int worker, DurationNs overhead_ns);
 
   PerCpuEngineConfig pcfg_;

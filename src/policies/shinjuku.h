@@ -30,7 +30,6 @@ class ShinjukuPolicy : public SchedPolicy {
     return false;
   }
 
-  SKYLOFT_NO_SWITCH bool IsCentralized() const override { return true; }
   SKYLOFT_NO_SWITCH std::size_t QueuedTasks() const override { return queue_.Size(); }
   const char* Name() const override { return "skyloft-shinjuku"; }
 

@@ -14,8 +14,13 @@
 //
 // A fresh thread's stack is forged so that the first switch-in "returns"
 // into a trampoline that pops entry/arg from the stack area.
+//
+// The switch lives in the skyloft_switch_entry section with the runtime's
+// switch-out entry points, where the preemption handler defers: between the
+// stack swap and the on_cpu store, a preemption would leave the departing
+// context marked on-CPU until the interrupted switch resumed.
 __asm__(
-    ".text\n"
+    ".pushsection skyloft_switch_entry,\"ax\",@progbits\n"
     ".globl skyloft_ctx_switch\n"
     ".type skyloft_ctx_switch,@function\n"
     ".align 16\n"
@@ -36,10 +41,9 @@ __asm__(
     "  popq %rbx\n"
     "  popq %rbp\n"
     "  retq\n"
-    ".globl skyloft_ctx_switch_end\n"
-    ".hidden skyloft_ctx_switch_end\n"
-    "skyloft_ctx_switch_end:\n"
     ".size skyloft_ctx_switch,.-skyloft_ctx_switch\n"
+    ".popsection\n"
+    ".text\n"
     // Trampoline: the forged stack leaves entry in %r12 and arg in %r13
     // (callee-saved, so the switch restored them). Aligns and calls.
     ".globl skyloft_ctx_trampoline\n"
@@ -53,7 +57,6 @@ __asm__(
     ".size skyloft_ctx_trampoline,.-skyloft_ctx_trampoline\n");
 
 extern "C" void skyloft_ctx_trampoline();
-extern "C" const char skyloft_ctx_switch_end[];
 
 namespace skyloft {
 
@@ -76,11 +79,6 @@ void* InitContext(void* stack_base, std::size_t stack_size, UthreadEntry entry, 
   *--sp = 0;                                          // r14
   *--sp = 0;                                          // r15
   return sp;
-}
-
-bool InContextSwitch(std::uintptr_t pc) {
-  return pc >= reinterpret_cast<std::uintptr_t>(&skyloft_ctx_switch) &&
-         pc < reinterpret_cast<std::uintptr_t>(skyloft_ctx_switch_end);
 }
 
 }  // namespace skyloft

@@ -50,12 +50,6 @@ using UthreadEntry = void (*)(void* arg);
 SKYLOFT_NO_SWITCH void* InitContext(void* stack_base, std::size_t stack_size, UthreadEntry entry,
                                     void* arg);
 
-// True when `pc` lies inside skyloft_ctx_switch. The preemption handler
-// defers there: between the stack swap and the on_cpu store, a preemption
-// would leave the departing context marked on-CPU until the interrupted
-// switch resumed.
-SKYLOFT_SIGNAL_SAFE bool InContextSwitch(std::uintptr_t pc);
-
 }  // namespace skyloft
 
 #endif  // SRC_RUNTIME_CONTEXT_H_

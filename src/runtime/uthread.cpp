@@ -137,8 +137,9 @@ bool PreemptSafePc(std::uintptr_t pc) {
 // between the two steps could migrate the uthread, leaving it acting on the
 // old worker, or on whatever uthread that worker runs now. They live in one
 // text section, bounded by the linker's __start_/__stop_ symbols, and the
-// handler defers on any PC inside it, as it does inside the switch
-// primitive. noinline keeps their bodies out of callers' text.
+// handler defers on any PC inside it. The switch primitive,
+// skyloft_ctx_switch (context.cpp), is placed there too. noinline keeps the
+// entry points' bodies out of callers' text.
 //
 // The preemption handler, PreemptTick and CurrentErrnoLocation live there
 // too. The kernel blocks the signal while the handler runs, but a preempted
@@ -887,7 +888,7 @@ void Runtime::DeferTick(RuntimeWorker* worker, UThread* current) {
 }
 
 bool Runtime::DefersPreemptionAt(std::uintptr_t pc) {
-  return !PreemptSafePc(pc) || InContextSwitch(pc) || InSwitchEntry(pc);
+  return !PreemptSafePc(pc) || InSwitchEntry(pc);
 }
 
 SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t* /*info*/,
@@ -918,9 +919,9 @@ SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t
   }
   // Safe-point check (see TextRange above): defer rather than preempt inside
   // libc/ld/libstdc++, where per-pthread state (malloc tcache, stdio locks,
-  // the loader lock) may be mid-update, inside the switch primitive itself
-  // (see InContextSwitch), or inside a switch-out entry point (see
-  // InSwitchEntry). The next timer period retries.
+  // the loader lock) may be mid-update, or inside the switch primitive or a
+  // switch-out entry point (see InSwitchEntry). The next timer period
+  // retries.
 #if defined(__x86_64__)
   const auto* uc = static_cast<const ucontext_t*>(uctx);
   const auto pc = static_cast<std::uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);

@@ -72,10 +72,6 @@ class SchedPolicy {
   // sched_balance: per-CPU only; invoked when `worker` would go idle.
   SKYLOFT_NO_SWITCH virtual void SchedBalance(int worker) {}
 
-  // True when the policy uses a single global queue fed by a dispatcher
-  // (sched_poll model) rather than per-CPU queues.
-  SKYLOFT_NO_SWITCH virtual bool IsCentralized() const { return false; }
-
   // ---- Lock-free driver capability ----
   //
   // A policy that returns true declares that its scheduling discipline is

@@ -62,10 +62,6 @@ struct CostModel {
   // from the kernel-IPI send/receive split: user->kernel->user transition).
   DurationNs syscall_ns = 250;
 
-  // Dispatch overhead of handing a task to a worker in centralized mode
-  // (cache-line handoff + queue manipulation; Shinjuku reports ~100ns).
-  DurationNs dispatch_ns = 100;
-
   // Convenience conversions.
   DurationNs SignalDeliveryNs() const { return CyclesToNs(signal_delivery, cpu_hz); }
   DurationNs SignalReceiveNs() const { return CyclesToNs(signal_receive, cpu_hz); }

@@ -31,7 +31,6 @@ CentralizedEngineConfig BaseCfg(int workers, DurationNs quantum) {
   for (int i = 0; i < workers; i++) {
     cfg.base.worker_cores.push_back(i);
   }
-  cfg.dispatcher_core = workers;
   cfg.quantum = quantum;
   cfg.base.local_switch_ns = 100;
   return cfg;
@@ -153,14 +152,13 @@ TEST(CentralizedAllocatorTest, MinLcWorkersRespected) {
   ShinjukuPolicy policy;
   auto cfg = BaseCfg(3, Micros(30));
   cfg.core_alloc = true;
-  cfg.min_lc_workers = 2;
   CentralizedEngine engine(rig.machine.get(), rig.chip.get(), rig.kernel.get(), &policy, cfg);
   engine.CreateApp("lc");
   App* be = engine.CreateApp("batch", true);
   engine.AttachBestEffortApp(be);
   engine.Start();
   rig.sim.RunUntil(Millis(10));
-  EXPECT_EQ(engine.BestEffortWorkers(), 1) << "allocator must keep 2 LC workers in reserve";
+  EXPECT_EQ(engine.BestEffortWorkers(), 2) << "allocator must keep 1 LC worker in reserve";
 }
 
 TEST(CentralizedAllocatorTest, GrantReclaimCyclesAreStable) {
@@ -191,14 +189,12 @@ TEST(CentralizedAllocatorTest, GrantReclaimCyclesAreStable) {
   rig.kernel->CheckBindingRule();
 }
 
-TEST(CentralizedEngineDeathTest, DispatcherCannotBeWorker) {
+TEST(CentralizedEngineDeathTest, DispatcherNeedsCoreAfterWorkers) {
   Rig rig(2);
   ShinjukuPolicy policy;
-  auto cfg = BaseCfg(1, Micros(30));
-  cfg.dispatcher_core = 0;  // collides with worker 0
   EXPECT_DEATH(CentralizedEngine(rig.machine.get(), rig.chip.get(), rig.kernel.get(), &policy,
-                                 cfg),
-               "dispatcher core");
+                                 BaseCfg(2, Micros(30))),
+               "no dispatcher core");
 }
 
 }  // namespace

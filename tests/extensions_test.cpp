@@ -93,7 +93,7 @@ PerCpuEngineConfig DeadlineCfg(int cores, DurationNs quantum) {
     cfg.base.worker_cores.push_back(i);
   }
   cfg.tick_path = TickPath::kUserDeadline;
-  cfg.deadline_quantum = quantum;
+  cfg.timer_hz = kSecond / quantum;
   return cfg;
 }
 

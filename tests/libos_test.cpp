@@ -225,7 +225,6 @@ CentralizedEngineConfig CentralCfg(int workers, DurationNs quantum) {
   for (int i = 0; i < workers; i++) {
     cfg.base.worker_cores.push_back(i);
   }
-  cfg.dispatcher_core = workers;
   cfg.quantum = quantum;
   cfg.base.local_switch_ns = 100;
   return cfg;
@@ -306,7 +305,7 @@ TEST(CentralizedEngineTest, BestEffortGetsIdleCores) {
   engine.Start();
   engine.ResetStats();
   rig.sim.RunUntil(Millis(10));
-  // LC idle: the allocator grants all but min_lc_workers to the batch app.
+  // LC idle: the allocator grants all but one worker to the batch app.
   EXPECT_EQ(engine.BestEffortWorkers(), 1);
   EXPECT_GT(engine.CpuShare(be), 0.4);
 }

@@ -393,16 +393,12 @@ TEST(ShinjukuTest, PreemptedGoesToTail) {
   auto b = MakeTask(2);
   policy.TaskEnqueue(a.get(), kEnqueueNew, -1);
   SchedItem* current = policy.TaskDequeue(-1);
+  // Quantum expiry is the centralized engine's decision, never the tick's.
+  EXPECT_FALSE(policy.SchedTimerTick(0, current, Millis(1)));
   policy.TaskEnqueue(b.get(), kEnqueueNew, -1);
   policy.TaskEnqueue(current, kEnqueuePreempted, -1);  // processor sharing
   EXPECT_EQ(policy.TaskDequeue(-1), b.get());
   EXPECT_EQ(policy.TaskDequeue(-1), a.get());
-}
-
-TEST(ShinjukuTest, IsCentralized) {
-  ShinjukuPolicy policy;
-  EXPECT_TRUE(policy.IsCentralized());
-  EXPECT_FALSE(policy.SchedTimerTick(0, nullptr, 0));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/policies/round_robin.h"
+#include "src/runtime/context.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/uthread.h"
 
@@ -686,10 +687,14 @@ TEST(RuntimePreemptTest, JoinSectionIsNotPreempted) {
 
 // Current, Yield and Park (like ExitCurrent and PreemptGuard's constructor)
 // load tl_worker and then act on that worker. A tick between the two steps
-// could migrate the uthread, so the handler must defer anywhere inside them;
-// ordinary uthread code stays preemptible.
+// could migrate the uthread, so the handler must defer anywhere inside them,
+// and inside the switch primitive, where the departing context is still
+// marked on-CPU; ordinary uthread code stays preemptible.
 TEST(RuntimePreemptTest, SwitchEntriesDeferPreemption) {
   const auto pc = [](auto* fn) { return reinterpret_cast<std::uintptr_t>(fn); };
+  EXPECT_TRUE(Runtime::DefersPreemptionAt(pc(&skyloft_ctx_switch)));
+  // Past the pushes and the stack swap, before the on_cpu store.
+  EXPECT_TRUE(Runtime::DefersPreemptionAt(pc(&skyloft_ctx_switch) + 16));
   EXPECT_TRUE(Runtime::DefersPreemptionAt(pc(&Runtime::Yield)));
   EXPECT_TRUE(Runtime::DefersPreemptionAt(pc(&Runtime::Park)));
   EXPECT_TRUE(Runtime::DefersPreemptionAt(pc(&Runtime::Current)));

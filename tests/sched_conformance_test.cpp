@@ -96,7 +96,6 @@ CentralizedEngineConfig CentralCfg(int workers, DurationNs quantum) {
   for (int i = 0; i < workers; i++) {
     cfg.base.worker_cores.push_back(i);
   }
-  cfg.dispatcher_core = workers;
   cfg.quantum = quantum;
   cfg.base.local_switch_ns = 100;
   return cfg;
@@ -178,11 +177,11 @@ TEST_P(SimConformanceTest, WorkConservation) {
   }
 }
 
-TEST_P(SimConformanceTest, HonorsPreemptionFlag) {
+TEST_P(SimConformanceTest, RunsToCompletionWithoutPreemption) {
   const StandardPolicy& entry = GetParam();
   auto policy = entry.make();
   // One core, a 2ms hog submitted first, a 10us task second. With
-  // preemption off (flag false / zero quantum), the short task MUST wait
+  // preemption off (no tick / zero quantum), the short task MUST wait
   // behind the hog no matter what the policy's tick would have decided.
   auto check = [](auto& rig, auto& engine) {
     App* app = engine.CreateApp("a");
@@ -202,7 +201,7 @@ TEST_P(SimConformanceTest, HonorsPreemptionFlag) {
   } else {
     SimRig rig(1);
     auto cfg = PerCpuCfg(1);
-    cfg.base.preemption = false;
+    cfg.tick_path = TickPath::kNone;
     PerCpuEngine engine(rig.machine.get(), rig.chip.get(), rig.kernel.get(), policy.get(), cfg);
     check(rig, engine);
   }
