@@ -9,8 +9,8 @@
 //     mailbox -> Chase-Lev deque, DESIGN.md section 9)
 // Scenarios:
 //   - local:  each worker cycles one item through its own queue (the yield
-//     fast path — mailbox self-push + drain, zero cross-worker traffic when
-//     lock-free)
+//     fast path — a submission made on the worker, which lock-free puts in
+//     the run-next slot: two plain stores, zero cross-worker traffic)
 //   - remote: each worker dequeues locally and enqueues to its neighbor,
 //     with a stock of items per worker keeping the pipeline full
 //     (cross-worker submission: the mailbox CAS path vs. the neighbor's
@@ -115,7 +115,11 @@ double RunScenario(SchedPolicy* policy, bool remote, int workers, int stock,
           std::this_thread::yield();
           continue;
         }
-        sched.Enqueue(item, kEnqueueYield, target);
+        if (target == w) {
+          sched.EnqueueLocal(item, kEnqueueYield, w);
+        } else {
+          sched.Enqueue(item, kEnqueueYield, target);
+        }
         local += 2;
       }
       ops[static_cast<std::size_t>(w)] = local;

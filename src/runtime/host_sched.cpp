@@ -25,15 +25,21 @@ constexpr int kStealRetries = 2;
 }  // namespace
 
 // Lock-free driver state for one worker: the two-level runqueue (DESIGN.md
-// section 9). All submissions land in the mailbox (one CAS); only the owner
-// touches the deque's bottom (drain, pop, steal-surplus push); thieves CAS
-// the deque's top. Cache-line aligned so neighbor workers' queues never
-// share a line.
+// section 9) plus a run-next slot. Submissions land in the mailbox (one
+// CAS), except that a local one finding every queue empty goes into the
+// slot; only the owner touches the slot and the deque's bottom (drain, pop,
+// steal-surplus push); thieves CAS the deque's top. Cache-line aligned so
+// neighbor workers' queues never share a line.
 struct alignas(kCacheLineSize) HostSched::LfWorker {
   explicit LfWorker(std::uint64_t seed) : rng(seed) {}
   WsDeque<SchedItem> deque;
   MpscQueue<SchedItem> mailbox;
   Rng rng;  // victim-probe start, owner-only
+  // The run-next slot: at most one item, older than everything in the
+  // mailbox and the deque. Owner-only writes; the atomic is for Tick's and
+  // ExternalTarget's relaxed cross-thread emptiness reads. Thieves never
+  // look at it.
+  std::atomic<SchedItem*> run_next{nullptr};
 };
 
 HostSched::HostSched(int workers, SchedPolicy* policy)
@@ -70,11 +76,10 @@ HostSched::~HostSched() = default;
 
 // ---- lock-free driver -------------------------------------------------------
 
-// All submissions — local, cross-worker, external — go through the target's
-// mailbox, never the deque: the deque's bottom end is strictly owner-written,
-// so no caller needs to know whether it IS the owner. One CAS, no length
-// accounting: placement and preemption read the queues' own state
-// (SizeApprox / EmptyApprox) instead of a shared ledger.
+// Cross-worker and external submissions go through the target's mailbox,
+// never the deque: the deque's bottom end is strictly owner-written. One
+// CAS, no length accounting: placement and preemption read the queues' own
+// state (SizeApprox / EmptyApprox) instead of a shared ledger.
 void HostSched::LfEnqueue(SchedItem* item, int target) {
   const int retries = lf_[static_cast<std::size_t>(target)]->mailbox.Push(item);
   if (SKYLOFT_UNLIKELY(retries != 0)) {
@@ -82,15 +87,50 @@ void HostSched::LfEnqueue(SchedItem* item, int target) {
   }
 }
 
+// A submission made on `worker`'s own thread. When nothing else waits there
+// it takes the run-next slot with a plain store, so the next LfDequeue
+// returns it without a CAS or a drain; otherwise it queues behind the
+// waiting work in the mailbox. Either way FIFO order holds: the slot only
+// ever holds the oldest waiting item. SizeApprox cannot under-read here
+// (the owner wrote bottom_, and top_ only grows), and a remote push racing
+// the mailbox test is ordered after this submission.
+void HostSched::LfEnqueueLocal(SchedItem* item, int worker) {
+  LfWorker& me = *lf_[static_cast<std::size_t>(worker)];
+  if (me.run_next.load(std::memory_order_relaxed) == nullptr && me.deque.SizeApprox() == 0 &&
+      me.mailbox.EmptyApprox()) {
+    me.run_next.store(item, std::memory_order_relaxed);
+    return;
+  }
+  LfEnqueue(item, worker);
+}
+
+// Waiting items by the queues' own state, readable from any thread: deque
+// depth, plus one for an undrained mailbox backlog (its exact size is
+// unknowable without draining, which only the owner may do), plus one for
+// an occupied run-next slot.
+std::int64_t HostSched::LfWaiting(const LfWorker& lw) {
+  return lw.deque.SizeApprox() + (lw.mailbox.EmptyApprox() ? 0 : 1) +
+         (lw.run_next.load(std::memory_order_relaxed) != nullptr ? 1 : 0);
+}
+
 SchedItem* HostSched::LfDequeue(int worker) {
   LfWorker& me = *lf_[static_cast<std::size_t>(worker)];
-  SchedItem* item = me.deque.PopBottom();
-  if (item == nullptr && !me.mailbox.EmptyApprox()) {
-    // Drain the backlog. The chain arrives newest-first, so its TAIL is the
-    // oldest submission: return that one directly (it never touches the
-    // deque — the single-item yield cycle costs one CAS plus one exchange)
-    // and push the rest in chain order, which leaves the oldest of the
-    // remainder at the bottom. Later pops therefore continue in FIFO
+  // The slot holds the oldest waiting item whenever it is occupied, and the
+  // deque is empty then: the slot is filled only when the deque is empty,
+  // and nothing pushes into the deque before the slot has been taken.
+  SchedItem* item = me.run_next.load(std::memory_order_relaxed);
+  const bool from_slot = item != nullptr;
+  if (from_slot) {
+    me.run_next.store(nullptr, std::memory_order_relaxed);
+  } else {
+    item = me.deque.PopBottom();
+  }
+  if ((item == nullptr || from_slot) && !me.mailbox.EmptyApprox()) {
+    // Drain the backlog into the empty deque, where thieves can reach it
+    // while `item` runs. The chain arrives newest-first, so its TAIL is the
+    // oldest submission: with nothing in hand, return that one directly (it
+    // never touches the deque); push the rest in chain order, which leaves
+    // the oldest at the bottom. Later pops therefore continue in FIFO
     // arrival order — two reversals cancel — while thieves take the newest
     // from the top.
     SchedItem* chain = me.mailbox.DrainReversed();
@@ -102,7 +142,11 @@ SchedItem* HostSched::LfDequeue(int worker) {
         chain = next;
         next = MpscQueue<SchedItem>::Next(chain);
       }
-      item = chain;
+      if (item == nullptr) {
+        item = chain;
+      } else {
+        me.deque.PushBottom(chain);
+      }
     }
   }
   if (item == nullptr && workers_ > 1) {
@@ -116,10 +160,11 @@ SchedItem* HostSched::LfDequeue(int worker) {
 
 // Probe victims from a random start; take half the first non-empty deque
 // found (capped at kStealBatchMax). The first stolen item is returned to run
-// now, the surplus goes into our own deque. Mailbox backlogs are invisible
-// to thieves — only the owner may drain a mailbox — so a busy worker's
-// undrained submissions cannot be rescued here; the preemption tick bounds
-// how long they wait (DESIGN.md section 9).
+// now, the surplus goes into our own deque. Mailbox backlogs and run-next
+// slots are invisible to thieves — only the owner may drain a mailbox or
+// take its slot — so a busy worker's undrained submissions cannot be
+// rescued here; the preemption tick bounds how long they wait (DESIGN.md
+// section 9).
 SchedItem* HostSched::LfStealHalf(int worker) {
   LfWorker& me = *lf_[static_cast<std::size_t>(worker)];
   const int start = static_cast<int>(me.rng.NextBelow(static_cast<std::uint64_t>(workers_)));
@@ -186,7 +231,7 @@ void HostSched::Enqueue(SchedItem* item, unsigned flags, int worker_hint) {
     // The lock-free discipline is pure FIFO + steal-half: enqueue flags only
     // matter to policies with ordering state, so they are dropped here. So
     // is TaskInit: LfRunData is zero-initialized with the SchedItem itself,
-    // so the spawn path is exactly one mailbox CAS.
+    // so a remote or external submission is exactly one mailbox CAS.
     LfEnqueue(item, hinted ? worker_hint : ExternalTarget());
     return;
   }
@@ -195,6 +240,14 @@ void HostSched::Enqueue(SchedItem* item, unsigned flags, int worker_hint) {
     policy_->TaskInit(item);
   }
   policy_->TaskEnqueue(item, flags, hinted ? worker_hint : -1);
+}
+
+void HostSched::EnqueueLocal(SchedItem* item, unsigned flags, int worker) {
+  if (lock_free_) {
+    LfEnqueueLocal(item, worker);  // flags and TaskInit dropped, as in Enqueue
+    return;
+  }
+  Enqueue(item, flags, worker);
 }
 
 SchedItem* HostSched::Retire(SchedItem* dead, int worker) {
@@ -219,12 +272,13 @@ SchedItem* HostSched::Dequeue(int worker) {
 
 SchedItem* HostSched::Requeue(SchedItem* item, unsigned flags, int worker) {
   if (lock_free_) {
-    // Self-submit through the mailbox, then dequeue. Because the deque is
-    // drained FIFO, a yielding uthread that re-enqueues itself pops any
-    // earlier-arrived work first — strict yield alternation falls out. If a
-    // thief migrates the only item (possibly `item` itself) between the push
-    // and the pop, this returns nullptr and the caller's loop goes idle.
-    LfEnqueue(item, worker);
+    // Self-submit, then dequeue. A yielding uthread that re-enqueues itself
+    // queues behind any earlier-arrived work, which pops first — strict
+    // yield alternation falls out. Alone, it goes through the run-next slot
+    // and comes straight back. If a thief migrates the only item from the
+    // deque between the push and the pop, this returns nullptr and the
+    // caller's loop goes idle.
+    LfEnqueueLocal(item, worker);
     return LfDequeue(worker);
   }
   // task_enqueue + task_dequeue under ONE lock acquisition: the scheduler's
@@ -241,10 +295,8 @@ bool HostSched::Tick(int worker, SchedItem* current, DurationNs ran_ns) {
   if (lock_free_) {
     // sched_timer_tick without a lock: charge the run time into the item's
     // policy field and preempt once a full quantum has elapsed AND runnable
-    // work is waiting somewhere (own queues first — O(1) — then a relaxed
-    // scan of the other workers' queues, matching the mutex work-stealing
-    // policy's queued_ > 0 test).
-    const LfWorker& me = *lf_[static_cast<std::size_t>(worker)];
+    // work is waiting somewhere (a relaxed scan of every worker's queues,
+    // matching the mutex work-stealing policy's queued_ > 0 test).
     // Reread per tick, not latched at driver selection: the quantum
     // controller retunes it live. A disabled quantum is kInfiniteSliceWs,
     // which `ran` never reaches.
@@ -257,15 +309,8 @@ bool HostSched::Tick(int worker, SchedItem* current, DurationNs ran_ns) {
     if (data->ran < quantum) {
       return false;
     }
-    if (me.deque.SizeApprox() > 0 || !me.mailbox.EmptyApprox()) {
-      return true;
-    }
-    for (int v = 0; v < workers_; v++) {
-      if (v == worker) {
-        continue;
-      }
-      const LfWorker& other = *lf_[static_cast<std::size_t>(v)];
-      if (other.deque.SizeApprox() > 0 || !other.mailbox.EmptyApprox()) {
+    for (const auto& lw : lf_) {
+      if (LfWaiting(*lw) > 0) {
         return true;
       }
     }
@@ -281,14 +326,11 @@ int HostSched::ExternalTarget() const {
     return idle;
   }
   if (lock_free_) {
-    // Least loaded by the queues' own state: deque depth plus one for an
-    // undrained mailbox backlog (its exact size is unknowable without
-    // draining, which only the owner may do).
+    // Least loaded by the queues' own state.
     int best = 0;
     std::int64_t best_len = INT64_MAX;
     for (int w = 0; w < workers_; w++) {
-      const LfWorker& lw = *lf_[static_cast<std::size_t>(w)];
-      const std::int64_t len = lw.deque.SizeApprox() + (lw.mailbox.EmptyApprox() ? 0 : 1);
+      const std::int64_t len = LfWaiting(*lf_[static_cast<std::size_t>(w)]);
       if (len < best_len) {
         best_len = len;
         best = w;

@@ -10,12 +10,14 @@
 //     policy call happens under HostSched's mutex. This is the general path
 //     — any Table 2 policy (CFS, EEVDF, RR, ...) runs here unchanged.
 //   - the lock-free driver: a two-level runqueue per worker — an intrusive
-//     MPSC mailbox absorbing all submissions plus a Chase-Lev deque the owner
-//     drains it into — with steal-half batching when a worker runs dry
-//     (DESIGN.md section 9). No mutex anywhere on the task path. Selected
-//     when the policy declares SchedPolicy::SupportsLockFree() (the
-//     work-stealing default does); the policy object then only supplies its
-//     name and initial preemption quantum.
+//     MPSC mailbox absorbing remote submissions plus a Chase-Lev deque the
+//     owner drains it into — with steal-half batching when a worker runs dry
+//     (DESIGN.md section 9). A local submission that finds the worker's
+//     queues empty skips both through an owner-only run-next slot. No mutex
+//     anywhere on the task path. Selected when the policy declares
+//     SchedPolicy::SupportsLockFree() (the work-stealing default does); the
+//     policy object then only supplies its name and initial preemption
+//     quantum.
 //
 // Locking model (shard-mutex driver): callers on a uthread stack must hold a
 // Runtime::PreemptGuard (a preemption signal landing while the mutex is held
@@ -63,6 +65,15 @@ class HostSched : public EngineView {
   // policy-free, this is a plain mailbox push).
   SKYLOFT_NO_SWITCH void Enqueue(SchedItem* item, unsigned flags, int worker_hint);
 
+  // task_enqueue onto `worker`'s runqueue, called on that worker's own
+  // thread (a uthread it runs, or its scheduler stack): Unpark, Spawn. The
+  // lock-free driver puts the item in the worker's run-next slot when the
+  // slot, the mailbox and the deque are all empty — plain stores, no CAS —
+  // and in the mailbox otherwise, so the item never overtakes waiting work.
+  // Thieves cannot see the slot. The shard-mutex driver treats this as
+  // Enqueue(item, flags, worker).
+  SKYLOFT_NO_SWITCH void EnqueueLocal(SchedItem* item, unsigned flags, int worker);
+
   // task_terminate + task_dequeue fused: retire a finished item and fetch
   // the worker's next task in one acquisition (the exit fast path).
   SKYLOFT_NO_SWITCH SchedItem* Retire(SchedItem* dead, int worker);
@@ -72,9 +83,10 @@ class HostSched : public EngineView {
   // steal.
   SKYLOFT_NO_SWITCH SchedItem* Dequeue(int worker);
 
-  // Enqueue(item, flags, worker) + Dequeue(worker) fused — the scheduler's
-  // yield-completion fast path. May return a different item than `item`
-  // (including nullptr if a thief migrated it before we could re-fetch).
+  // EnqueueLocal(item, flags, worker) + Dequeue(worker) fused — the
+  // scheduler's yield-completion fast path. May return a different item
+  // than `item` (including nullptr if a thief migrated it before we could
+  // re-fetch).
   SKYLOFT_NO_SWITCH SchedItem* Requeue(SchedItem* item, unsigned flags, int worker);
 
   // sched_timer_tick for `worker`; true => preempt `current`.
@@ -92,8 +104,9 @@ class HostSched : public EngineView {
 
   // Placement target for submissions that originate off-runtime (external
   // Unpark, Run()'s main thread): first idle worker (one bitmap word scan),
-  // else — lock-free — the worker with the shortest queue, or — shard-mutex —
-  // -1, which leaves placement to the policy.
+  // else — lock-free — the worker with the fewest waiting items (deque,
+  // mailbox and run-next slot), or — shard-mutex — -1, which leaves
+  // placement to the policy.
   SKYLOFT_NO_SWITCH int ExternalTarget() const;
 
   SKYLOFT_NO_SWITCH void SetIdle(int worker, bool idle);
@@ -111,7 +124,7 @@ class HostSched : public EngineView {
   bool IsWorkerIdle(int index) const override { return idle_map_.Test(index); }
 
  private:
-  struct LfWorker;  // lock-free driver state (mailbox + deque + rng)
+  struct LfWorker;  // lock-free driver state (mailbox + deque + run-next slot + rng)
 
   // task_dequeue, falling back to sched_balance and one retry (the paper's
   // idle path); a rescue counts as a steal. Caller holds `mu_`.
@@ -119,6 +132,8 @@ class HostSched : public EngineView {
 
   // Lock-free driver internals (see host_sched.cpp).
   SKYLOFT_NO_SWITCH void LfEnqueue(SchedItem* item, int target);
+  SKYLOFT_NO_SWITCH void LfEnqueueLocal(SchedItem* item, int worker);
+  SKYLOFT_NO_SWITCH static std::int64_t LfWaiting(const LfWorker& lw);
   SKYLOFT_NO_SWITCH SchedItem* LfDequeue(int worker);
   SKYLOFT_NO_SWITCH SchedItem* LfStealHalf(int worker);
 

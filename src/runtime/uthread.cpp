@@ -2,6 +2,7 @@
 
 #include <link.h>
 #include <pthread.h>
+#include <sched.h>
 #include <ucontext.h>
 #include <unistd.h>
 
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <ctime>
 #include <new>
+#include <vector>
 
 #include "src/base/logging.h"
 #include "src/runtime/context.h"
@@ -200,6 +202,40 @@ void AsanUnpoisonStack(const void* stack, std::size_t size) {
 SKYLOFT_RETURNS_TLS SKYLOFT_SIGNAL_SAFE SKYLOFT_SWITCH_ENTRY int* CurrentErrnoLocation() {
   asm volatile("" ::: "memory");
   return &errno;
+}
+
+// Per-core workers (DESIGN.md section 9): worker i gets the i-th highest CPU
+// of the calling thread's affinity mask, highest first because the lowest
+// CPUs take most device interrupts. Empty — every worker left unpinned,
+// inheriting the caller's mask — when the mask holds fewer CPUs than there
+// are workers, so an oversubscribed runtime never stacks two workers on one
+// CPU.
+std::vector<int> WorkerCpus(int workers) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) {
+    return cpus;
+  }
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0 && static_cast<int>(cpus.size()) < workers; cpu--) {
+    if (CPU_ISSET(cpu, &mask)) {
+      cpus.push_back(cpu);
+    }
+  }
+  if (static_cast<int>(cpus.size()) < workers) {
+    cpus.clear();
+  }
+  return cpus;
+}
+
+// Restricts the calling thread to `cpu`. A refusal (the CPU went offline, or
+// a cgroup narrowed the mask since WorkerCpus read it) leaves the thread on
+// its inherited mask, which is where an unpinned worker runs anyway.
+void PinCurrentThread(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
 }
 
 }  // namespace
@@ -450,8 +486,15 @@ void Runtime::Run(std::function<void()> main_fn) {
   UThread* main_thread = AllocUthread(std::move(main_fn));
   Schedule(main_thread, kEnqueueNew);  // external submission: placed idle-first
 
+  const std::vector<int> cpus = WorkerCpus(options_.workers);
   for (int i = 0; i < options_.workers; i++) {
-    worker_threads_.emplace_back([this, i] { WorkerLoop(i); });
+    const int cpu = cpus.empty() ? -1 : cpus[static_cast<std::size_t>(i)];
+    worker_threads_.emplace_back([this, i, cpu] {
+      if (cpu >= 0) {
+        PinCurrentThread(cpu);
+      }
+      WorkerLoop(i);
+    });
   }
 
   // Wait for every user thread to finish, waking expired sleepers on the
@@ -700,17 +743,17 @@ UThread* Runtime::Spawn(std::function<void()> fn) {
 // Unpark do) — the shard lock must not be interrupted by the signal timer.
 void Runtime::Schedule(UThread* thread, unsigned flags) {
   RuntimeWorker* worker = tl_worker;
-  int target = 0;
   if (worker != nullptr) {
-    target = worker->index;
-  } else {
-    // Off-runtime submission (external Unpark, Run()'s main thread): place
-    // on the first idle worker, else on the least-loaded queue (lock-free)
-    // or wherever the policy puts a hintless task (shard-mutex).
-    external_placements_->Inc();
-    target = sched_->ExternalTarget();
+    // On a worker: its own runqueue, through the run-next slot when nothing
+    // else waits there.
+    sched_->EnqueueLocal(thread, flags, worker->index);
+    return;
   }
-  sched_->Enqueue(thread, flags, target);
+  // Off-runtime submission (external Unpark, Run()'s main thread): place on
+  // the first idle worker, else on the least-loaded queue (lock-free) or
+  // wherever the policy puts a hintless task (shard-mutex).
+  external_placements_->Inc();
+  sched_->Enqueue(thread, flags, sched_->ExternalTarget());
 }
 
 // Switch-out protocol (Yield / PreemptTick / Park): raise the uthread's own
@@ -794,6 +837,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
 }
 
 void Runtime::Unpark(UThread* thread) {
+  SKYLOFT_CHECK(thread != nullptr) << "Unpark of a null uthread";
   Runtime* rt = g_runtime;
   SKYLOFT_CHECK(rt != nullptr);
   auto& park = ExtraOf(thread)->park;

@@ -65,6 +65,10 @@ struct UThread : SchedItem {
 };
 
 struct RuntimeOptions {
+  // Worker pthreads, one per CPU: Run pins worker i to the i-th highest CPU
+  // of the calling thread's affinity mask when that mask holds at least
+  // `workers` CPUs, and leaves every worker unpinned on the caller's mask
+  // otherwise (DESIGN.md section 9).
   int workers = 1;
   std::size_t stack_size = 64 * 1024;
   // Preemption timer period; 0 disables preemption (cooperative only). Each
@@ -191,8 +195,9 @@ class Runtime {
   friend struct RuntimeWorker;
 
   void WorkerLoop(int index);
-  // Enqueues on the calling worker, or — off-runtime — where
-  // HostSched::ExternalTarget places it. `flags` are SchedPolicy EnqueueFlags.
+  // Enqueues on the calling worker (HostSched::EnqueueLocal), or —
+  // off-runtime — where HostSched::ExternalTarget places it. `flags` are
+  // SchedPolicy EnqueueFlags.
   SKYLOFT_NO_SWITCH void Schedule(UThread* thread, unsigned flags);
   // Switches from `prev` (null: the worker's scheduler stack) into `next`
   // on `worker`. Every switch into a uthread goes through here — the

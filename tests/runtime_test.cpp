@@ -2,22 +2,28 @@
 // spawn/join, yield fairness, work stealing, park/unpark races, mutex and
 // condition variable semantics, and signal-timer preemption.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/policies/round_robin.h"
+#include "src/policies/work_stealing.h"
 #include "src/runtime/context.h"
+#include "src/runtime/host_sched.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/uthread.h"
 
@@ -843,6 +849,17 @@ TEST(RuntimePreemptDeathTest, RefusesPeriodBelowFloor) {
                "below the 15 us floor");
 }
 
+// A null uthread is refused with a message, not dereferenced in the park
+// word.
+TEST(RuntimeParkDeathTest, UnparkOfNullAborts) {
+  EXPECT_DEATH(
+      {
+        Runtime rt(RuntimeOptions{.workers = 1});
+        rt.Run([] { Runtime::Unpark(nullptr); });
+      },
+      "Unpark of a null uthread");
+}
+
 // Allocator-heavy uthreads under an aggressive preemption timer. glibc's
 // malloc keeps lockless per-pthread state (the tcache); preempting a uthread
 // mid-allocation and running another uthread on the same pthread corrupts it
@@ -879,6 +896,174 @@ TEST(RuntimePreemptTest, PreemptionIsMallocSafe) {
   EXPECT_GT(sum.load(), 0);
   // The timer must have actually tried: fired switches plus deferred signals.
   EXPECT_GT(rt.preemptions() + rt.preempt_deferrals(), 0u);
+}
+
+// ---- The lock-free driver's run-next slot ----
+//
+// HostSched driven directly from the test thread, which plays each worker's
+// own thread in turn: EnqueueLocal is a submission made on the worker,
+// Enqueue with a hint one made from elsewhere.
+
+// A local submission takes the slot only when nothing else waits, so it
+// runs after every item queued before it: in the mailbox, in the deque, or
+// in the slot.
+TEST(HostSchedRunNextTest, LocalSubmissionRunsAfterQueuedWork) {
+  HostSched sched(1, nullptr);
+  ASSERT_TRUE(sched.lock_free());
+  SchedItem a, b, c;
+  sched.Enqueue(&a, kEnqueueWakeup, 0);       // the mailbox
+  sched.EnqueueLocal(&b, kEnqueueWakeup, 0);  // behind a, in the mailbox
+  EXPECT_EQ(sched.Dequeue(0), &a);            // drains b into the deque
+  sched.EnqueueLocal(&c, kEnqueueWakeup, 0);  // behind b, in the deque
+  EXPECT_EQ(sched.Dequeue(0), &b);
+  EXPECT_EQ(sched.Dequeue(0), &c);
+  EXPECT_EQ(sched.Dequeue(0), nullptr);
+
+  sched.EnqueueLocal(&a, kEnqueueWakeup, 0);  // the slot
+  sched.Enqueue(&b, kEnqueueWakeup, 0);
+  sched.EnqueueLocal(&c, kEnqueueWakeup, 0);  // behind a and b
+  EXPECT_EQ(sched.Dequeue(0), &a);
+  EXPECT_EQ(sched.Dequeue(0), &b);
+  EXPECT_EQ(sched.Dequeue(0), &c);
+  EXPECT_EQ(sched.Dequeue(0), nullptr);
+}
+
+// An item waiting in a run-next slot, the worker's own or another's, is
+// work a hog past its quantum is preempted for.
+TEST(HostSchedRunNextTest, TickPreemptsForWorkInTheSlot) {
+  WorkStealingPolicy ws(WorkStealingParams{.quantum = Micros(100)});
+  for (int waiter_worker = 0; waiter_worker < 2; waiter_worker++) {
+    HostSched sched(2, &ws);
+    ASSERT_TRUE(sched.lock_free());
+    SchedItem hog, waiter;
+    sched.EnqueueLocal(&hog, kEnqueueNew, 0);
+    ASSERT_EQ(sched.Dequeue(0), &hog);
+    EXPECT_FALSE(sched.Tick(0, &hog, Micros(200))) << "nothing waits";
+    sched.EnqueueLocal(&waiter, kEnqueueWakeup, waiter_worker);
+    EXPECT_TRUE(sched.Tick(0, &hog, Micros(200))) << "waiter on worker " << waiter_worker;
+    EXPECT_EQ(sched.Dequeue(waiter_worker), &waiter);
+  }
+}
+
+// Thieves cannot see the slot: an idle worker finds nothing to steal, and
+// the owner still holds the item.
+TEST(HostSchedRunNextTest, StealFindsNothingInTheSlot) {
+  HostSched sched(2, nullptr);
+  SchedItem item;
+  sched.EnqueueLocal(&item, kEnqueueNew, 0);
+  EXPECT_EQ(sched.Dequeue(1), nullptr);
+  EXPECT_EQ(sched.steals(), 0u);
+  EXPECT_EQ(sched.Dequeue(0), &item);
+}
+
+// Off-runtime placement counts the slot as waiting work.
+TEST(HostSchedRunNextTest, ExternalTargetCountsTheSlot) {
+  HostSched sched(2, nullptr);
+  EXPECT_EQ(sched.ExternalTarget(), 0);  // a tie goes to the first worker
+  SchedItem item;
+  sched.EnqueueLocal(&item, kEnqueueNew, 0);
+  EXPECT_EQ(sched.ExternalTarget(), 1);
+  EXPECT_EQ(sched.Dequeue(0), &item);
+}
+
+// ---- Per-core workers ----
+
+std::vector<int> CpusOf(const cpu_set_t& mask) {
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; cpu++) {
+    if (CPU_ISSET(cpu, &mask)) {
+      cpus.push_back(cpu);
+    }
+  }
+  return cpus;
+}
+
+// The affinity mask of every worker pthread of a runtime, keyed by thread:
+// uthreads record their worker's mask and yield until steals have carried
+// them to every worker.
+std::map<pthread_t, std::vector<int>> WorkerMasks(int workers) {
+  std::map<pthread_t, std::vector<int>> masks;
+  std::mutex mu;
+  Runtime rt(RuntimeOptions{.workers = workers});
+  rt.Run([&] {
+    std::vector<UThread*> children;
+    for (int i = 0; i < 4 * workers; i++) {
+      children.push_back(Runtime::Spawn([&] {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        for (;;) {
+          cpu_set_t mask;
+          CPU_ZERO(&mask);
+          EXPECT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask), 0);
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            masks[pthread_self()] = CpusOf(mask);
+            if (static_cast<int>(masks.size()) >= workers) {
+              return;
+            }
+          }
+          if (std::chrono::steady_clock::now() > deadline) {
+            return;  // no steal came; the size check below fails
+          }
+          Runtime::Yield();
+        }
+      }));
+    }
+    for (UThread* c : children) {
+      Runtime::Join(c);
+    }
+  });
+  return masks;
+}
+
+// With a CPU for every worker, each worker holds one CPU of its own, taken
+// from the top of the caller's mask.
+TEST(RuntimePinningTest, WorkersTakeTheHighestCpusOneEach) {
+  cpu_set_t caller;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
+  const std::vector<int> allowed = CpusOf(caller);
+  if (allowed.size() < 2) {
+    GTEST_SKIP() << "needs 2 allowed CPUs, has " << allowed.size();
+  }
+  std::map<pthread_t, std::vector<int>> masks;
+  WithWatchdog(std::chrono::seconds(60), "WorkersTakeTheHighestCpusOneEach",
+               [&] { masks = WorkerMasks(2); });
+  ASSERT_EQ(masks.size(), 2u);
+  std::vector<int> pinned;
+  for (const auto& [thread, cpus] : masks) {
+    ASSERT_EQ(cpus.size(), 1u) << "a worker runs on " << cpus.size() << " CPUs";
+    pinned.push_back(cpus[0]);
+  }
+  std::sort(pinned.begin(), pinned.end());
+  EXPECT_EQ(pinned, (std::vector<int>{allowed[allowed.size() - 2], allowed.back()}));
+}
+
+// With fewer CPUs than workers, no worker is pinned: each keeps the
+// caller's mask instead of two sharing one chosen CPU. The caller's mask is
+// cut to 1 CPU for 2 workers, and, where the host has them, to 2 CPUs for 3
+// workers, where a pinned worker would show a 1-CPU mask.
+TEST(RuntimePinningTest, OversubscribedWorkersStayUnpinned) {
+  cpu_set_t caller;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
+  const std::vector<int> allowed = CpusOf(caller);
+  ASSERT_FALSE(allowed.empty());
+  for (std::size_t cut = 1; cut <= 2 && cut <= allowed.size(); cut++) {
+    const std::vector<int> kept(allowed.begin(), allowed.begin() + static_cast<long>(cut));
+    cpu_set_t narrow;
+    CPU_ZERO(&narrow);
+    for (const int cpu : kept) {
+      CPU_SET(cpu, &narrow);
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(narrow), &narrow), 0);
+    const int workers = static_cast<int>(cut) + 1;
+    std::map<pthread_t, std::vector<int>> masks;
+    WithWatchdog(std::chrono::seconds(60), "OversubscribedWorkersStayUnpinned",
+                 [&] { masks = WorkerMasks(workers); });
+    ASSERT_EQ(sched_setaffinity(0, sizeof(caller), &caller), 0);
+    ASSERT_EQ(static_cast<int>(masks.size()), workers) << cut << " CPUs";
+    for (const auto& [thread, cpus] : masks) {
+      EXPECT_EQ(cpus, kept) << workers << " workers on " << cut << " CPUs";
+    }
+  }
 }
 
 }  // namespace
