@@ -21,7 +21,7 @@ extern "C" {
 // stack.
 //
 // `on_cpu` is the departing context's "still on its stack" flag: a uthread
-// passes its own (UThreadExtra::on_cpu), the scheduler stack a worker-owned
+// passes its own (UThread::on_cpu), the scheduler stack a worker-owned
 // byte nobody reads. It is cleared only once rsp has left the old stack, so
 // a signal frame never lands on a stack another worker may already be
 // resuming; whoever switches into a uthread first waits for its flag to

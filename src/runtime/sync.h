@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 
 #include "src/base/intrusive_list.h"
 #include "src/runtime/uthread.h"
@@ -93,101 +92,6 @@ class UthreadCondVar {
   SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(wait_spin) void SpinRelease();
   // Unlinks the oldest waiter; returns its uthread, or null if none waits.
   SKYLOFT_NO_SWITCH UThread* PopWaiter();
-};
-
-// Counting semaphore built on the mutex + condvar primitives.
-class UthreadSemaphore {
- public:
-  explicit UthreadSemaphore(int initial) : count_(initial) {}
-
-  SKYLOFT_MAY_SWITCH void Acquire() {
-    mutex_.Lock();
-    while (count_ == 0) {
-      available_.Wait(&mutex_);
-    }
-    count_--;
-    mutex_.Unlock();
-  }
-
-  // May still block: the fast path takes the (parking) mutex.
-  SKYLOFT_MAY_SWITCH bool TryAcquire() {
-    mutex_.Lock();
-    const bool ok = count_ > 0;
-    if (ok) {
-      count_--;
-    }
-    mutex_.Unlock();
-    return ok;
-  }
-
-  SKYLOFT_MAY_SWITCH void Release() {
-    mutex_.Lock();
-    count_++;
-    mutex_.Unlock();
-    available_.Signal();
-  }
-
- private:
-  UthreadMutex mutex_;
-  UthreadCondVar available_;
-  int count_;
-};
-
-// Bounded multi-producer/multi-consumer channel (Go-style) for uthreads.
-template <typename T>
-class UthreadChannel {
- public:
-  explicit UthreadChannel(std::size_t capacity) : capacity_(capacity) {}
-
-  // Blocks while full; returns false if the channel was closed.
-  SKYLOFT_MAY_SWITCH bool Send(T value) {
-    mutex_.Lock();
-    while (items_.size() >= capacity_ && !closed_) {
-      not_full_.Wait(&mutex_);
-    }
-    if (closed_) {
-      mutex_.Unlock();
-      return false;
-    }
-    items_.push_back(std::move(value));
-    mutex_.Unlock();
-    not_empty_.Signal();
-    return true;
-  }
-
-  // Blocks while empty; returns false once closed AND drained.
-  SKYLOFT_MAY_SWITCH bool Receive(T* out) {
-    mutex_.Lock();
-    while (items_.empty() && !closed_) {
-      not_empty_.Wait(&mutex_);
-    }
-    if (items_.empty()) {
-      mutex_.Unlock();
-      return false;  // closed and drained
-    }
-    *out = std::move(items_.front());
-    items_.pop_front();
-    mutex_.Unlock();
-    not_full_.Signal();
-    return true;
-  }
-
-  // Unblocks all senders/receivers; further Sends fail, Receives drain.
-  SKYLOFT_MAY_SWITCH void Close() {
-    mutex_.Lock();
-    closed_ = true;
-    mutex_.Unlock();
-    not_empty_.Broadcast();
-    not_full_.Broadcast();
-  }
-
- private:
-  std::size_t capacity_;
-  UthreadMutex mutex_;
-  UthreadCondVar not_empty_;
-  UthreadCondVar not_full_;
-  std::deque<T> items_;
-  bool closed_ = false;
 };
 
 // RAII lock guard. The SKYLOFT_ACQUIRES on the constructor lets skylint

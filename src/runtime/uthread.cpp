@@ -11,7 +11,6 @@
 #include <csignal>
 #include <cstring>
 #include <ctime>
-#include <new>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -280,15 +279,7 @@ struct RuntimeWorker {
 namespace {
 thread_local RuntimeWorker* tl_worker = nullptr;
 
-// UThread park/unpark handshake states (see Park/Unpark). Park CASes
-// running -> parked on its own stack; whichever Unpark then sees parked owns
-// the wakeup. An Unpark that finds the uthread running leaves a pending
-// token its next Park consumes.
-constexpr int kParkRunning = 0;
-constexpr int kParkUnparkPending = 1;
-constexpr int kParkParked = 2;
-
-// A uthread's preempt-disable depth (UThreadExtra::preempt_count) is written
+// A uthread's preempt-disable depth (UThread::preempt_count) is written
 // only by the pthread running the uthread and read only by that pthread's
 // own signal handler, so a plain load+store updates it: no other CPU races
 // the write, and the handler either runs before it or after it. The signal
@@ -304,34 +295,6 @@ SKYLOFT_SIGNAL_SAFE void PreemptDepthDec(std::atomic<int>& depth) {
   std::atomic_signal_fence(std::memory_order_seq_cst);
   depth.store(depth.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
 }
-}  // namespace
-
-// Park handshake word; kept out of UThread's public header to avoid leaking
-// scheduler internals. Allocated immediately after the UThread object in the
-// same storage block (see AllocUthread).
-struct UThreadExtra {
-  std::atomic<int> park{kParkRunning};
-  // True from the moment a worker switches into this uthread until the
-  // switch out has left its stack (skyloft_ctx_switch clears it). SwitchTo
-  // waits for it before switching in.
-  std::atomic<bool> on_cpu{false};
-  // Preempt-disable depth: 0 => the signal handler may preempt this uthread.
-  // PreemptGuard raises it, and so does every switch-out (Yield, PreemptTick,
-  // Park, ExitCurrent) until the uthread is back and has finished landing.
-  // A fresh uthread starts at 1, lowered by UthreadMain. So a uthread that
-  // is not running always has a raised depth, and a tick on the scheduler
-  // stack, which sees one of those as its worker's `current`, defers.
-  // Per-uthread because a guard can span a Park() that resumes on a
-  // different worker.
-  std::atomic<int> preempt_count{1};
-  void* tsan_fiber = nullptr;
-  // This uthread's ASan fake-stack handle, saved while it is switched out.
-  // Null on first entry and after an exit (ExitCurrent destroys it).
-  void* asan_fake_stack = nullptr;
-};
-
-namespace {
-UThreadExtra* ExtraOf(UThread* t) { return reinterpret_cast<UThreadExtra*>(t + 1); }
 
 // Switches the running uthread `self` out to its worker's scheduler stack,
 // which then carries out `action`. Returns when `self` is switched back in,
@@ -342,10 +305,10 @@ SKYLOFT_SIGNAL_SAFE void SwitchToScheduler(RuntimeWorker* worker, UThread* self,
   worker->action = action;
   TsanSwitchTo(worker->tsan_fiber);
   // An exiting fiber leaves for good: a null save slot destroys its fake stack.
-  AsanStartSwitch(action == SwitchAction::kExit ? nullptr : &ExtraOf(self)->asan_fake_stack,
+  AsanStartSwitch(action == SwitchAction::kExit ? nullptr : &self->asan_fake_stack,
                   worker->asan_stack_bottom, worker->asan_stack_size);
-  skyloft_ctx_switch(&self->sp, worker->sched_sp, &ExtraOf(self)->on_cpu);
-  AsanFinishSwitch(ExtraOf(self)->asan_fake_stack);
+  skyloft_ctx_switch(&self->sp, worker->sched_sp, &self->on_cpu);
+  AsanFinishSwitch(self->asan_fake_stack);
 }
 }  // namespace
 
@@ -396,16 +359,11 @@ std::uint64_t Runtime::io_data_syscalls() const {
 }
 
 Runtime::~Runtime() {
-  // Destroy the placement-new'd UThreads before their storage goes away.
-  for (auto& storage : uthread_storage_) {
-    auto* t = reinterpret_cast<UThread*>(storage.get());
 #ifdef SKYLOFT_TSAN
-    if (ExtraOf(t)->tsan_fiber != nullptr) {
-      __tsan_destroy_fiber(ExtraOf(t)->tsan_fiber);
-    }
-#endif
-    t->~UThread();
+  for (auto& t : uthreads_) {
+    __tsan_destroy_fiber(t->tsan_fiber);
   }
+#endif
 }
 
 UThread* Runtime::AllocUthread(std::function<void()> fn) {
@@ -418,34 +376,28 @@ UThread* Runtime::AllocUthread(std::function<void()> fn) {
     }
   }
   if (t == nullptr) {
-    // UThread and its handshake word share one allocation.
-    auto storage = std::make_unique<unsigned char[]>(sizeof(UThread) + sizeof(UThreadExtra));
-    t = new (storage.get()) UThread();
-    new (storage.get() + sizeof(UThread)) UThreadExtra();
+    auto owned = std::make_unique<UThread>();
+    t = owned.get();
     // for_overwrite: zero-initializing would touch (and commit) every stack
     // page up front, which at 10k+ connection-handler uthreads is hundreds
     // of MB of RSS for pages most uthreads never reach.
     t->stack = std::make_unique_for_overwrite<unsigned char[]>(options_.stack_size);
-    t->stack_size = options_.stack_size;
 #ifdef SKYLOFT_TSAN
-    ExtraOf(t)->tsan_fiber = __tsan_create_fiber(0);
+    t->tsan_fiber = __tsan_create_fiber(0);
 #endif
-    {
-      std::lock_guard<std::mutex> lock(pool_lock_);
-      uthread_storage_.push_back(std::move(storage));
-    }
+    std::lock_guard<std::mutex> lock(pool_lock_);
+    uthreads_.push_back(std::move(owned));
   }
   t->fn = std::move(fn);
-  t->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
-  t->joiners.clear();
-  ExtraOf(t)->park.store(kParkRunning, std::memory_order_relaxed);
-  ExtraOf(t)->preempt_count.store(1, std::memory_order_relaxed);  // UthreadMain lowers it
-  ExtraOf(t)->asan_fake_stack = nullptr;  // a recycled uthread is a fresh fiber
+  t->park.store(UThread::kParkRunning, std::memory_order_relaxed);
+  t->preempt_count.store(1, std::memory_order_relaxed);  // UthreadMain lowers it
+  t->joiners.store(nullptr, std::memory_order_relaxed);
+  t->asan_fake_stack = nullptr;  // a recycled uthread is a fresh fiber
   // A recycled stack still carries ASan poison from the frames its previous
   // incarnation abandoned at its final context switch (ExitCurrent never
   // returns, so no epilogue unpoisons them); clear it before reuse.
-  AsanUnpoisonStack(t->stack.get(), t->stack_size);
-  t->sp = InitContext(t->stack.get(), t->stack_size, &Runtime::UthreadMain, t);
+  AsanUnpoisonStack(t->stack.get(), options_.stack_size);
+  t->sp = InitContext(t->stack.get(), options_.stack_size, &Runtime::UthreadMain, t);
   // Fresh id every incarnation: policies use it for deterministic
   // tie-breaking (CFS), and recycled uthreads are logically new tasks.
   // task_init runs later, fused with the first enqueue (see Schedule).
@@ -497,25 +449,24 @@ void Runtime::Run(std::function<void()> main_fn) {
     });
   }
 
-  // Wait for every user thread to finish, waking expired sleepers on the
-  // way: SleepFor's granularity is this loop's 100 us cadence.
+  // Wait for every user thread to finish, waking each sleeper at its
+  // deadline on the way. Unpark runs outside sleep_lock_: it may enqueue.
+  std::unique_lock<std::mutex> lock(sleep_lock_);
   while (live_uthreads_.load(std::memory_order_acquire) > 0) {
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<UThread*> due;
-    {
-      std::lock_guard<std::mutex> lock(sleep_lock_);
-      auto it = sleepers_.begin();
-      while (it != sleepers_.end() && it->first <= now) {
-        due.push_back(it->second);
-        it = sleepers_.erase(it);
-      }
+    const auto earliest = sleepers_.begin();
+    if (earliest == sleepers_.end()) {
+      sleep_cv_.wait(lock);
+    } else if (earliest->first > std::chrono::steady_clock::now()) {
+      sleep_cv_.wait_until(lock, earliest->first);
+    } else {
+      UThread* due = earliest->second;
+      sleepers_.erase(earliest);
+      lock.unlock();
+      Unpark(due);
+      lock.lock();
     }
-    for (UThread* t : due) {
-      Unpark(t);
-    }
-    // skylint:allow(blocking-call-on-worker) -- Run() executes on the caller's launch thread (not a worker), parked while the worker pthreads run
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
+  lock.unlock();
   stopping_.store(true);
   for (auto& t : worker_threads_) {
     t.join();
@@ -531,8 +482,11 @@ void Runtime::SleepFor(std::int64_t duration_us) {
   {
     Runtime::PreemptGuard guard;
     std::lock_guard<std::mutex> lock(rt->sleep_lock_);
-    rt->sleepers_.emplace(
+    const auto it = rt->sleepers_.emplace(
         std::chrono::steady_clock::now() + std::chrono::microseconds(duration_us), self);
+    if (it == rt->sleepers_.begin()) {
+      rt->sleep_cv_.notify_one();  // Run() waits for an earlier deadline
+    }
   }
   Park();
 }
@@ -634,7 +588,6 @@ void Runtime::WorkerLoop(int index) {
           if (tracer_ != nullptr) {
             tracer_->RecordEvent(HostNowNs(), TraceEventType::kPreempt, index, prev->id, 0);
           }
-          prev->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
           next = static_cast<UThread*>(worker->sched->Requeue(prev, kEnqueuePreempted, index));
           // The tick's handler switched away without returning, so the
           // kernel's block on the signal still holds on this pthread: lift it
@@ -657,7 +610,12 @@ void Runtime::WorkerLoop(int index) {
         // Fused task_terminate + task_dequeue, then release the storage.
         next = static_cast<UThread*>(worker->sched->Retire(prev, index));
         FreeUthread(prev);
-        live_uthreads_.fetch_sub(1, std::memory_order_acq_rel);
+        if (live_uthreads_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          // The last uthread is gone: Run() returns. Notified under the lock,
+          // so Run cannot read the count and then miss this wakeup.
+          std::lock_guard<std::mutex> lock(sleep_lock_);
+          sleep_cv_.notify_one();
+        }
         break;
       }
       case SwitchAction::kNone:
@@ -673,16 +631,14 @@ void Runtime::WorkerLoop(int index) {
 void Runtime::SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next) {
   // A racing Unpark may have queued `next` here while its Park was still
   // switching out on another worker; run it only once it has left its stack.
-  UThreadExtra* in = ExtraOf(next);
-  for (SpinBackoff backoff; in->on_cpu.load(std::memory_order_acquire);) {
+  for (SpinBackoff backoff; next->on_cpu.load(std::memory_order_acquire);) {
     backoff.Pause();
   }
-  in->on_cpu.store(true, std::memory_order_relaxed);
+  next->on_cpu.store(true, std::memory_order_relaxed);
   // Whoever queued `next` woke it first: a parked uthread here means it was
   // queued twice.
-  SKYLOFT_CHECK(in->park.load(std::memory_order_relaxed) != kParkParked)
+  SKYLOFT_CHECK(next->park.load(std::memory_order_relaxed) != UThread::kParkParked)
       << "switching into a parked uthread";
-  next->state.store(UthreadState::kRunning, std::memory_order_relaxed);
   worker->current = next;
   // run_charge feeds sched_timer_tick; without the signal timer nothing
   // reads it, and the clock call would tax every switch (~30 ns here).
@@ -702,10 +658,10 @@ void Runtime::SwitchTo(RuntimeWorker* worker, UThread* prev, UThread* next) {
   }
   // The departing context: `prev`, or this worker's scheduler stack.
   void** save_sp = prev != nullptr ? &prev->sp : &worker->sched_sp;
-  std::atomic<bool>* out_on_cpu = prev != nullptr ? &ExtraOf(prev)->on_cpu : &worker->sched_on_cpu;
-  void** asan_save = prev != nullptr ? &ExtraOf(prev)->asan_fake_stack : &worker->asan_fake_stack;
-  TsanSwitchTo(in->tsan_fiber);
-  AsanStartSwitch(asan_save, next->stack.get(), next->stack_size);
+  std::atomic<bool>* out_on_cpu = prev != nullptr ? &prev->on_cpu : &worker->sched_on_cpu;
+  void** asan_save = prev != nullptr ? &prev->asan_fake_stack : &worker->asan_fake_stack;
+  TsanSwitchTo(next->tsan_fiber);
+  AsanStartSwitch(asan_save, next->stack.get(), options_.stack_size);
   skyloft_ctx_switch(save_sp, next->sp, out_on_cpu);
   // Back in the departing context. A uthread may have resumed on another
   // worker: `worker` is stale here.
@@ -717,7 +673,7 @@ void Runtime::UthreadMain(void* arg) {
   AsanFinishSwitch(nullptr);  // first entry on this stack: nothing to restore
   auto* self = static_cast<UThread*>(arg);
   // Landed: from here a tick may preempt this uthread.
-  PreemptDepthDec(ExtraOf(self)->preempt_count);
+  PreemptDepthDec(self->preempt_count);
   self->fn();
   g_runtime->ExitCurrent();
   SKYLOFT_CHECK(false) << "resumed an exited uthread";
@@ -771,10 +727,9 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Yield() {
   RuntimeWorker* worker = tl_worker;
   SKYLOFT_CHECK(worker != nullptr && worker->current != nullptr);
   UThread* self = worker->current;
-  PreemptDepthInc(ExtraOf(self)->preempt_count);
-  self->state.store(UthreadState::kRunnable, std::memory_order_relaxed);
+  PreemptDepthInc(self->preempt_count);
   SwitchToScheduler(worker, self, SwitchAction::kYield);
-  PreemptDepthDec(ExtraOf(self)->preempt_count);
+  PreemptDepthDec(self->preempt_count);
 }
 
 // Signal-timer entry: hand control to the scheduler stack so the policy tick
@@ -782,9 +737,9 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Yield() {
 SKYLOFT_SWITCH_ENTRY void Runtime::PreemptTick() {
   RuntimeWorker* worker = tl_worker;
   UThread* self = worker->current;
-  PreemptDepthInc(ExtraOf(self)->preempt_count);
+  PreemptDepthInc(self->preempt_count);
   SwitchToScheduler(worker, self, SwitchAction::kTick);
-  PreemptDepthDec(ExtraOf(self)->preempt_count);
+  PreemptDepthDec(self->preempt_count);
 }
 
 // Park publishes itself as parked before it switches out, then — when its
@@ -795,18 +750,14 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
   RuntimeWorker* worker = tl_worker;
   SKYLOFT_CHECK(worker != nullptr && worker->current != nullptr);
   UThread* self = worker->current;
-  std::atomic<int>& depth = ExtraOf(self)->preempt_count;
+  std::atomic<int>& depth = self->preempt_count;
   PreemptDepthInc(depth);
-  auto& park = ExtraOf(self)->park;
-  // Blocked before the CAS: once it publishes kParkParked, an Unpark may
-  // mark us runnable.
-  self->state.store(UthreadState::kBlocked, std::memory_order_relaxed);
-  int expected = kParkRunning;
-  if (!park.compare_exchange_strong(expected, kParkParked, std::memory_order_acq_rel)) {
+  int expected = UThread::kParkRunning;
+  if (!self->park.compare_exchange_strong(expected, UThread::kParkParked,
+                                          std::memory_order_acq_rel)) {
     // An unpark already arrived: consume it and keep running.
-    SKYLOFT_CHECK(expected == kParkUnparkPending);
-    park.store(kParkRunning, std::memory_order_relaxed);
-    self->state.store(UthreadState::kRunning, std::memory_order_relaxed);
+    SKYLOFT_CHECK(expected == UThread::kParkUnparkPending);
+    self->park.store(UThread::kParkRunning, std::memory_order_relaxed);
     PreemptDepthDec(depth);
     return;
   }
@@ -817,11 +768,10 @@ SKYLOFT_SWITCH_ENTRY void Runtime::Park() {
     next = static_cast<UThread*>(worker->sched->Dequeue(worker->index));
     if (next == self) {
       // A racing Unpark queued us here: keep running.
-      self->state.store(UthreadState::kRunning, std::memory_order_relaxed);
       PreemptDepthDec(depth);
       return;
     }
-    if (next != nullptr && !ExtraOf(next)->on_cpu.load(std::memory_order_acquire)) {
+    if (next != nullptr && !next->on_cpu.load(std::memory_order_acquire)) {
       worker->handoffs_left--;
       worker->runtime->SwitchTo(worker, self, next);
       PreemptDepthDec(depth);
@@ -840,12 +790,10 @@ void Runtime::Unpark(UThread* thread) {
   SKYLOFT_CHECK(thread != nullptr) << "Unpark of a null uthread";
   Runtime* rt = g_runtime;
   SKYLOFT_CHECK(rt != nullptr);
-  auto& park = ExtraOf(thread)->park;
-  const int old = park.exchange(kParkUnparkPending, std::memory_order_acq_rel);
-  if (old == kParkParked) {
+  const int old = thread->park.exchange(UThread::kParkUnparkPending, std::memory_order_acq_rel);
+  if (old == UThread::kParkParked) {
     // Parked: we own the wakeup.
-    park.store(kParkRunning, std::memory_order_release);
-    thread->state.store(UthreadState::kRunnable, std::memory_order_release);
+    thread->park.store(UThread::kParkRunning, std::memory_order_release);
     PreemptGuard guard;
     rt->Schedule(thread, kEnqueueWakeup);
   }
@@ -853,32 +801,27 @@ void Runtime::Unpark(UThread* thread) {
   // consumes the pending token and returns without switching.
 }
 
+// The join word (UThread::joiners) is a lock-free stack that ExitCurrent
+// closes with kExited. Join links itself once, then parks until the exiting
+// target releases it by storing kExited into its join_next. It waits on its
+// own link, not on the target's word: the exiter reads a joiner's join_next
+// after it closes the word, and a joiner that left on seeing the word closed
+// could already be linked into another target's stack by then.
 void Runtime::Join(UThread* thread) {
-  Runtime* rt = g_runtime;
-  SKYLOFT_CHECK(rt != nullptr);
-  // Link once, then loop: Park may return spuriously (e.g. a stale unpark
-  // token left by the mutex fast-path race), so completion is re-checked
-  // every wake — but the joiner entry stays linked until ExitCurrent swaps
-  // the list out, and a second entry would cost a duplicate Unpark (another
-  // stale token). `self` is read once, before the first switch: Current()
-  // goes through tl_worker, which must not be touched after a Park that may
-  // migrate us.
+  // `self` is read once, before the first switch: Current() goes through
+  // tl_worker, which must not be touched after a Park that may migrate us.
   UThread* self = Current();
-  {
-    // Guarded: preempted while holding wait_lock_, this uthread would sit in
-    // a runqueue while an ExitCurrent on the same worker blocks the worker's
-    // pthread on the lock.
-    PreemptGuard guard;
-    std::lock_guard<std::mutex> lock(rt->wait_lock_);
-    if (join_locked_hook_ != nullptr) {
-      join_locked_hook_();
-    }
-    if (thread->state.load(std::memory_order_acquire) == UthreadState::kDone) {
+  UThread* head = thread->joiners.load(std::memory_order_acquire);
+  do {
+    if (head == UThread::kExited) {
       return;
     }
-    thread->joiners.push_back(self);
-  }
-  while (thread->state.load(std::memory_order_acquire) != UthreadState::kDone) {
+    self->join_next.store(head, std::memory_order_relaxed);
+  } while (!thread->joiners.compare_exchange_weak(head, self, std::memory_order_release,
+                                                  std::memory_order_acquire));
+  // Park may return spuriously (e.g. a stale unpark token left by the mutex
+  // fast-path race), so the release is re-checked on every wake.
+  while (self->join_next.load(std::memory_order_acquire) != UThread::kExited) {
     Park();
   }
 }
@@ -887,19 +830,15 @@ void Runtime::Join(UThread* thread) {
 SKYLOFT_SWITCH_ENTRY void Runtime::ExitCurrent() {
   RuntimeWorker* worker = tl_worker;
   UThread* self = worker->current;
-  PreemptDepthInc(ExtraOf(self)->preempt_count);
-  {
-    // Scoped: this frame is abandoned at the switch below (ExitCurrent never
-    // returns), so the vector's buffer must be released before it.
-    std::vector<UThread*> joiners;
-    {
-      std::lock_guard<std::mutex> lock(wait_lock_);
-      self->state.store(UthreadState::kDone, std::memory_order_release);
-      joiners.swap(self->joiners);
-    }
-    for (UThread* j : joiners) {
-      Unpark(j);
-    }
+  PreemptDepthInc(self->preempt_count);
+  UThread* joiner = self->joiners.exchange(UThread::kExited, std::memory_order_acq_rel);
+  while (joiner != nullptr) {
+    // Read the link before the release: a released joiner may return and
+    // join again, relinking itself.
+    UThread* next = joiner->join_next.load(std::memory_order_relaxed);
+    joiner->join_next.store(UThread::kExited, std::memory_order_release);
+    Unpark(joiner);
+    joiner = next;
   }
   SwitchToScheduler(worker, self, SwitchAction::kExit);
   SKYLOFT_CHECK(false) << "resumed an exited uthread";
@@ -909,7 +848,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::ExitCurrent() {
 SKYLOFT_SWITCH_ENTRY Runtime::PreemptGuard::PreemptGuard() {
   RuntimeWorker* worker = tl_worker;
   if (worker != nullptr && worker->current != nullptr) {
-    counter_ = &ExtraOf(worker->current)->preempt_count;
+    counter_ = &worker->current->preempt_count;
     PreemptDepthInc(*counter_);
   }
   // Off-runtime threads and a worker's scheduler stack without a current
@@ -947,7 +886,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t
   // it holds a PreemptGuard (possibly taken on another worker), or it is
   // switching in or out, which covers every tick on the scheduler stack.
   UThread* current = worker->current;
-  if (current == nullptr || ExtraOf(current)->preempt_count.load(std::memory_order_acquire) != 0) {
+  if (current == nullptr || current->preempt_count.load(std::memory_order_acquire) != 0) {
     worker->runtime->DeferTick(worker, current);
     return;
   }
@@ -956,7 +895,7 @@ SKYLOFT_SWITCH_ENTRY void Runtime::PreemptSignalHandler(int /*signo*/, siginfo_t
   char probe;
   const auto sp = reinterpret_cast<std::uintptr_t>(&probe);
   const auto lo = reinterpret_cast<std::uintptr_t>(current->stack.get());
-  const auto hi = lo + current->stack_size;
+  const auto hi = lo + worker->runtime->options_.stack_size;
   if (sp < lo || sp >= hi) {
     worker->runtime->DeferTick(worker, current);
     return;

@@ -24,8 +24,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -45,23 +45,50 @@ namespace skyloft {
 class Runtime;
 struct RuntimeWorker;
 
-enum class UthreadState : std::uint8_t {
-  kRunnable,
-  kRunning,
-  kBlocked,
-  kDone,
-};
-
-// UThread embeds SchedItem (runqueue linkage, id, policy data), so the same
+// One record per uthread, recycled through the runtime's free pool. UThread
+// embeds SchedItem (runqueue linkage, id, policy data), so the same
 // SchedPolicy objects that schedule simulated Tasks schedule real uthreads.
+// Its stack is RuntimeOptions::stack_size bytes.
 struct UThread : SchedItem {
+  // Park handshake states (see Runtime::Park/Unpark). Park CASes running ->
+  // parked on its own stack; whichever Unpark then sees parked owns the
+  // wakeup. An Unpark that finds the uthread running leaves a pending token
+  // its next Park consumes.
+  static constexpr int kParkRunning = 0;
+  static constexpr int kParkUnparkPending = 1;
+  static constexpr int kParkParked = 2;
+  // The join word's closing value: ExitCurrent swaps it into `joiners`, and
+  // into each released joiner's `join_next`.
+  static inline UThread* const kExited = reinterpret_cast<UThread*>(std::uintptr_t{1});
+
   std::function<void()> fn;
   void* sp = nullptr;
   std::unique_ptr<unsigned char[]> stack;
-  std::size_t stack_size = 0;
-  std::atomic<UthreadState> state{UthreadState::kRunnable};
-  // Threads waiting in Join(); protected by the runtime's wait lock.
-  std::vector<UThread*> joiners;
+  std::atomic<int> park{kParkRunning};
+  // True from the moment a worker switches into this uthread until the
+  // switch out has left its stack (skyloft_ctx_switch clears it). SwitchTo
+  // waits for it before switching in.
+  std::atomic<bool> on_cpu{false};
+  // Preempt-disable depth: 0 => the signal handler may preempt this uthread.
+  // PreemptGuard raises it, and so does every switch-out (Yield, PreemptTick,
+  // Park, ExitCurrent) until the uthread is back and has finished landing.
+  // A fresh uthread starts at 1, lowered by UthreadMain. So a uthread that
+  // is not running always has a raised depth, and a tick on the scheduler
+  // stack, which sees one of those as its worker's `current`, defers.
+  // Per-uthread because a guard can span a Park() that resumes on a
+  // different worker.
+  std::atomic<int> preempt_count{1};
+  // The join word: a lock-free stack of the uthreads waiting in Join() for
+  // this one, linked through their `join_next`, or kExited once this
+  // uthread has exited. Null while it runs with no joiner.
+  std::atomic<UThread*> joiners{nullptr};
+  // This uthread's link while it waits in Join(): the next joiner of the
+  // same target, until the exiting target stores kExited here to release it.
+  std::atomic<UThread*> join_next{nullptr};
+  void* tsan_fiber = nullptr;
+  // This uthread's ASan fake-stack handle, saved while it is switched out.
+  // Null on first entry and after an exit (ExitCurrent destroys it).
+  void* asan_fake_stack = nullptr;
 };
 
 struct RuntimeOptions {
@@ -114,6 +141,9 @@ class Runtime {
   // ---- Callable from inside user threads ----
   SKYLOFT_NO_SWITCH static UThread* Spawn(std::function<void()> fn);
   SKYLOFT_MAY_SWITCH static void Yield();
+  // Returns once `thread` has exited. Any number of uthreads may join one
+  // target, but each Join must begin before the target's record is recycled
+  // by a later Spawn.
   SKYLOFT_MAY_SWITCH static void Join(UThread* thread);
   SKYLOFT_NO_SWITCH static UThread* Current();
 
@@ -122,8 +152,8 @@ class Runtime {
   SKYLOFT_NO_SWITCH static void Unpark(UThread* thread);
 
   // Blocks the current uthread for at least `duration_us` (the worker runs
-  // other uthreads meanwhile). Run()'s calling thread wakes sleepers every
-  // 100 us, which is the wakeup granularity.
+  // other uthreads meanwhile). Run()'s calling thread wakes each sleeper at
+  // its deadline.
   SKYLOFT_MAY_SWITCH static void SleepFor(std::int64_t duration_us);
 
   // Scope guard that delays signal-timer preemption (scheduler and sync
@@ -174,11 +204,6 @@ class Runtime {
 
   int workers() const { return options_.workers; }
 
-  // Test hook: Join calls `hook` while it holds the runtime's wait lock
-  // (null, the default, calls nothing). Tests spin there to force a
-  // preemption tick into the critical section.
-  static void SetJoinLockedHookForTest(void (*hook)()) { join_locked_hook_ = hook; }
-
   // The I/O engine core owned by `worker` (null unless RuntimeOptions::
   // io_engine). Servers register SO_REUSEPORT listeners here, one per
   // worker, to shard connections at accept time.
@@ -226,17 +251,19 @@ class Runtime {
   std::atomic<std::int64_t> live_uthreads_{0};
   std::atomic<bool> stopping_{false};
 
-  std::mutex wait_lock_;  // protects joiners lists
-
+  // Sleepers by deadline. Run() waits on sleep_cv_ until the earliest one
+  // is due or the last uthread exits; SleepFor notifies it when it inserts
+  // a new earliest deadline, and the exit that ends the last uthread
+  // notifies it under sleep_lock_.
   std::mutex sleep_lock_;
+  std::condition_variable sleep_cv_;
   std::multimap<std::chrono::steady_clock::time_point, UThread*> sleepers_;
 
   std::mutex pool_lock_;
   std::vector<UThread*> free_pool_;
-  // Raw storage blocks: each holds a placement-new'd UThread plus its
-  // internal handshake word. UThreads are recycled, never destroyed, until
-  // the runtime itself is.
-  std::vector<std::unique_ptr<unsigned char[]>> uthread_storage_;
+  // Every UThread this runtime made. They are recycled through free_pool_,
+  // never destroyed, until the runtime itself is.
+  std::vector<std::unique_ptr<UThread>> uthreads_;
 
   std::atomic<std::uint64_t> next_uthread_id_{1};
 
@@ -253,8 +280,6 @@ class Runtime {
   IoEngineStats io_stats_{};
 
   SchedTracer* tracer_ = nullptr;  // from RuntimeOptions; not owned
-
-  static inline void (*join_locked_hook_)() = nullptr;
 };
 
 }  // namespace skyloft

@@ -225,6 +225,63 @@ TEST(RuntimeTest, StackReuseAfterExit) {
   EXPECT_EQ(count.load(), 3000);  // 20 generations x 50 children x 3
 }
 
+// Join's link on the target's join word races the target's exit on another
+// worker. Four parents spawn two children a round and join both: the second
+// spawn moves the first child out of the run-next slot, where an idle
+// worker can steal it and exit it while its parent links. Then 8 joiners
+// link on one target that exits, on whichever worker runs it, once all 8
+// have started. Every joiner must return.
+TEST(JoinTest, JoinRacesExitAcrossWorkers) {
+  constexpr int kParents = 4;
+  constexpr int kRounds = 2000;
+  constexpr int kFanRounds = 200;
+  constexpr int kJoiners = 8;
+  Runtime rt(RuntimeOptions{.workers = 4});
+  std::atomic<int> exits{0};
+  std::atomic<int> returns{0};
+  WithWatchdog(std::chrono::seconds(120), "Join racing exits", [&] {
+    rt.Run([&] {
+      std::vector<UThread*> parents;
+      for (int p = 0; p < kParents; p++) {
+        parents.push_back(Runtime::Spawn([&] {
+          for (int round = 0; round < kRounds; round++) {
+            UThread* a = Runtime::Spawn([&] { exits.fetch_add(1); });
+            UThread* b = Runtime::Spawn([&] { exits.fetch_add(1); });
+            Runtime::Join(a);
+            Runtime::Join(b);
+            returns.fetch_add(2);
+          }
+        }));
+      }
+      for (UThread* p : parents) {
+        Runtime::Join(p);
+      }
+      for (int round = 0; round < kFanRounds; round++) {
+        std::atomic<int> started{0};
+        UThread* target = Runtime::Spawn([&] {
+          while (started.load() < kJoiners) {
+            Runtime::Yield();
+          }
+          exits.fetch_add(1);
+        });
+        std::vector<UThread*> joiners;
+        for (int j = 0; j < kJoiners; j++) {
+          joiners.push_back(Runtime::Spawn([&, target] {
+            started.fetch_add(1);
+            Runtime::Join(target);
+            returns.fetch_add(1);
+          }));
+        }
+        for (UThread* j : joiners) {
+          Runtime::Join(j);
+        }
+      }
+    });
+  });
+  EXPECT_EQ(exits.load(), kParents * kRounds * 2 + kFanRounds);
+  EXPECT_EQ(returns.load(), kParents * kRounds * 2 + kFanRounds * kJoiners);
+}
+
 // ---- Park / Unpark and the direct handoff ----
 
 // Two uthreads Unpark one target each time it is about to park. When the
@@ -570,44 +627,76 @@ TEST(RuntimeSyncTest, SignalWithNoWaitersIsNoop) {
   });
 }
 
-// Producer/consumer pipeline across workers.
-TEST(RuntimeSyncTest, ProducerConsumerPipeline) {
-  Runtime rt(RuntimeOptions{.workers = 2});
+// A bounded-queue pipeline on a mutex and two condvars: each producer
+// pushes 1..500, and the last producer to finish closes the queue with a
+// Broadcast that releases every consumer still waiting. Returns the sum the
+// consumers popped.
+long long RunPipeline(int workers, int producers, int consumers) {
+  constexpr std::size_t kCap = 4;
+  constexpr int kItems = 500;
+  Runtime rt(RuntimeOptions{.workers = workers});
   UthreadMutex mutex;
   UthreadCondVar not_empty;
   UthreadCondVar not_full;
   std::vector<int> queue;
-  constexpr std::size_t kCap = 4;
-  constexpr int kItems = 500;
-  long long sum = 0;
+  int producers_left = producers;
+  bool closed = false;
+  std::atomic<long long> sum{0};
   rt.Run([&] {
-    UThread* producer = Runtime::Spawn([&] {
-      for (int i = 1; i <= kItems; i++) {
-        mutex.Lock();
-        while (queue.size() >= kCap) {
-          not_full.Wait(&mutex);
+    std::vector<UThread*> threads;
+    for (int p = 0; p < producers; p++) {
+      threads.push_back(Runtime::Spawn([&] {
+        for (int i = 1; i <= kItems; i++) {
+          mutex.Lock();
+          while (queue.size() >= kCap) {
+            not_full.Wait(&mutex);
+          }
+          queue.push_back(i);
+          mutex.Unlock();
+          not_empty.Signal();
         }
-        queue.push_back(i);
-        mutex.Unlock();
-        not_empty.Signal();
-      }
-    });
-    UThread* consumer = Runtime::Spawn([&] {
-      for (int i = 0; i < kItems; i++) {
         mutex.Lock();
-        while (queue.empty()) {
-          not_empty.Wait(&mutex);
-        }
-        sum += queue.back();
-        queue.pop_back();
+        closed = --producers_left == 0;
+        const bool close = closed;
         mutex.Unlock();
-        not_full.Signal();
-      }
-    });
-    Runtime::Join(producer);
-    Runtime::Join(consumer);
+        if (close) {
+          not_empty.Broadcast();
+        }
+      }));
+    }
+    for (int c = 0; c < consumers; c++) {
+      threads.push_back(Runtime::Spawn([&] {
+        for (;;) {
+          mutex.Lock();
+          while (queue.empty() && !closed) {
+            not_empty.Wait(&mutex);
+          }
+          if (queue.empty()) {
+            mutex.Unlock();
+            return;  // closed and drained
+          }
+          const int value = queue.back();
+          queue.pop_back();
+          mutex.Unlock();
+          not_full.Signal();
+          sum.fetch_add(value);
+        }
+      }));
+    }
+    for (UThread* t : threads) {
+      Runtime::Join(t);
+    }
   });
-  EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems + 1) / 2);
+  return sum.load();
+}
+
+// Producer/consumer pipelines across workers: one pair on 2 workers, and
+// 4 producers x 3 consumers on 4 workers, where every wait, signal and the
+// closing Broadcast can cross workers.
+TEST(RuntimeSyncTest, ProducerConsumerPipeline) {
+  constexpr long long kPerProducer = 500LL * 501 / 2;
+  EXPECT_EQ(RunPipeline(2, 1, 1), kPerProducer);
+  EXPECT_EQ(RunPipeline(4, 4, 3), 4 * kPerProducer);
 }
 
 // ---- Preemption ----
@@ -674,21 +763,17 @@ void SpinUntilNs(std::int64_t until_ns) {
 
 void SpinAboutOneMs() { SpinUntilNs(SteadyNs() + 1'000'000); }
 
-// Join holds the runtime's wait lock (a std::mutex). Preempted there, the
-// joiner sits in the runqueue while the child, exiting on the same worker,
-// blocks the worker's pthread on that lock: a hang. A hook spins inside the
-// section so timer ticks land in it every round.
-TEST(RuntimePreemptTest, JoinSectionIsNotPreempted) {
+// Join under 100 us ticks: each child spins about 1 ms, so ticks land
+// while its parent links itself on the join word, parks and wakes.
+TEST(RuntimePreemptTest, JoinUnderTicksReturns) {
   Runtime rt(RuntimeOptions{.workers = 1, .preempt_period_us = 100});
-  Runtime::SetJoinLockedHookForTest(&SpinAboutOneMs);
   WithWatchdog(std::chrono::seconds(60), "Join under preemption ticks", [&] {
     rt.Run([&] {
       for (int round = 0; round < 20; round++) {
-        Runtime::Join(Runtime::Spawn([] {}));
+        Runtime::Join(Runtime::Spawn([] { SpinAboutOneMs(); }));
       }
     });
   });
-  Runtime::SetJoinLockedHookForTest(nullptr);
 }
 
 // Current, Yield and Park (like ExitCurrent and PreemptGuard's constructor)
